@@ -10,8 +10,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 
 #include "baselines/btree_store.h"
 #include "baselines/linked_list_store.h"
@@ -47,13 +49,24 @@ class Timer {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// This process's bench WAL: a file, or a directory of per-shard logs for
+/// a sharded store.
+inline std::string BenchWalPath() {
+  return "/tmp/livegraph_bench_wal_" + std::to_string(::getpid()) + ".log";
+}
+
 inline GraphOptions BenchGraphOptions(bool wal = false) {
   GraphOptions options;
   options.region_reserve = size_t{1} << 34;
   options.max_vertices = size_t{1} << 24;
   if (wal) {
-    options.wal_path = "/tmp/livegraph_bench_wal_" +
-                       std::to_string(::getpid()) + ".log";
+    // Deleted at exit, so repeated runs do not pile logs up in /tmp.
+    static const bool cleanup_registered = std::atexit([] {
+      std::error_code ignored;
+      std::filesystem::remove_all(BenchWalPath(), ignored);
+    }) == 0;
+    (void)cleanup_registered;
+    options.wal_path = BenchWalPath();
     options.fsync_wal = false;  // tmp storage; group commit path still runs
   }
   return options;

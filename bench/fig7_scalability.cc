@@ -5,8 +5,8 @@
 // buddy-system design").
 //
 // `--json` switches stdout to a single machine-readable JSON document
-// (used by the CI perf smoke and the BENCH_commit.json / BENCH_shard.json
-// before/after recordings); the human tables are suppressed.
+// (used by the CI perf smoke and the BENCH_shard.json recordings); the
+// human tables are suppressed.
 //
 // `--shards=N` runs the same sweep over the hash-partitioned
 // ShardedLiveGraph engine (docs/SHARDING.md) — N commit pipelines, N lock

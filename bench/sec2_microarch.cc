@@ -4,8 +4,8 @@
 // LLC misses than TEL; CSR 1/2.42x of TEL).
 //
 // Hardware counters are read via perf_event_open when the container allows
-// it; otherwise the bench falls back to software proxies (time/edge and
-// per-edge pointer hops) and says so — see DESIGN.md substitution 4.
+// it; otherwise the bench falls back to a software proxy (time per edge)
+// and says so — see DESIGN.md substitution 4.
 #include <linux/perf_event.h>
 #include <sys/ioctl.h>
 #include <sys/syscall.h>

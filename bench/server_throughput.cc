@@ -6,7 +6,8 @@
 // the server stack against the embedded baseline it wraps.
 //
 // Env knobs:
-//   LG_ENGINE   LiveGraph | LSMT | BTree | LinkedList   (default LiveGraph)
+//   LG_ENGINE   LiveGraph | LSMT                       (default LiveGraph;
+//               the latch baselines cannot be served, GraphServer::Start)
 //   LG_SHARDS   shard count; > 1 serves ShardedLiveGraph (LiveGraph only)
 //   LG_CLIENTS  client threads                          (default 8)
 //   LG_OPS      requests per client                     (default 20000)
@@ -21,14 +22,13 @@
 // ONE read target (primary) vs TWO read targets (primary + follower,
 // driven concurrently). Emit with --json as BENCH_replication.json.
 //
-// --idle-conns=K runs the transport comparison instead (docs/SERVER.md
-// "Event loop"): the same LinkBench mix against the legacy blocking
-// thread-per-connection server and the epoll reactor server, each while K
-// extra idle connections sit parked on the listener — the connection-scale
-// story (a blocking server pays a thread per parked client; the reactor
-// pays an epoll registration). Also measures pipelined vs sequential
-// write round trips through RemoteStore::Pipeline. Emit with --json as
-// BENCH_server.json.
+// --idle-conns=K runs the connection-scale check instead (docs/SERVER.md
+// "Event loop"): the same LinkBench mix against the reactor server while K
+// extra idle connections sit parked on the listener (each costs an epoll
+// registration, not a thread). Also measures pipelined vs sequential
+// write round trips through RemoteStore::Pipeline. Exits nonzero unless
+// all K connections were accepted and the mix saw zero failures; --json
+// prints the result as one object with a "reactor" key.
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -132,7 +132,9 @@ int Run(bool json, bool dump_metrics) {
   } else {
     server = std::make_unique<GraphServer>(*store, GraphServer::Options{});
     if (!server->Start()) {
-      std::fprintf(stderr, "failed to start loopback server\n");
+      std::fprintf(stderr,
+                   "failed to start loopback server (LG_ENGINE "
+                   "must be LiveGraph or LSMT)\n");
       return 1;
     }
     port = server->port();
@@ -187,8 +189,8 @@ int Run(bool json, bool dump_metrics) {
 
 // One parked client: a real protocol connection (TCP dial + Hello
 // handshake) that then sits silent, the shape of a connection-pool
-// member between requests. On the blocking server each costs a dedicated
-// thread; on the reactor each costs an epoll registration.
+// member between requests; on the reactor each costs an epoll
+// registration.
 size_t OpenIdleConns(const std::string& host, uint16_t port, size_t count,
                      std::vector<Socket>* conns) {
   conns->reserve(count);
@@ -274,13 +276,12 @@ bool MeasurePipelining(RemoteStore* remote, vertex_t n, ModeResult* out) {
 }
 
 bool RunOneMode(Store* store, const LinkBenchConfig& config, vertex_t n,
-                int reactors, size_t idle_conns, ModeResult* out) {
-  GraphServer::Options options;
-  options.reactors = reactors;
-  GraphServer server(*store, options);
+                size_t idle_conns, ModeResult* out) {
+  GraphServer server(*store, GraphServer::Options{});
   if (!server.Start()) {
-    std::fprintf(stderr, "failed to start loopback server (reactors=%d)\n",
-                 reactors);
+    std::fprintf(stderr,
+                 "failed to start loopback server (LG_ENGINE "
+                 "must be LiveGraph or LSMT)\n");
     return false;
   }
 
@@ -291,7 +292,7 @@ bool RunOneMode(Store* store, const LinkBenchConfig& config, vertex_t n,
   std::unique_ptr<RemoteStore> remote =
       RemoteStore::Connect("127.0.0.1", server.port());
   if (remote == nullptr) {
-    std::fprintf(stderr, "client connect failed (reactors=%d)\n", reactors);
+    std::fprintf(stderr, "client connect failed\n");
     return false;
   }
   {
@@ -304,8 +305,7 @@ bool RunOneMode(Store* store, const LinkBenchConfig& config, vertex_t n,
 
   out->mix = RunLinkBench(remote.get(), config, n);
   if (!MeasurePipelining(remote.get(), n, out)) {
-    std::fprintf(stderr, "pipelining measurement failed (reactors=%d)\n",
-                 reactors);
+    std::fprintf(stderr, "pipelining measurement failed\n");
   }
 
   remote.reset();
@@ -333,8 +333,8 @@ void PrintModeJson(const char* key, const ModeResult& mode, const char* trailer)
               trailer);
 }
 
-// Transport comparison: blocking thread-per-connection vs epoll reactor,
-// each under `idle_conns` parked connections plus the live LinkBench mix.
+// Connection scale: the reactor server under `idle_conns` parked
+// connections plus the live LinkBench mix.
 int RunModes(bool json, bool dump_metrics, size_t idle_conns) {
   LinkBenchConfig config = DefaultLinkBenchConfig();
   const std::string engine = EnvString("LG_ENGINE", "LiveGraph");
@@ -351,7 +351,7 @@ int RunModes(bool json, bool dump_metrics, size_t idle_conns) {
   vertex_t n = LoadLinkBenchGraph(store.get(), config);
 
   if (!json) {
-    std::printf("=== Server transport comparison (%zu idle conns) ===\n",
+    std::printf("=== Server connection scale (%zu idle conns) ===\n",
                 idle_conns);
     std::printf("engine=%s clients=%d ops/client=%llu scale=%d\n",
                 engine.c_str(), config.clients,
@@ -361,15 +361,8 @@ int RunModes(bool json, bool dump_metrics, size_t idle_conns) {
                 "mean(ms)", "P50(ms)", "P99(ms)", "P999(ms)");
   }
 
-  ModeResult blocking, reactor;
-  if (!RunOneMode(store.get(), config, n, /*reactors=*/0, idle_conns,
-                  &blocking)) {
-    return 1;
-  }
-  if (!RunOneMode(store.get(), config, n, /*reactors=*/-1, idle_conns,
-                  &reactor)) {
-    return 1;
-  }
+  ModeResult reactor;
+  if (!RunOneMode(store.get(), config, n, idle_conns, &reactor)) return 1;
 
   if (json) {
     std::printf("{\n  \"bench\": \"server_modes\",\n");
@@ -378,24 +371,16 @@ int RunModes(bool json, bool dump_metrics, size_t idle_conns) {
                 engine.c_str(), config.clients,
                 static_cast<unsigned long long>(config.ops_per_client),
                 idle_conns);
-    PrintModeJson("blocking", blocking, ",");
     PrintModeJson("reactor", reactor, dump_metrics ? "," : "");
     if (dump_metrics) {
       std::printf("  \"metrics\": %s\n", MetricsJson().c_str());
     }
     std::printf("}\n");
   } else {
-    PrintRemoteRow("blocking (reactors=0)", blocking.mix);
-    PrintRemoteRow("reactor (default)", reactor.mix);
-    std::printf("idle conns accepted: blocking %zu/%zu, reactor %zu/%zu\n",
-                blocking.idle_ok, blocking.idle_requested, reactor.idle_ok,
+    PrintRemoteRow("reactor", reactor.mix);
+    std::printf("idle conns accepted: %zu/%zu\n", reactor.idle_ok,
                 reactor.idle_requested);
-    std::printf("pipelined writes: blocking %.0f -> %.0f ops/s (%.1fx), "
-                "reactor %.0f -> %.0f ops/s (%.1fx)\n",
-                blocking.sequential_ops_s, blocking.pipelined_ops_s,
-                blocking.sequential_ops_s > 0
-                    ? blocking.pipelined_ops_s / blocking.sequential_ops_s
-                    : 0.0,
+    std::printf("pipelined writes: %.0f -> %.0f ops/s (%.1fx)\n",
                 reactor.sequential_ops_s, reactor.pipelined_ops_s,
                 reactor.sequential_ops_s > 0
                     ? reactor.pipelined_ops_s / reactor.sequential_ops_s
@@ -403,15 +388,11 @@ int RunModes(bool json, bool dump_metrics, size_t idle_conns) {
   }
 
   // The acceptance gate for the high-connection mode: every parked
-  // connection accepted and zero failed requests in the live mix, on both
-  // transports.
-  bool clean = blocking.idle_ok == idle_conns && reactor.idle_ok == idle_conns &&
-               blocking.mix.failures == 0 && reactor.mix.failures == 0;
-  if (!clean) {
-    std::fprintf(stderr, "server_modes: FAILED gate (idle %zu/%zu + %zu/%zu, "
-                 "failures %llu + %llu)\n",
-                 blocking.idle_ok, idle_conns, reactor.idle_ok, idle_conns,
-                 static_cast<unsigned long long>(blocking.mix.failures),
+  // connection accepted and zero failed requests in the live mix.
+  if (reactor.idle_ok != idle_conns || reactor.mix.failures != 0) {
+    std::fprintf(stderr, "server_modes: FAILED gate (idle %zu/%zu, "
+                 "failures %llu)\n",
+                 reactor.idle_ok, idle_conns,
                  static_cast<unsigned long long>(reactor.mix.failures));
     return 1;
   }

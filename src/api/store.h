@@ -147,6 +147,14 @@ class Store {
   virtual std::unique_ptr<StoreTxn> BeginTxn() = 0;
   virtual std::unique_ptr<StoreReadTxn> BeginReadTxn() = 0;
 
+  /// True if one thread may hold several open sessions at once. Engines
+  /// whose sessions hold a pthread latch from Begin to Commit (BTree,
+  /// LinkedList) return false: a second session begun on the holder's
+  /// thread relocks the latch, which deadlocks or throws EDEADLK.
+  /// GraphServer multiplexes many sessions on each event-loop thread, so
+  /// it refuses to serve such engines.
+  virtual bool SupportsInterleavedSessions() const { return true; }
+
   // --- Auto-commit convenience wrappers ---
   // One-operation sessions with bounded conflict retry, for loaders and
   // examples; latency-sensitive drivers manage sessions themselves.

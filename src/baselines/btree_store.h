@@ -32,6 +32,7 @@ class BTreeStore : public Store {
 
   std::unique_ptr<StoreTxn> BeginTxn() override;
   std::unique_ptr<StoreReadTxn> BeginReadTxn() override;
+  bool SupportsInterleavedSessions() const override { return false; }
 
   int tree_height() const { return edges_.height(); }
 

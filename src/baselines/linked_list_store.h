@@ -42,6 +42,7 @@ class LinkedListStore : public Store {
 
   std::unique_ptr<StoreTxn> BeginTxn() override;
   std::unique_ptr<StoreReadTxn> BeginReadTxn() override;
+  bool SupportsInterleavedSessions() const override { return false; }
 
   /// Head of `src`'s adjacency chain (newest first), for single-threaded
   /// microbenchmarks only: bypasses the latch.

@@ -26,40 +26,19 @@ void CountReplyError(Status status) {
       .Add();
 }
 
-/// Writes replies straight to the socket; never throttles, so every
-/// ServerSession::Handle call completes inline (no async outcomes).
-class BlockingSink : public ServerSession::Sink {
- public:
-  BlockingSink(Socket* socket, std::string* scratch)
-      : socket_(socket), scratch_(scratch) {}
-
-  bool SendFrame(MsgType type, uint8_t flags,
-                 std::string_view body) override {
-    return socket_->WriteFrame(type, flags, body, scratch_);
-  }
-
- private:
-  Socket* socket_;
-  std::string* scratch_;
-};
-
 }  // namespace
 
-// One blocking connection thread. In legacy mode it is the whole
-// transport: read a frame, hand it to the ServerSession, repeat. In
-// reactor mode it exists only for adopted replication subscriptions — the
-// reactor passes the socket (blocking again) plus the kSubscribe frame as
-// `first`, and the thread runs the push stream.
-class GraphServer::Connection {
+// One adopted replication subscription. The reactor passes the socket
+// (blocking again, its queued output flushed) plus the kSubscribe frame,
+// and this thread runs the push stream until either side goes away.
+class GraphServer::PushStream {
  public:
-  Connection(GraphServer* server, Socket socket)
-      : server_(server), socket_(std::move(socket)) {}
-
-  Connection(GraphServer* server, Socket socket, Frame first)
+  PushStream(GraphServer* server, Socket socket, Frame subscribe)
       : server_(server),
         socket_(std::move(socket)),
-        first_(std::move(first)),
-        has_first_(true) {}
+        subscribe_(std::move(subscribe)) {}
+  PushStream(const PushStream&) = delete;
+  PushStream& operator=(const PushStream&) = delete;
 
   void Start() {
     thread_ = std::thread([this] { Run(); });
@@ -69,46 +48,20 @@ class GraphServer::Connection {
   void Join() {
     if (thread_.joinable()) thread_.join();
   }
-  bool done() const { return done_.load(std::memory_order_acquire); }
 
  private:
   void Run() {
-    // relaxed (both edges): active_connections_ is an observability gauge;
-    // connection lifetime is ordered by done_/Join, not this counter.
-    server_->active_connections_.fetch_add(1, std::memory_order_relaxed);
-    {
-      ServerSession::Config config;
-      config.store = &server_->store_;
-      config.scan_batch_edges = server_->options_.scan_batch_edges;
-      config.scan_batch_bytes = server_->options_.scan_batch_bytes;
-      config.frontier = server_->options_.frontier;
-      config.offload = false;
-      ServerSession session(config);
-      BlockingSink sink(&socket_, &send_scratch_);
-      Frame request;
-      bool have_frame = has_first_;
-      if (have_frame) request = std::move(first_);
-      while (have_frame || socket_.ReadFrame(&request)) {
-        have_frame = false;
-        ServerSession::Outcome outcome = session.Handle(request, &sink);
-        if (outcome == ServerSession::Outcome::kDone) continue;
-        if (outcome == ServerSession::Outcome::kSubscribe) {
-          WireReader reader(request.body);
-          HandleSubscribe(reader);
-        }
-        break;  // kClose, or a finished subscription
-      }
-      // Destroying the session aborts open write sessions and releases
-      // read sessions (latches, snapshots) — a vanished client holds
-      // nothing.
-    }
+    // relaxed (both edges): active_streams_ is an observability gauge;
+    // stream lifetime is ordered by Join, not this counter.
+    server_->active_streams_.fetch_add(1, std::memory_order_relaxed);
+    WireReader reader(subscribe_.body);
+    HandleSubscribe(reader);
     // Shutdown only — never Close() here: GraphServer::Stop() may call
     // ShutdownSocket() concurrently, and closing would both race on fd_
     // and free the descriptor number for reuse while Stop still holds it.
     // The fd is released by the Socket destructor, after Join().
     socket_.Shutdown();
-    server_->active_connections_.fetch_sub(1, std::memory_order_relaxed);
-    done_.store(true, std::memory_order_release);
+    server_->active_streams_.fetch_sub(1, std::memory_order_relaxed);
   }
 
   // --- Reply plumbing (subscription handshake only) -----------------------
@@ -121,38 +74,37 @@ class GraphServer::Connection {
     return writer;
   }
 
-  bool SendReply(uint8_t flags = kFlagNone) {
-    return socket_.WriteFrame(MsgType::kReply, flags, reply_body_,
+  bool SendReply() {
+    return socket_.WriteFrame(MsgType::kReply, kFlagNone, reply_body_,
                               &send_scratch_);
   }
 
-  bool ReplyStatus(Status status, uint8_t flags = kFlagNone) {
+  bool ReplyStatus(Status status) {
     BeginReply(status);
-    return SendReply(flags);
+    return SendReply();
   }
 
   // --- Replication (docs/REPLICATION.md) ----------------------------------
 
-  /// Converts the connection into a follower push stream: catch-up phase
-  /// (snapshot or WAL-file range, per the hub's tier), then live batches
-  /// until either side goes away. Always returns false — a subscription
-  /// connection never reverts to request/response.
-  bool HandleSubscribe(WireReader& reader) {
+  /// Runs the follower push stream: catch-up phase (snapshot or WAL-file
+  /// range, per the hub's tier), then live batches until either side
+  /// goes away. A subscription never reverts to request/response.
+  void HandleSubscribe(WireReader& reader) {
     int64_t from_epoch;
     uint32_t follower_shards;
     if (!reader.GetI64(&from_epoch) || !reader.GetU32(&follower_shards) ||
         !reader.Exhausted()) {
-      return false;
+      return;
     }
     ReplicationHub* hub = server_->options_.replication;
     if (hub == nullptr || !hub->attached()) {
       ReplyStatus(Status::kUnavailable);
-      return false;
+      return;
     }
     ReplicationHub::Subscription sub;
     if (!hub->Subscribe(from_epoch, follower_shards, &sub)) {
       ReplyStatus(Status::kUnavailable);
-      return false;
+      return;
     }
     WireWriter writer = BeginReply(Status::kOk);
     writer.PutU32(static_cast<uint32_t>(hub->num_shards()));
@@ -163,7 +115,6 @@ class GraphServer::Connection {
     if (ok && sub.need_disk) ok = StreamWalRange(hub, sub);
     if (ok) PushLoop(hub, sub);
     hub->Unsubscribe(&sub);
-    return false;
   }
 
   /// Tier C: exports every shard's pinned snapshot as synthetic WAL
@@ -330,12 +281,10 @@ class GraphServer::Connection {
 
   GraphServer* server_;
   Socket socket_;
+  Frame subscribe_;
   std::thread thread_;
-  std::atomic<bool> done_{false};
-  Frame first_;
-  bool has_first_ = false;
 
-  // Reused per-connection buffers: steady state sends allocate nothing.
+  // Reused per-stream buffers: steady state sends allocate nothing.
   std::string reply_body_;
   std::string batch_body_;
   std::string send_scratch_;
@@ -347,6 +296,7 @@ GraphServer::GraphServer(Store& store, Options options)
 GraphServer::~GraphServer() { Stop(); }
 
 bool GraphServer::Start() {
+  if (!store_.SupportsInterleavedSessions()) return false;
   listener_ = ListenTcp(options_.host, options_.port, &port_);
   if (!listener_.valid()) return false;
   auto& registry = metrics::Registry::Instance();
@@ -356,33 +306,31 @@ bool GraphServer::Start() {
   registry.GetGauge("livegraph_server_open_txns");
 
   resolved_reactors_ = options_.reactors;
-  if (resolved_reactors_ < 0) {
+  if (resolved_reactors_ <= 0) {
     unsigned hw = std::thread::hardware_concurrency();
     resolved_reactors_ = hw == 0 ? 1 : static_cast<int>(hw);
   }
-  if (resolved_reactors_ > 0) {
-    ReactorGroup::Options group;
-    group.reactors = resolved_reactors_;
-    group.workers = options_.workers > 0 ? options_.workers
-                                         : std::max(2, resolved_reactors_);
-    group.write_high_water = options_.write_high_water;
-    group.write_low_water =
-        std::min(options_.write_low_water, options_.write_high_water);
-    group.idle_timeout_ms = options_.idle_timeout_ms;
-    group.write_stall_timeout_ms = options_.io_timeout_ms;
-    group.session.store = &store_;
-    group.session.scan_batch_edges = options_.scan_batch_edges;
-    group.session.scan_batch_bytes = options_.scan_batch_bytes;
-    group.session.frontier = options_.frontier;
-    reactor_group_ = std::make_unique<ReactorGroup>(
-        std::move(group), [this](Socket socket, Frame frame) {
-          AdoptSubscription(std::move(socket), std::move(frame));
-        });
-    if (!reactor_group_->Start()) {
-      reactor_group_.reset();
-      listener_.Close();
-      return false;
-    }
+  ReactorGroup::Options group;
+  group.reactors = resolved_reactors_;
+  group.workers = options_.workers > 0 ? options_.workers
+                                       : std::max(2, resolved_reactors_);
+  group.write_high_water = options_.write_high_water;
+  group.write_low_water =
+      std::min(options_.write_low_water, options_.write_high_water);
+  group.idle_timeout_ms = options_.idle_timeout_ms;
+  group.write_stall_timeout_ms = options_.io_timeout_ms;
+  group.session.store = &store_;
+  group.session.scan_batch_edges = options_.scan_batch_edges;
+  group.session.scan_batch_bytes = options_.scan_batch_bytes;
+  group.session.frontier = options_.frontier;
+  reactor_group_ = std::make_unique<ReactorGroup>(
+      std::move(group), [this](Socket socket, Frame frame) {
+        AdoptSubscription(std::move(socket), std::move(frame));
+      });
+  if (!reactor_group_->Start()) {
+    reactor_group_.reset();
+    listener_.Close();
+    return false;
   }
 
   // The probe registers after the reactor group exists: it reads
@@ -402,52 +350,28 @@ void GraphServer::AcceptLoop() {
   while (running_.load(std::memory_order_acquire)) {
     Socket conn = AcceptTcp(listener_);
     if (!conn.valid()) break;  // listener shut down (or fatal error)
-    // Send deadline only: a hung peer fails its connection thread's writes
-    // instead of wedging it. Receives stay unbounded — an idle client
-    // parked between requests is normal, not a fault. (Non-blocking
-    // reactor I/O ignores the deadline, but an adopted subscription socket
-    // reverts to blocking sends and inherits it.)
-    conn.SetSendTimeout(options_.io_timeout_ms);
     static metrics::Counter& rx = metrics::Registry::Instance().GetCounter(
         "livegraph_server_rx_bytes_total");
     static metrics::Counter& tx = metrics::Registry::Instance().GetCounter(
         "livegraph_server_tx_bytes_total");
     conn.SetByteCounters(&rx, &tx);
-    if (reactor_group_ != nullptr) {
-      reactor_group_->AddConnection(std::move(conn));
-      continue;
-    }
-    std::lock_guard<std::mutex> lock(connections_mu_);
-    // Reap finished connections so a long-lived server with connection
-    // churn doesn't accumulate dead session objects.
-    for (size_t i = 0; i < connections_.size();) {
-      if (connections_[i]->done()) {
-        connections_[i]->Join();
-        connections_.erase(connections_.begin() +
-                           static_cast<ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
-    }
-    connections_.push_back(
-        std::make_unique<Connection>(this, std::move(conn)));
-    connections_.back()->Start();
+    reactor_group_->AddConnection(std::move(conn));
   }
 }
 
 void GraphServer::AdoptSubscription(Socket socket, Frame frame) {
-  std::lock_guard<std::mutex> lock(connections_mu_);
+  std::lock_guard<std::mutex> lock(streams_mu_);
   // Checked under the lock: Stop() flips running_ before it swaps the
-  // connection list out (also under the lock), so either this connection
-  // lands in the list Stop() joins, or it is dropped here.
+  // stream list out (also under the lock), so either this stream lands in
+  // the list Stop() joins, or it is dropped here.
   if (!running_.load(std::memory_order_acquire)) return;
-  connections_.push_back(std::make_unique<Connection>(
-      this, std::move(socket), std::move(frame)));
-  connections_.back()->Start();
+  streams_.push_back(std::make_unique<PushStream>(this, std::move(socket),
+                                                  std::move(frame)));
+  streams_.back()->Start();
 }
 
 size_t GraphServer::active_connections() const {
-  size_t total = active_connections_.load(std::memory_order_relaxed);
+  size_t total = active_streams_.load(std::memory_order_relaxed);
   if (reactor_group_ != nullptr) {
     total += reactor_group_->active_connections();
   }
@@ -457,8 +381,8 @@ size_t GraphServer::active_connections() const {
 void GraphServer::Drain(int64_t deadline_ms) {
   if (!running_.load(std::memory_order_acquire)) return;
   // Stop accepting immediately: shut the listener down and collect the
-  // accept thread, but leave running_ set so in-flight sessions (on either
-  // transport) keep serving until they finish or the deadline lands.
+  // accept thread, but leave running_ set so in-flight sessions keep
+  // serving until they finish or the deadline lands.
   listener_.Shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();
   const auto deadline = std::chrono::steady_clock::now() +
@@ -484,17 +408,16 @@ void GraphServer::Stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   listener_.Close();
   // Reactors first: their connections close and any in-flight offloaded
-  // commits drain inside ReactorGroup::Stop(). Blocking threads
-  // (subscriptions, legacy mode) see running_ false and unwind once their
-  // sockets are shut.
-  if (reactor_group_ != nullptr) reactor_group_->Stop();
-  std::vector<std::unique_ptr<Connection>> connections;
+  // commits drain inside ReactorGroup::Stop(). Push streams see running_
+  // false and unwind once their sockets are shut.
+  reactor_group_->Stop();
+  std::vector<std::unique_ptr<PushStream>> streams;
   {
-    std::lock_guard<std::mutex> lock(connections_mu_);
-    connections.swap(connections_);
+    std::lock_guard<std::mutex> lock(streams_mu_);
+    streams.swap(streams_);
   }
-  for (auto& connection : connections) connection->ShutdownSocket();
-  for (auto& connection : connections) connection->Join();
+  for (auto& stream : streams) stream->ShutdownSocket();
+  for (auto& stream : streams) stream->Join();
   // reactor_group_ stays allocated (threads joined, zero connections) so
   // concurrent active_connections() readers never race its teardown; the
   // destructor frees it.

@@ -1,20 +1,20 @@
 // GraphServer: the network front end over any v2 Store engine
 // (docs/SERVER.md).
 //
-// Two transports share one protocol brain (server/session.h). The default
-// front end is the epoll reactor (server/reactor.h): `reactors` event-loop
-// threads own the accepted connections, pipeline buffered requests, batch
-// replies into single writev calls, and hand blocking work (group-commit
-// waits, frontier waits) to a small worker pool. `reactors = 0` selects
-// the legacy mode — one accept thread plus one blocking thread per
-// connection. Either way a connection is a protocol session: it owns a
-// table of open transactions (ids handed out by Begin{,Read}Txn) mapped
-// onto real StoreTxn/StoreReadTxn sessions, so remote sessions keep
-// exactly the engine's semantics — MVCC snapshots stay snapshots, latch
-// engines hold their latch for the remote session's lifetime, and a
-// dropped connection aborts whatever it left open. Replication
-// subscriptions always run on dedicated blocking threads; the reactor
-// hands those sockets back (adoption) when kSubscribe arrives.
+// An accept thread hands every connection to the epoll reactor
+// (server/reactor.h): `reactors` event-loop threads own the accepted
+// connections, pipeline buffered requests, batch replies into single
+// writev calls, and hand blocking work (group-commit waits, frontier
+// waits, lock-acquiring mutations) to a small worker pool. Each connection
+// is a protocol session (server/session.h): it owns a table of open
+// transactions (ids handed out by Begin{,Read}Txn) mapped onto real
+// StoreTxn/StoreReadTxn sessions, so remote sessions keep exactly the
+// engine's semantics — MVCC snapshots stay snapshots, and a dropped
+// connection aborts whatever it left open. Engines whose sessions hold a
+// thread-owned latch (Store::SupportsInterleavedSessions() false: BTree,
+// LinkedList) cannot share an event loop and are refused at Start(). Replication subscriptions are the one
+// exception: when kSubscribe arrives the reactor hands the socket back
+// (adoption) and the push stream runs on a dedicated blocking thread.
 //
 // Scans stream: ScanLinks walks the engine cursor once, packing edges into
 // reused batch buffers and writing each batch as soon as it fills — the
@@ -62,17 +62,16 @@ class GraphServer {
     /// frontier on a follower). Null rejects epoch-gated requests with a
     /// positive bound. Not owned; must outlive Stop().
     EpochFrontier* frontier = nullptr;
-    /// Per-operation send deadline installed on every accepted socket
-    /// (Socket::SetSendTimeout): a peer that stops draining its replies or
-    /// its replication push stream fails the write instead of wedging the
-    /// connection thread forever. 0 disables. In reactor mode the same
-    /// value bounds how long a connection's queued output may sit without
-    /// flush progress before the connection is closed.
+    /// Write deadline. On a reactor connection it bounds how long queued
+    /// output may sit without flush progress before the connection is
+    /// closed; on an adopted replication push stream it is the socket's
+    /// send timeout (Socket::SetSendTimeout), so a follower that stops
+    /// draining fails the write instead of wedging the stream thread
+    /// forever. 0 disables.
     int64_t io_timeout_ms = 30'000;
-    /// Event-loop threads (docs/SERVER.md "Event loop"). -1 resolves to
-    /// the hardware concurrency at Start(); 0 selects the legacy blocking
-    /// thread-per-connection mode.
-    int reactors = -1;
+    /// Event-loop threads (docs/SERVER.md "Event loop"). 0 resolves to
+    /// the hardware concurrency at Start().
+    int reactors = 0;
     /// Commit-offload worker threads shared by the reactors. 0 resolves
     /// to max(2, reactors).
     int workers = 0;
@@ -81,8 +80,8 @@ class GraphServer {
     /// streaming scans); below low it resumes.
     size_t write_high_water = 1u << 20;
     size_t write_low_water = 256u << 10;
-    /// Reactor mode: close connections that send nothing for this long
-    /// (0 = never), aborting their open transactions.
+    /// Close connections that send nothing for this long (0 = never),
+    /// aborting their open transactions.
     int64_t idle_timeout_ms = 0;
   };
 
@@ -90,7 +89,8 @@ class GraphServer {
   GraphServer(Store& store, Options options);
   ~GraphServer();
 
-  /// Binds and starts accepting. False if the address cannot be bound.
+  /// Binds and starts accepting. False if the address cannot be bound or
+  /// the store does not support interleaved sessions.
   bool Start();
   /// Stops accepting, tears down live connections (aborting their open
   /// transactions), and joins every thread. Idempotent.
@@ -107,17 +107,16 @@ class GraphServer {
   uint16_t port() const { return port_; }
   const Options& options() const { return options_; }
 
-  /// Connections currently attached, across both transports
-  /// (observability, tests). relaxed: a monitoring gauge; nothing is
-  /// synchronized through it.
+  /// Connections currently attached: reactor-owned ones plus adopted
+  /// push streams (observability, tests). relaxed: a monitoring gauge;
+  /// nothing is synchronized through it.
   size_t active_connections() const;
 
-  /// Reactor threads actually running (0 in blocking mode). Valid after
-  /// Start().
+  /// Reactor threads actually running. Valid after Start().
   int resolved_reactors() const { return resolved_reactors_; }
 
  private:
-  class Connection;
+  class PushStream;
 
   void AcceptLoop();
   /// Reactor hand-back: runs a kSubscribe connection on a dedicated
@@ -130,14 +129,15 @@ class GraphServer {
   uint16_t port_ = 0;
   std::thread accept_thread_;
   std::atomic<bool> running_{false};
-  std::atomic<size_t> active_connections_{0};
+  /// Adopted push streams still running (the reactors count their own).
+  std::atomic<size_t> active_streams_{0};
   int resolved_reactors_ = 0;
 
-  /// The event-loop front end (null in blocking mode).
+  /// The event-loop front end (null before Start()).
   std::unique_ptr<ReactorGroup> reactor_group_;
 
-  std::mutex connections_mu_;
-  std::vector<std::unique_ptr<Connection>> connections_;
+  std::mutex streams_mu_;
+  std::vector<std::unique_ptr<PushStream>> streams_;
 
   /// Connections-gauge probe (registered in Start, removed in Stop).
   uint64_t metrics_probe_ = 0;

@@ -17,8 +17,9 @@ namespace livegraph {
 struct ShardOptions;
 
 /// Wraps `engine` behind a loopback GraphServer + RemoteStore. All Store
-/// calls go through the wire. Null if the server cannot bind or the
-/// client cannot connect. `server_options.port` is overridden to 0
+/// calls go through the wire. Null if the server refuses the engine
+/// (Store::SupportsInterleavedSessions), cannot bind, or the client cannot
+/// connect. `server_options.port` is overridden to 0
 /// (ephemeral) unless explicitly set.
 std::unique_ptr<Store> MakeLoopbackStore(
     std::unique_ptr<Store> engine,

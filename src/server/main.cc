@@ -1,6 +1,6 @@
 // livegraph_server: stand-alone graph server binary (docs/SERVER.md).
 //
-//   livegraph_server [--engine=LiveGraph|PagedLiveGraph|BTree|LSMT|LinkedList]
+//   livegraph_server [--engine=LiveGraph|PagedLiveGraph|LSMT]
 //                    [--shards=N] [--host=127.0.0.1] [--port=9271]
 //                    [--durability=none|wal|wal-fsync] [--wal-path=PATH]
 //                    [--checkpoint-dir=DIR] [--storage-path=FILE]
@@ -11,7 +11,9 @@
 //                    [--metrics-port=N] [--slow-op-ms=N]
 //
 // Serves the chosen engine over the binary wire protocol until SIGINT or
-// SIGTERM. --shards=N (LiveGraph engine only) serves a hash-partitioned
+// SIGTERM. The latch baselines (BTree, LinkedList) are not servable: their
+// sessions hold a thread-owned latch, and the event loops multiplex many
+// sessions per thread (Store::SupportsInterleavedSessions). --shards=N (LiveGraph engine only) serves a hash-partitioned
 // ShardedLiveGraph instead — N independent commit pipelines, lock arrays
 // and compaction threads behind the same wire protocol, one shared
 // visibility-epoch domain, remote read sessions pinning a single global
@@ -42,8 +44,6 @@
 #include <memory>
 #include <string>
 
-#include "baselines/btree_store.h"
-#include "baselines/linked_list_store.h"
 #include "baselines/livegraph_store.h"
 #include "baselines/lsmt_store.h"
 #include "replication/epoch_frontier.h"
@@ -79,9 +79,9 @@ struct Flags {
   size_t max_vertices = size_t{1} << 24;
   size_t page_cache_pages = size_t{1} << 16;  // PagedLiveGraph: 256 MiB
   size_t scan_batch_edges = 512;
-  int reactors = -1;  // event-loop threads; -1 = hw concurrency, 0 = blocking
-  int workers = 0;    // commit-offload workers; 0 = max(2, reactors)
-  int64_t idle_timeout_ms = 0;  // reactor mode: close silent connections
+  int reactors = 0;  // event-loop threads; 0 = hw concurrency
+  int workers = 0;   // commit-offload workers; 0 = max(2, reactors)
+  int64_t idle_timeout_ms = 0;  // close silent connections; 0 = never
   std::string replica_of;   // "host:port" of the primary (follower mode)
   std::string replica_dir;  // follower durable dir (empty = in-memory)
   int64_t replica_checkpoint_epochs = 65536;
@@ -115,7 +115,7 @@ bool TakeValue(const char* arg, const char* name, std::string* out) {
 int Usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--engine=LiveGraph|PagedLiveGraph|BTree|LSMT|LinkedList]\n"
+      "usage: %s [--engine=LiveGraph|PagedLiveGraph|LSMT]\n"
       "          [--shards=N] [--host=ADDR] [--port=N]\n"
       "          [--durability=none|wal|wal-fsync] [--wal-path=PATH]\n"
       "          [--checkpoint-dir=DIR] [--storage-path=FILE]\n"
@@ -127,10 +127,9 @@ int Usage(const char* argv0) {
       "          [--drain-deadline-ms=N] [--faults=SPEC]\n"
       "          [--metrics-port=N] [--slow-op-ms=N]\n"
       "  --reactors picks the epoll event-loop thread count (docs/SERVER.md\n"
-      "  \"Event loop\"): -1 (default) = hardware concurrency, 0 = legacy\n"
-      "  blocking thread-per-connection. --workers sizes the commit-offload\n"
-      "  pool (0 = max(2, reactors)); --idle-timeout-ms closes connections\n"
-      "  silent that long (0 = never, reactor mode only).\n"
+      "  \"Event loop\"; 0, the default, = hardware concurrency). --workers\n"
+      "  sizes the commit-offload pool (0 = max(2, reactors));\n"
+      "  --idle-timeout-ms closes connections silent that long (0 = never).\n"
       "  --shards=N (N > 1) serves a hash-partitioned ShardedLiveGraph;\n"
       "  LiveGraph engine only. With durability the server recovers its\n"
       "  durable state on start; a sharded server uses --wal-path as its\n"
@@ -192,11 +191,7 @@ std::unique_ptr<livegraph::Store> MakeEngine(const Flags& flags) {
     }
     return std::make_unique<LiveGraphStore>(options);
   }
-  if (flags.engine == "BTree") return std::make_unique<BTreeStore>();
   if (flags.engine == "LSMT") return std::make_unique<LsmtStore>();
-  if (flags.engine == "LinkedList") {
-    return std::make_unique<LinkedListStore>();
-  }
   return nullptr;
 }
 
@@ -265,7 +260,7 @@ int main(int argc, char** argv) {
           static_cast<size_t>(std::atoll(value.c_str()));
     } else if (TakeValue(argv[i], "--reactors", &value)) {
       flags.reactors = std::atoi(value.c_str());
-      if (flags.reactors < -1) return Usage(argv[0]);
+      if (flags.reactors < 0) return Usage(argv[0]);
     } else if (TakeValue(argv[i], "--workers", &value)) {
       flags.workers = std::atoi(value.c_str());
       if (flags.workers < 0) return Usage(argv[0]);

@@ -1,10 +1,9 @@
 // Thin POSIX TCP helpers shared by GraphServer and RemoteStore: RAII fds,
 // full-buffer read/write loops, and frame-granularity send/receive built
 // on the protocol framing (server/protocol.h). Blocking sockets carry the
-// client side, the legacy thread-per-connection server mode, and
-// replication push streams; the reactor server (server/reactor.h) flips
-// its accepted sockets non-blocking and drives them through the Epoll /
-// EventFd wrappers below.
+// client side and replication push streams; the reactor server
+// (server/reactor.h) flips its accepted sockets non-blocking and drives
+// them through the Epoll / EventFd wrappers below.
 #ifndef LIVEGRAPH_SERVER_NET_H_
 #define LIVEGRAPH_SERVER_NET_H_
 

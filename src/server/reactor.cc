@@ -31,10 +31,6 @@ constexpr size_t kReadChunk = 64u << 10;
 /// Gathered-write fan: frames coalesced into one writev call.
 constexpr int kMaxIov = 64;
 
-/// Recycled output-buffer pool bounds (per connection).
-constexpr size_t kSpareBuffers = 16;
-constexpr size_t kSpareMaxBytes = 1u << 20;
-
 /// Input buffer compaction threshold: consumed prefix worth a memmove.
 constexpr size_t kCompactThreshold = 256u << 10;
 
@@ -237,11 +233,8 @@ class Reactor {
     std::string in;
     size_t in_off = 0;
     size_t in_len = 0;
-    /// Output: encoded frames; out.front() is written from out_off.
-    std::deque<std::string> out;
-    size_t out_off = 0;
-    size_t out_bytes = 0;
-    std::vector<std::string> spare;
+    /// Output: the session's reply queue, flushed by FlushConn.
+    ServerSession::Sink out;
     /// Currently registered epoll interest bits.
     uint32_t interest = Epoll::kRead;
     enum class Wait : uint8_t { kNone, kCommit, kEpoch, kMutation };
@@ -255,52 +248,19 @@ class Reactor {
     bool counted_write = false;
     Frame frame;
     uint64_t last_activity_ns = 0;
-    /// Nonzero while output is queued: last time a flush made progress.
-    uint64_t last_write_progress_ns = 0;
 
-    Conn(uint64_t conn_id, Socket s, const ServerSession::Config& config)
-        : id(conn_id), socket(std::move(s)), session(config) {}
+    Conn(uint64_t conn_id, Socket s, const ServerSession::Config& config,
+         size_t high_water)
+        : id(conn_id),
+          socket(std::move(s)),
+          session(config),
+          out(high_water) {}
 
     /// An async op or parked scan owns the reply stream: no new frames
     /// may dispatch until it completes (replies are in request order).
     bool blocked() const {
       return wait != Wait::kNone || session.scan_paused();
     }
-  };
-
-  /// Replies append to the connection's output queue; frames are recycled
-  /// through the spare pool so the steady state allocates nothing.
-  class QueueSink : public ServerSession::Sink {
-   public:
-    QueueSink(const Reactor* reactor, Conn* conn)
-        : reactor_(reactor), conn_(conn) {}
-
-    bool SendFrame(MsgType type, uint8_t flags,
-                   std::string_view body) override {
-      if (conn_->closing) return false;
-      if (body.size() > kMaxFrameBody) return false;
-      std::string buf;
-      if (!conn_->spare.empty()) {
-        buf = std::move(conn_->spare.back());
-        conn_->spare.pop_back();
-        buf.clear();
-      }
-      EncodeFrame(type, flags, body, &buf);
-      if (conn_->out_bytes == 0) {
-        conn_->last_write_progress_ns = metrics::MonotonicNanos();
-      }
-      conn_->out_bytes += buf.size();
-      conn_->out.push_back(std::move(buf));
-      return true;
-    }
-
-    bool throttled() const override {
-      return conn_->out_bytes >= reactor_->options_.write_high_water;
-    }
-
-   private:
-    const Reactor* reactor_;
-    Conn* conn_;
   };
 
   void Run() {
@@ -350,7 +310,7 @@ class Reactor {
   /// Drains the socket into the connection's input buffer (bounded per
   /// wakeup). EOF and errors mark the connection; frames already buffered
   /// are still served before the close (a half-closing client gets its
-  /// replies, as it would from the blocking server).
+  /// replies).
   void ReadInto(Conn* conn) {
     if (conn->closing) return;
     size_t budget = kReadBudgetPerWakeup;
@@ -384,7 +344,7 @@ class Reactor {
   /// an async hand-off, a parked scan, or a protocol violation.
   void ProcessFrames(Conn* conn, uint64_t* frames) {
     while (!conn->closing && !conn->adopting && !conn->blocked() &&
-           conn->out_bytes < options_.write_high_water) {
+           !conn->out.throttled()) {
       size_t avail = conn->in_len - conn->in_off;
       if (avail < kFrameHeaderSize) break;
       char header[kFrameHeaderSize];
@@ -404,7 +364,6 @@ class Reactor {
       }
       conn->in_off += kFrameHeaderSize + body_size;
       ++*frames;
-      QueueSink sink(this, conn);
       // Mutations must offload only when ANOTHER connection on this loop
       // holds a write transaction (a potential vertex-lock holder whose
       // releasing Commit this loop must stay live to dispatch); otherwise
@@ -414,8 +373,8 @@ class Reactor {
       // drains.
       conn->session.set_offload_mutations(
           write_conns_ > (conn->counted_write ? 1u : 0u));
-      ServerSession::Outcome outcome = conn->session.Handle(conn->frame,
-                                                            &sink);
+      ServerSession::Outcome outcome =
+          conn->session.Handle(conn->frame, &conn->out);
       SyncWriteCount(conn);
       switch (outcome) {
         case ServerSession::Outcome::kDone:
@@ -455,43 +414,17 @@ class Reactor {
   /// iov-full. Short writes keep their queue position; EPOLLOUT retries.
   void FlushConn(Conn* conn) {
     if (conn->closing || conn->out.empty()) return;
-    PendingWriteBytes().Record(conn->out_bytes);
+    PendingWriteBytes().Record(conn->out.bytes());
     while (!conn->out.empty()) {
       struct iovec iov[kMaxIov];
-      int count = 0;
-      size_t skip = conn->out_off;
-      for (auto it = conn->out.begin();
-           it != conn->out.end() && count < kMaxIov; ++it) {
-        iov[count].iov_base = const_cast<char*>(it->data()) + skip;
-        iov[count].iov_len = it->size() - skip;
-        skip = 0;
-        ++count;
-      }
+      int count = conn->out.Gather(iov, kMaxIov);
       int64_t n = conn->socket.WritevNonBlocking(iov, count);
       if (n == Socket::kWouldBlock) return;
       if (n < 0) {
         conn->closing = true;
         return;
       }
-      conn->out_bytes -= static_cast<size_t>(n);
-      conn->last_write_progress_ns =
-          conn->out_bytes == 0 ? 0 : metrics::MonotonicNanos();
-      size_t consumed = static_cast<size_t>(n);
-      while (consumed > 0) {
-        std::string& front = conn->out.front();
-        size_t remain = front.size() - conn->out_off;
-        if (consumed < remain) {
-          conn->out_off += consumed;
-          break;
-        }
-        consumed -= remain;
-        conn->out_off = 0;
-        if (conn->spare.size() < kSpareBuffers &&
-            front.capacity() <= kSpareMaxBytes) {
-          conn->spare.push_back(std::move(front));
-        }
-        conn->out.pop_front();
-      }
+      conn->out.Consume(static_cast<size_t>(n));
     }
   }
 
@@ -505,10 +438,9 @@ class Reactor {
       if (conn->closing || conn->adopting) break;
       bool resume_scan = conn->session.scan_paused() &&
                          conn->wait == Conn::Wait::kNone &&
-                         conn->out_bytes <= options_.write_low_water;
+                         conn->out.bytes() <= options_.write_low_water;
       if (!resume_scan) break;
-      QueueSink sink(this, conn);
-      if (conn->session.ResumeScan(&sink) ==
+      if (conn->session.ResumeScan(&conn->out) ==
           ServerSession::Outcome::kClose) {
         conn->closing = true;
       }
@@ -534,9 +466,8 @@ class Reactor {
   }
 
   void UpdateInterest(Conn* conn) {
-    bool backpressured = conn->out_bytes >= options_.write_high_water;
     uint32_t want = 0;
-    if (!conn->blocked() && !backpressured && !conn->eof) {
+    if (!conn->blocked() && !conn->out.throttled() && !conn->eof) {
       want |= Epoll::kRead;
     }
     if (!conn->out.empty()) want |= Epoll::kWrite;
@@ -588,9 +519,9 @@ class Reactor {
     for (Socket& socket : sockets) {
       if (!socket.SetNonBlocking(true)) continue;
       uint64_t id = next_id_++;
-      ServerSession::Config config = options_.session;
-      config.offload = true;
-      auto conn = std::make_unique<Conn>(id, std::move(socket), config);
+      auto conn = std::make_unique<Conn>(id, std::move(socket),
+                                         options_.session,
+                                         options_.write_high_water);
       conn->last_activity_ns = metrics::MonotonicNanos();
       if (!epoll_.Add(conn->socket.fd(), Epoll::kRead, id)) continue;
       conns_.emplace(id, std::move(conn));
@@ -614,19 +545,19 @@ class Reactor {
       }
       Conn* conn = it->second.get();
       conn->wait = Conn::Wait::kNone;
-      QueueSink sink(this, conn);
+      ServerSession::Sink* sink = &conn->out;
       ServerSession::Outcome outcome = ServerSession::Outcome::kClose;
       switch (completion.kind) {
         case TaskKind::kCommit:
           outcome = conn->session.FinishCommit(
-              std::move(completion.committed), &sink);
+              std::move(completion.committed), sink);
           break;
         case TaskKind::kEpochWait:
-          outcome = conn->session.FinishEpochWait(completion.covered, &sink);
+          outcome = conn->session.FinishEpochWait(completion.covered, sink);
           break;
         case TaskKind::kMutation:
           outcome = conn->session.FinishMutation(
-              std::move(completion.mutation), completion.result, &sink);
+              std::move(completion.mutation), completion.result, sink);
           break;
       }
       if (outcome == ServerSession::Outcome::kClose) conn->closing = true;
@@ -643,12 +574,14 @@ class Reactor {
     epoll_.Del(conn->socket.fd());
     Socket socket = std::move(conn->socket);
     Frame frame = std::move(conn->frame);
+    // The send deadline bounds this flush and every push-stream write, so
+    // a follower that stops draining fails them instead of wedging.
     bool ok = socket.SetNonBlocking(false);
-    size_t skip = conn->out_off;
-    for (std::string& buf : conn->out) {
-      if (!ok) break;
-      ok = socket.WriteFull(buf.data() + skip, buf.size() - skip);
-      skip = 0;
+    socket.SetSendTimeout(options_.write_stall_timeout_ms);
+    struct iovec iov;
+    while (ok && conn->out.Gather(&iov, 1) == 1) {
+      ok = socket.WriteFull(iov.iov_base, iov.iov_len);
+      conn->out.Consume(iov.iov_len);
     }
     conns_.erase(conn->id);
     NoteConnCount();
@@ -707,8 +640,8 @@ class Reactor {
         continue;
       }
       if (options_.write_stall_timeout_ms > 0 &&
-          conn->last_write_progress_ns != 0 &&
-          now - conn->last_write_progress_ns >
+          conn->out.last_progress_ns() != 0 &&
+          now - conn->out.last_progress_ns() >
               static_cast<uint64_t>(options_.write_stall_timeout_ms) *
                   1'000'000) {
         doomed.push_back(id);

@@ -35,8 +35,7 @@
 // Replication subscriptions (kSubscribe) do not fit an event loop — they
 // are infinite write-mostly streams — so the reactor detaches the socket
 // (restored to blocking) and hands it to the owner's adoption callback,
-// which runs the push stream on a dedicated thread exactly like the
-// legacy blocking mode.
+// which runs the push stream on a dedicated thread.
 #ifndef LIVEGRAPH_SERVER_REACTOR_H_
 #define LIVEGRAPH_SERVER_REACTOR_H_
 
@@ -70,10 +69,10 @@ class ReactorGroup {
     /// open transactions so leaked clients cannot pin epochs forever.
     int64_t idle_timeout_ms = 0;
     /// A connection whose queued output makes no progress for this long
-    /// is dead weight (peer stopped draining) and is closed. 0 disables.
+    /// is dead weight (peer stopped draining) and is closed. Also the send
+    /// timeout an adopted subscription socket leaves with. 0 disables.
     int64_t write_stall_timeout_ms = 30'000;
-    /// Session template: store, scan budgets, frontier. `offload` is
-    /// forced on for every reactor-owned session.
+    /// Session template: store, scan budgets, frontier.
     ServerSession::Config session;
   };
 

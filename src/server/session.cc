@@ -3,13 +3,16 @@
 #include <cstring>
 #include <utility>
 
-#include "replication/epoch_frontier.h"
 #include "server/stats_codec.h"
 #include "util/metrics.h"
 
 namespace livegraph {
 
 namespace {
+
+/// Recycled output-buffer pool bounds (per Sink).
+constexpr size_t kSpareBuffers = 16;
+constexpr size_t kSpareMaxBytes = 1u << 20;
 
 // Per-opcode request counter + latency histogram, resolved once per opcode
 // (thread-safe static locals) so the steady-state dispatch cost is two
@@ -179,6 +182,53 @@ ServerSession::Outcome ServerSession::DispatchInner(const Frame& request,
 
 // --- Reply plumbing --------------------------------------------------------
 
+bool ServerSession::Sink::SendFrame(MsgType type, uint8_t flags,
+                                    std::string_view body) {
+  if (body.size() > kMaxFrameBody) return false;
+  std::string buf;
+  if (!spare_.empty()) {
+    buf = std::move(spare_.back());
+    spare_.pop_back();
+    buf.clear();
+  }
+  EncodeFrame(type, flags, body, &buf);
+  if (bytes_ == 0) last_progress_ns_ = metrics::MonotonicNanos();
+  bytes_ += buf.size();
+  frames_.push_back(std::move(buf));
+  return true;
+}
+
+int ServerSession::Sink::Gather(struct iovec* iov, int max) const {
+  int count = 0;
+  size_t skip = head_offset_;
+  for (auto it = frames_.begin(); it != frames_.end() && count < max; ++it) {
+    iov[count].iov_base = const_cast<char*>(it->data()) + skip;
+    iov[count].iov_len = it->size() - skip;
+    skip = 0;
+    ++count;
+  }
+  return count;
+}
+
+void ServerSession::Sink::Consume(size_t n) {
+  bytes_ -= n;
+  last_progress_ns_ = bytes_ == 0 ? 0 : metrics::MonotonicNanos();
+  while (n > 0) {
+    std::string& front = frames_.front();
+    size_t remain = front.size() - head_offset_;
+    if (n < remain) {
+      head_offset_ += n;
+      return;
+    }
+    n -= remain;
+    head_offset_ = 0;
+    if (spare_.size() < kSpareBuffers && front.capacity() <= kSpareMaxBytes) {
+      spare_.push_back(std::move(front));
+    }
+    frames_.pop_front();
+  }
+}
+
 WireWriter ServerSession::BeginReply(Status status) {
   if (status != Status::kOk) CountReplyError(status);
   reply_body_.clear();
@@ -250,7 +300,7 @@ ServerSession::Outcome ServerSession::HandleCommit(WireReader& reader,
   txns_.erase(it);
   OpenTxnsGauge().Sub(1);
   --open_writes_;
-  if (config_.offload && txn->SupportsThreadHandoff()) {
+  if (txn->SupportsThreadHandoff()) {
     // The commit would futex-wait on group durability; hand it to a
     // worker so the event loop keeps serving other connections. Detach
     // here — still on the transport thread — so the worker may release
@@ -490,9 +540,9 @@ ServerSession::Outcome ServerSession::PumpScan(Sink* sink) {
 // Epoch-gated read session: wait until this node's frontier covers the
 // client's epoch, then open a plain read snapshot (which therefore
 // includes every commit at or below it). kTimeout when the frontier does
-// not catch up in time — the client may fail over. In offload mode the
-// (futex) frontier wait runs on a worker: Outcome::kWaitAsync, completed
-// by FinishEpochWait().
+// not catch up in time — the client may fail over. The (futex) frontier
+// wait runs on a worker: Outcome::kWaitAsync, completed by
+// FinishEpochWait().
 ServerSession::Outcome ServerSession::HandleBeginReadTxnAt(
     WireReader& reader, Sink* sink) {
   int64_t min_epoch;
@@ -501,19 +551,14 @@ ServerSession::Outcome ServerSession::HandleBeginReadTxnAt(
       !reader.Exhausted()) {
     return Outcome::kClose;
   }
-  EpochFrontier* frontier = config_.frontier;
   if (min_epoch > 0) {
-    if (frontier == nullptr) return ReplyStatus(sink, Status::kUnavailable);
-    if (config_.offload) {
-      pending_wait_.min_epoch = min_epoch;
-      pending_wait_.timeout_ms = timeout_ms;
-      pending_wait_.start_nanos = metrics::MonotonicNanos();
-      return Outcome::kWaitAsync;
+    if (config_.frontier == nullptr) {
+      return ReplyStatus(sink, Status::kUnavailable);
     }
-    if (!frontier->WaitCovered(min_epoch,
-                               static_cast<int64_t>(timeout_ms))) {
-      return ReplyStatus(sink, Status::kTimeout);
-    }
+    pending_wait_.min_epoch = min_epoch;
+    pending_wait_.timeout_ms = timeout_ms;
+    pending_wait_.start_nanos = metrics::MonotonicNanos();
+    return Outcome::kWaitAsync;
   }
   uint64_t id = next_txn_id_++;
   txns_[id].read = config_.store->BeginReadTxn();
@@ -575,10 +620,7 @@ bool ServerSession::StageMutation(uint64_t txn_id, MsgType op, int64_t src,
                                   std::string_view data) {
   auto it = txns_.find(txn_id);
   StoreTxn* txn = it->second.write.get();
-  if (!config_.offload || !offload_mutations_ ||
-      !txn->SupportsThreadHandoff()) {
-    return false;
-  }
+  if (!offload_mutations_ || !txn->SupportsThreadHandoff()) return false;
   txn->DetachFromThread();
   pending_mutation_.txn = std::move(it->second.write);
   pending_mutation_.txn_id = txn_id;

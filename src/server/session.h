@@ -1,13 +1,11 @@
 // ServerSession: one wire-protocol session — the transaction table and
 // every request handler — decoupled from its transport.
 //
-// Both server frontends speak through this class. The legacy blocking mode
-// (thread per connection) wraps a socket in a Sink that writes frames
-// synchronously and never throttles, so every Handle() call completes
-// inline. The reactor (server/reactor.h) wraps its per-connection output
-// queue instead and runs with `offload` set, which surfaces the three
-// places a handler would otherwise block the event loop as explicit
-// outcomes the caller schedules around:
+// The reactor (server/reactor.h) runs one session per connection and
+// hands it the connection's output queue (Sink). The places a handler
+// would block the event loop surface as explicit outcomes the reactor
+// schedules around (commits and mutations only when the engine supports
+// cross-thread hand-off, api/store.h; otherwise they run inline):
 //
 //   kScanPaused   a streaming scan hit output backpressure mid-list; the
 //                 cursor (and the engine read session it borrows from)
@@ -39,12 +37,16 @@
 #ifndef LIVEGRAPH_SERVER_SESSION_H_
 #define LIVEGRAPH_SERVER_SESSION_H_
 
+#include <sys/uio.h>
+
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "api/store.h"
 #include "server/protocol.h"
@@ -56,19 +58,42 @@ class EpochFrontier;
 
 class ServerSession {
  public:
-  /// Where replies go. Implementations must be cheap: the blocking server
-  /// writes straight to its socket; the reactor appends to a bounded
-  /// per-connection output queue.
+  /// Where replies go: one connection's output queue of encoded frames,
+  /// which the reactor flushes with writev (Gather, then Consume what the
+  /// socket took). Written-out buffers recycle, so the steady state
+  /// allocates nothing.
   class Sink {
    public:
-    virtual ~Sink() = default;
-    /// Queues/writes one reply frame. False means the connection is dead;
-    /// the session stops producing and the caller tears down.
-    virtual bool SendFrame(MsgType type, uint8_t flags,
-                          std::string_view body) = 0;
-    /// True when the transport wants the producer to pause (output
-    /// backlog above high water). Only consulted between scan batches.
-    virtual bool throttled() const { return false; }
+    /// `high_water`: backlog at which producers pause (scans park; the
+    /// reactor stops reading the connection).
+    explicit Sink(size_t high_water = SIZE_MAX) : high_water_(high_water) {}
+
+    /// Queues one reply frame. False when the body exceeds the frame
+    /// limit; the session then stops producing and the caller tears down.
+    bool SendFrame(MsgType type, uint8_t flags, std::string_view body);
+    /// Points up to `max` iovecs at the unwritten bytes, in order; returns
+    /// how many it filled (0 when empty).
+    int Gather(struct iovec* iov, int max) const;
+    /// Drops the first `n` unwritten bytes (the socket accepted them).
+    void Consume(size_t n);
+
+    bool empty() const { return frames_.empty(); }
+    /// Unwritten bytes across the queue.
+    size_t bytes() const { return bytes_; }
+    /// True when the backlog is at or above high water. Only consulted
+    /// between scan batches.
+    bool throttled() const { return bytes_ >= high_water_; }
+    /// Nonzero while output is queued: last time a flush made progress.
+    uint64_t last_progress_ns() const { return last_progress_ns_; }
+
+   private:
+    /// Encoded frames; frames_.front() is written from `head_offset_`.
+    std::deque<std::string> frames_;
+    size_t head_offset_ = 0;
+    size_t bytes_ = 0;
+    std::vector<std::string> spare_;
+    uint64_t last_progress_ns_ = 0;
+    size_t high_water_;
   };
 
   enum class Outcome {
@@ -88,9 +113,6 @@ class ServerSession {
     size_t scan_batch_bytes = 60 * 1024;
     /// Epoch-gated reads (kBeginReadTxnAt); null rejects positive bounds.
     EpochFrontier* frontier = nullptr;
-    /// Reactor mode: blocking work (commit durability waits, frontier
-    /// waits) returns the async outcomes instead of running inline.
-    bool offload = false;
   };
 
   explicit ServerSession(const Config& config);
@@ -228,10 +250,10 @@ class ServerSession {
   StoreReadTxn* FindRead(uint64_t id);
   StoreTxn* FindWrite(uint64_t id);
 
-  /// Offload-mode gate for the lock-acquiring mutations: when the engine
-  /// supports thread hand-off, stages the op (detaching its transaction)
-  /// and returns true — the handler then returns kMutateAsync. False
-  /// means run it inline.
+  /// Offload gate for the lock-acquiring mutations: when the transport
+  /// hint allows it and the engine supports thread hand-off, stages the op
+  /// (detaching its transaction) and returns true — the handler then
+  /// returns kMutateAsync. False means run it inline.
   bool StageMutation(uint64_t txn_id, MsgType op, int64_t src,
                      uint16_t label, int64_t dst, std::string_view data);
 

@@ -1,14 +1,15 @@
 // Replication subsystem (docs/REPLICATION.md): the primary-side log and
 // follower frontier as units, then the full topology end to end over real
 // loopback TCP — catch-up mid-workload, durable resubscribe after a
-// follower death, read-your-epoch failover, and the follower's write
-// rejection. Convergence is always asserted on rows (dst + properties +
-// order), never on timestamps: the two nodes run separate epoch spaces by
-// design.
+// follower death, read-your-epoch failover, the follower's write
+// rejection, and a primary drain tearing down a live push stream.
+// Convergence is always asserted on rows (dst + properties + order), never
+// on timestamps: the two nodes run separate epoch spaces by design.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -389,6 +390,34 @@ TEST(ReplicationEndToEnd, ReadSessionsFailOverWhenFollowerDies) {
     EXPECT_TRUE(read->GetNode(v).ok());
   }
   client.reset();
+  std::filesystem::remove_all(root);
+}
+
+// An adopted subscription is a push stream that never ends on its own,
+// so a graceful drain must stop at its deadline and tear the stream down
+// rather than wait on it.
+TEST(ReplicationEndToEnd, DrainTearsDownAdoptedSubscription) {
+  std::string root = TempDir("drain");
+  Primary primary(root + "/primary");
+  ASSERT_TRUE(primary.ok);
+  primary.store->AddNode("seed");
+
+  Replica::Options replica_options;
+  replica_options.primary_port = primary.server->port();
+  replica_options.graph = PrimaryOptions("").graph;
+  Replica replica(replica_options);
+  replica.Start();
+  ASSERT_TRUE(replica.WaitReady(10000));
+  // The handshake reply comes from the stream thread, so it is counted.
+  ASSERT_GE(primary.server->active_connections(), 1u);
+
+  auto start = std::chrono::steady_clock::now();
+  primary.server->Drain(/*deadline_ms=*/200);
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+  EXPECT_EQ(primary.server->active_connections(), 0u);
+
+  replica.Stop();
   std::filesystem::remove_all(root);
 }
 

@@ -1,10 +1,9 @@
 // Reactor-frontend integration tests over real loopback TCP: in-connection
 // pipelining of buffered frames, the client-side Pipeline batching API,
 // idle-connection reaping, output backpressure on streaming scans,
-// graceful drain (both transports), and the mutation-offload regression —
-// contended vertex locks on a single event loop must not ride to the
-// engine's deadlock timeout. Protocol semantics shared with the blocking
-// transport live in remote_store_test.cc.
+// graceful drain, and the mutation-offload regression — contended vertex
+// locks on a single event loop must not ride to the engine's deadlock
+// timeout. Protocol semantics live in remote_store_test.cc.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -37,12 +36,11 @@ GraphOptions SmallGraphOptions() {
 // that does not pin one itself (the tsan job runs this suite at 2).
 int ResolveReactors(int requested) {
   const char* env = std::getenv("LG_TEST_REACTORS");
-  if (requested == -1 && env != nullptr) return std::atoi(env);
+  if (requested == 0 && env != nullptr) return std::atoi(env);
   return requested;
 }
 
-// Engine + server (reactor mode unless the options say otherwise) +
-// connected client.
+// Engine + server + connected client.
 struct Harness {
   explicit Harness(GraphServer::Options options = {}) {
     options.reactors = ResolveReactors(options.reactors);
@@ -301,12 +299,12 @@ TEST(Reactor, ExportsEventLoopMetrics) {
   EXPECT_GE(conns, 1);
 }
 
-// Satellite: graceful drain. Both transports must stop accepting
-// immediately but let in-flight sessions finish before teardown.
-void DrainLetsInflightSessionsFinish(int reactors) {
+// Graceful drain: stop accepting immediately but let in-flight sessions
+// finish before teardown.
+TEST(Reactor, DrainLetsInflightSessionsFinish) {
   auto engine = std::make_unique<LiveGraphStore>(SmallGraphOptions());
   GraphServer::Options options;
-  options.reactors = ResolveReactors(reactors);
+  options.reactors = ResolveReactors(options.reactors);
   auto server = std::make_unique<GraphServer>(*engine, options);
   ASSERT_TRUE(server->Start());
   uint16_t port = server->port();
@@ -337,14 +335,6 @@ void DrainLetsInflightSessionsFinish(int reactors) {
   // ...and the listener is gone: new clients are refused.
   EXPECT_EQ(RemoteStore::Connect("127.0.0.1", port), nullptr);
   server->Stop();
-}
-
-TEST(Reactor, DrainLetsInflightSessionsFinish) {
-  DrainLetsInflightSessionsFinish(/*reactors=*/-1);
-}
-
-TEST(BlockingServer, DrainLetsInflightSessionsFinish) {
-  DrainLetsInflightSessionsFinish(/*reactors=*/0);
 }
 
 // A drain with an unresponsive client still terminates: the deadline

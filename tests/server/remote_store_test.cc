@@ -13,8 +13,10 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/btree_store.h"
 #include "baselines/linked_list_store.h"
 #include "baselines/livegraph_store.h"
+#include "baselines/lsmt_store.h"
 #include "server/graph_server.h"
 #include "server/loopback.h"
 #include "server/net.h"
@@ -306,10 +308,10 @@ TEST(RemoteStore, ConcurrentClientsCommitIndependently) {
   EXPECT_GE(read->VertexCount(), vertex_t{kThreads * kOpsPerThread});
 }
 
-TEST(LoopbackStore, WrapsAnyEngine) {
-  auto loopback = MakeLoopbackStore(std::make_unique<LinkedListStore>());
+TEST(LoopbackStore, WrapsBaselineEngine) {
+  auto loopback = MakeLoopbackStore(std::make_unique<LsmtStore>());
   ASSERT_NE(loopback, nullptr);
-  EXPECT_EQ(loopback->Name(), "remote/LinkedList");
+  EXPECT_EQ(loopback->Name(), "remote/LSMT(RocksDB)");
   EXPECT_FALSE(loopback->Traits().snapshot_reads);
   vertex_t a = loopback->AddNode("a");
   vertex_t b = loopback->AddNode("b");
@@ -318,6 +320,40 @@ TEST(LoopbackStore, WrapsAnyEngine) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(*out, "edge");
   EXPECT_EQ(loopback->CountLinks(a, 3), 1u);
+}
+
+// One event loop multiplexes every connection: overlapping write and read
+// sessions (one pooled connection each) all make progress on it.
+TEST(LoopbackStore, OverlappingSessionsShareOneEventLoop) {
+  GraphServer::Options options;
+  options.reactors = 1;
+  auto loopback = MakeLoopbackStore(std::make_unique<LsmtStore>(), options);
+  ASSERT_NE(loopback, nullptr);
+  auto first = loopback->BeginTxn();
+  auto second = loopback->BeginTxn();
+  auto read = loopback->BeginReadTxn();
+  StatusOr<vertex_t> a = first->AddNode("a");
+  StatusOr<vertex_t> b = second->AddNode("b");
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_TRUE(read->GetNode(*a).ok());  // the LSMT writes in place
+  EXPECT_TRUE(second->Commit().ok());
+  EXPECT_TRUE(first->Commit().ok());
+}
+
+// The latch baselines hold a pthread latch from Begin to Commit, so a
+// second session on the same event-loop thread would relock it there
+// (EDEADLK or a hang). The server refuses them instead of serving the
+// first session and wedging on the second.
+TEST(LoopbackStore, RefusesEnginesWithoutInterleavedSessions) {
+  GraphServer::Options options;
+  options.reactors = 1;
+  EXPECT_EQ(MakeLoopbackStore(std::make_unique<LinkedListStore>(), options),
+            nullptr);
+  BTreeStore btree;
+  GraphServer server(btree, options);
+  EXPECT_FALSE(server.Start());
+  EXPECT_EQ(server.active_connections(), 0u);
 }
 
 }  // namespace

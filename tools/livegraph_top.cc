@@ -125,9 +125,9 @@ void RenderDashboard(const Snapshot& now, const Snapshot& prev,
             1e6);
   }
 
-  // Event-loop frontend (docs/SERVER.md "Event loop"); absent under the
-  // legacy blocking transport. Loop count and connection total come from
-  // the per-reactor connection gauges.
+  // Event-loop frontend (docs/SERVER.md "Event loop"); absent when the
+  // process serves no GraphServer. Loop count and connection total come
+  // from the per-reactor connection gauges.
   int reactor_loops = 0;
   long long reactor_conns = 0;
   constexpr std::string_view kReactorConnsPrefix =
