@@ -131,10 +131,10 @@ class LiveGraphWriteTxn : public StoreTxn {
 
   StatusOr<bool> AddLink(vertex_t src, label_t label, vertex_t dst,
                          std::string_view data) override {
-    // Upsert: report whether this was a true insertion. The existence
-    // probe is Bloom-filter-fast for true inserts (§4).
-    bool existed = txn_.GetEdge(src, label, dst).ok();
-    Status st = txn_.AddEdge(src, label, dst, data);
+    // Upsert: report whether this was a true insertion. AddEdge's own
+    // existence probe answers it (Bloom-filter-fast for true inserts, §4).
+    bool existed = false;
+    Status st = txn_.AddEdge(src, label, dst, data, &existed);
     if (st != Status::kOk) return st;
     if (pagesim_ != nullptr) {
       pagesim_->Touch(data.data(), data.size() + sizeof(EdgeEntry), true);

@@ -360,7 +360,8 @@ void Transaction::UpgradeTel(TelWrite* w, uint32_t needed_bytes) {
 }
 
 Status Transaction::WriteEdge(vertex_t v, label_t label, vertex_t dst,
-                              std::string_view properties, bool is_delete) {
+                              std::string_view properties, bool is_delete,
+                              bool* invalidated) {
   TelWrite* w = nullptr;
   Status st = PrepareTelWrite(v, label, &w);
   if (st == Status::kConflict || st == Status::kTimeout) {
@@ -391,6 +392,7 @@ Status Transaction::WriteEdge(vertex_t v, label_t label, vertex_t dst,
       invalidated_previous = true;
     }
   }
+  if (invalidated != nullptr) *invalidated = invalidated_previous;
   if (is_delete) {
     if (invalidated_previous) LogDeleteEdge(v, label, dst);
     return invalidated_previous ? Status::kOk : Status::kNotFound;
@@ -428,9 +430,10 @@ Status Transaction::WriteEdge(vertex_t v, label_t label, vertex_t dst,
 }
 
 Status Transaction::AddEdge(vertex_t v, label_t label, vertex_t dst,
-                            std::string_view properties) {
+                            std::string_view properties, bool* overwrote) {
   if (state_ != State::kActive) return Status::kNotActive;
-  return WriteEdge(v, label, dst, properties, /*is_delete=*/false);
+  return WriteEdge(v, label, dst, properties, /*is_delete=*/false,
+                   overwrote);
 }
 
 Status Transaction::DeleteEdge(vertex_t v, label_t label, vertex_t dst) {

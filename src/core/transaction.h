@@ -143,9 +143,12 @@ class Transaction {
   // --- Edge operations (§4) ---
 
   /// Upsert: appends a new edge log entry; if a previous version of
-  /// (v,label,dst) exists (Bloom-checked), its entry is invalidated.
+  /// (v,label,dst) exists (Bloom-checked), its entry is invalidated. On
+  /// kOk, `*overwrote` (when given) says whether such a version existed —
+  /// the same probe, so callers need no separate GetEdge.
   Status AddEdge(vertex_t v, label_t label, vertex_t dst,
-                 std::string_view properties = {});
+                 std::string_view properties = {},
+                 bool* overwrote = nullptr);
 
   /// Invalidates the current version of (v,label,dst). kNotFound if the
   /// edge is not visible.
@@ -220,7 +223,8 @@ class Transaction {
 
   /// Work-phase edge write shared by AddEdge/DeleteEdge.
   Status WriteEdge(vertex_t v, label_t label, vertex_t dst,
-                   std::string_view properties, bool is_delete);
+                   std::string_view properties, bool is_delete,
+                   bool* invalidated = nullptr);
 
   /// Apply phase (runs on the committing worker thread after persist).
   void ApplyCommit(timestamp_t twe);

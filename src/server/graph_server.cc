@@ -48,6 +48,8 @@ class GraphServer::PushStream {
   void Join() {
     if (thread_.joinable()) thread_.join();
   }
+  /// True once Run() has returned: Join() is then immediate.
+  bool done() const { return done_.load(std::memory_order_acquire); }
 
  private:
   void Run() {
@@ -62,6 +64,7 @@ class GraphServer::PushStream {
     // The fd is released by the Socket destructor, after Join().
     socket_.Shutdown();
     server_->active_streams_.fetch_sub(1, std::memory_order_relaxed);
+    done_.store(true, std::memory_order_release);
   }
 
   // --- Reply plumbing (subscription handshake only) -----------------------
@@ -283,6 +286,7 @@ class GraphServer::PushStream {
   Socket socket_;
   Frame subscribe_;
   std::thread thread_;
+  std::atomic<bool> done_{false};
 
   // Reused per-stream buffers: steady state sends allocate nothing.
   std::string reply_body_;
@@ -365,6 +369,13 @@ void GraphServer::AdoptSubscription(Socket socket, Frame frame) {
   // stream list out (also under the lock), so either this stream lands in
   // the list Stop() joins, or it is dropped here.
   if (!running_.load(std::memory_order_acquire)) return;
+  // Reap streams whose follower went away (each reconnect leaves one
+  // behind): join their finished threads and release their sockets.
+  std::erase_if(streams_, [](const std::unique_ptr<PushStream>& stream) {
+    if (!stream->done()) return false;
+    stream->Join();
+    return true;
+  });
   streams_.push_back(std::make_unique<PushStream>(this, std::move(socket),
                                                   std::move(frame)));
   streams_.back()->Start();

@@ -136,6 +136,8 @@ class GraphServer {
   /// The event-loop front end (null before Start()).
   std::unique_ptr<ReactorGroup> reactor_group_;
 
+  /// Adopted push streams; finished ones are reaped at the next adoption,
+  /// the rest joined by Stop().
   std::mutex streams_mu_;
   std::vector<std::unique_ptr<PushStream>> streams_;
 

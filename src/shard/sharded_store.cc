@@ -177,9 +177,11 @@ class ShardedWriteTxn : public StoreTxn {
     int s = store_->ShardOf(src);
     Transaction& txn = Shard(s);
     vertex_t local = store_->LocalId(src);
-    // Upsert: report whether this was a true insertion (Bloom-fast, §4).
-    bool existed = txn.GetEdge(local, label, dst).ok();
-    Status st = Wrote(s, Filter(txn.AddEdge(local, label, dst, data)));
+    // Upsert: report whether this was a true insertion, from AddEdge's
+    // own existence probe (Bloom-fast, §4).
+    bool existed = false;
+    Status st =
+        Wrote(s, Filter(txn.AddEdge(local, label, dst, data, &existed)));
     if (st != Status::kOk) return st;
     return !existed;
   }

@@ -16,17 +16,12 @@ std::vector<std::pair<vertex_t, vertex_t>> GenerateKronecker(
   for (uint64_t e = 0; e < m; ++e) {
     uint64_t src = 0, dst = 0;
     for (int bit = 0; bit < options.scale; ++bit) {
-      double r = rng.NextDouble();
-      if (r < options.a) {
-        // top-left quadrant: neither bit set
-      } else if (r < ab) {
-        dst |= uint64_t{1} << bit;
-      } else if (r < abc) {
-        src |= uint64_t{1} << bit;
-      } else {
-        src |= uint64_t{1} << bit;
-        dst |= uint64_t{1} << bit;
-      }
+      // Quadrant choice without branches (the draws are unpredictable):
+      // [0,a) neither bit, [a,ab) dst bit, [ab,abc) src bit, [abc,1) both.
+      const double r = rng.NextDouble();
+      const bool in_dst = (r >= options.a) & ((r < ab) | (r >= abc));
+      src |= uint64_t{r >= ab} << bit;
+      dst |= uint64_t{in_dst} << bit;
     }
     edges.emplace_back(static_cast<vertex_t>(src), static_cast<vertex_t>(dst));
   }

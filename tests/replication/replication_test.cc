@@ -421,6 +421,66 @@ TEST(ReplicationEndToEnd, DrainTearsDownAdoptedSubscription) {
   std::filesystem::remove_all(root);
 }
 
+size_t CountDirEntries(const char* dir) {
+  size_t n = 0;
+  for (auto it = std::filesystem::directory_iterator(dir);
+       it != std::filesystem::directory_iterator(); ++it) {
+    ++n;
+  }
+  return n;
+}
+
+// Every follower reconnect ends the primary's push stream for the old
+// connection. The next adoption must reap it — join its thread, close its
+// socket — instead of keeping one finished stream per reconnect until
+// Stop(). Threads and descriptors are counted once all streams have ended,
+// so the only unreaped stream is the one that just finished.
+TEST(ReplicationEndToEnd, ReconnectingFollowerLeavesNoFinishedStreams) {
+  std::string root = TempDir("reconnect");
+  Primary primary(root + "/primary");
+  ASSERT_TRUE(primary.ok);
+  primary.store->AddNode("seed");
+
+  Replica::Options replica_options;
+  replica_options.primary_port = primary.server->port();
+  replica_options.graph = PrimaryOptions("").graph;
+
+  // A push stream notices its follower is gone at its next loop turn: a
+  // commit wakes its blocked fetch, otherwise the fetch timeout does.
+  auto streams_ended = [&primary] {
+    primary.store->AddNode("wake");
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (primary.server->active_connections() > 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return primary.server->active_connections() == 0;
+  };
+
+  constexpr int kReconnects = 20;
+  size_t base_threads = 0;
+  size_t base_fds = 0;
+  for (int i = 0; i <= kReconnects; ++i) {
+    {
+      Replica replica(replica_options);
+      replica.Start();
+      ASSERT_TRUE(replica.WaitReady(10000)) << "connection " << i;
+      replica.Stop();
+    }
+    ASSERT_TRUE(streams_ended()) << "connection " << i;
+    const size_t threads = CountDirEntries("/proc/self/task");
+    const size_t fds = CountDirEntries("/proc/self/fd");
+    if (i == 0) {
+      base_threads = threads;
+      base_fds = fds;
+      continue;
+    }
+    EXPECT_LE(threads, base_threads + 2) << "after reconnect " << i;
+    EXPECT_LE(fds, base_fds + 2) << "after reconnect " << i;
+  }
+  std::filesystem::remove_all(root);
+}
+
 TEST(ReplicationEndToEnd, FollowerRejectsWritesOverTheWire) {
   std::string root = TempDir("readonly");
   Primary primary(root + "/primary");

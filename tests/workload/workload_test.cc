@@ -2,6 +2,8 @@
 
 #include <map>
 #include <numeric>
+#include <set>
+#include <vector>
 
 #include "baselines/csr.h"
 #include "baselines/livegraph_store.h"
@@ -34,6 +36,28 @@ TEST(Kronecker, Deterministic) {
   options.seed++;
   auto c = GenerateKronecker(options);
   EXPECT_NE(a, c);
+}
+
+// Pins the generator's exact output: a change to the quadrant choice or
+// the RNG stream would silently change every loaded graph.
+TEST(Kronecker, GoldenDigest) {
+  KroneckerOptions options;
+  options.scale = 12;
+  options.seed = 2026;
+  auto edges = GenerateKronecker(options);
+  uint64_t digest = 1469598103934665603ull;  // FNV-1a over (src, dst) LE
+  auto mix = [&digest](uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      digest ^= (value >> (8 * i)) & 0xFF;
+      digest *= 1099511628211ull;
+    }
+  };
+  for (const auto& [src, dst] : edges) {
+    mix(static_cast<uint64_t>(src));
+    mix(static_cast<uint64_t>(dst));
+  }
+  EXPECT_EQ(edges.size(), size_t{1} << 14);
+  EXPECT_EQ(digest, 0xa12cb86bb04d1a8bull);
 }
 
 TEST(Kronecker, PowerLawSkew) {
@@ -131,6 +155,48 @@ TEST(LinkBench, EndToEndSmokeOnLiveGraph) {
   // Latency sanity: p999 >= p99 >= mean ordering of the histogram.
   EXPECT_GE(result.overall.PercentileNanos(0.999),
             result.overall.PercentileNanos(0.99));
+}
+
+// The loader may reorder edges across sources, never within one: every
+// TEL must hold exactly what applying the generated edges in generation
+// order gives — one entry per distinct destination (repeats are upserts),
+// newest first by last occurrence.
+TEST(LinkBench, LoadMatchesGenerationOrderModel) {
+  GraphOptions graph_options;
+  graph_options.region_reserve = size_t{1} << 31;
+  graph_options.max_vertices = 1 << 20;
+  LiveGraphStore store(graph_options);
+  LinkBenchConfig config;
+  config.scale = 11;
+  const vertex_t n = LoadLinkBenchGraph(&store, config);
+  ASSERT_EQ(n, vertex_t{1} << 11);
+
+  KroneckerOptions kron;
+  kron.scale = config.scale;
+  kron.average_degree = 4;
+  kron.seed = config.seed;
+  std::vector<std::vector<vertex_t>> generated(static_cast<size_t>(n));
+  for (const auto& [src, dst] : GenerateKronecker(kron)) {
+    generated[static_cast<size_t>(src)].push_back(dst);
+  }
+
+  auto read = store.BeginReadTxn();
+  size_t edges = 0;
+  for (vertex_t v = 0; v < n; ++v) {
+    const auto& applied = generated[static_cast<size_t>(v)];
+    std::vector<vertex_t> expected;
+    std::set<vertex_t> seen;
+    for (auto it = applied.rbegin(); it != applied.rend(); ++it) {
+      if (seen.insert(*it).second) expected.push_back(*it);
+    }
+    std::vector<vertex_t> scanned;
+    for (EdgeCursor c = read->ScanLinks(v, /*label=*/0); c.Valid(); c.Next()) {
+      scanned.push_back(c.dst());
+    }
+    ASSERT_EQ(scanned, expected) << "adjacency of vertex " << v;
+    edges += scanned.size();
+  }
+  EXPECT_GT(edges, size_t{1} << 12);
 }
 
 }  // namespace
