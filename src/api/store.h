@@ -119,11 +119,28 @@ class StoreTxn : public StoreReadTxn {
   /// Ends the session; rolls back iff StoreTraits::transactional_writes.
   virtual void Abort() = 0;
 
+  // --- Non-blocking lock acquisition ---
+  /// Takes the write lock a mutation of vertex `v` would wait for, without
+  /// waiting: true when held (or when `v` takes none, e.g. out of range —
+  /// the mutation then reports kNotFound itself), false when another
+  /// session holds it (no side effect; the session stays active). Once the
+  /// caller has retried for `waited_ns` >= the engine's deadlock timeout
+  /// it rolls the session back and returns kTimeout, as a blocking
+  /// acquisition would. The reactor server calls it before UpdateNode,
+  /// DeleteNode and the link writes, each of which locks exactly that one
+  /// vertex, so a contended wait parks the connection instead of its
+  /// event loop. The default reports acquired: engines without per-vertex
+  /// write locks never make a mutation wait on another session.
+  virtual StatusOr<bool> TryLockVertex(vertex_t /*v*/,
+                                       int64_t /*waited_ns*/) {
+    return true;
+  }
+
   // --- Cross-thread hand-off ---
   /// True if the session may migrate between threads mid-life (work phase
   /// on one thread, Commit/Abort on another, one thread at a time). The
-  /// reactor server keys on this to offload group-commit waits to a
-  /// worker pool instead of stalling its event loop. Engines whose
+  /// reactor server keys on this to run group-commit waits on its commit
+  /// workers instead of stalling an event loop. Engines whose
   /// sessions hold thread-affine state (pthread latches held for the
   /// session's lifetime, thread-local caches) must leave this false; the
   /// server then commits them inline on the owning thread.

@@ -152,6 +152,10 @@ class LiveGraphWriteTxn : public StoreTxn {
     return txn_.DeleteEdge(src, label, dst);
   }
 
+  StatusOr<bool> TryLockVertex(vertex_t v, int64_t waited_ns) override {
+    return txn_.TryLockVertex(v, waited_ns);
+  }
+
   // --- Lifecycle ---
 
   StatusOr<timestamp_t> Commit() override { return txn_.Commit(); }

@@ -72,13 +72,30 @@ Status Transaction::LockVertex(vertex_t v) {
   if (!graph_->LockFor(v)->TryLockFor(graph_->options_.lock_timeout_ns)) {
     return Status::kTimeout;
   }
+  NoteLocked(v);
+  return Status::kOk;
+}
+
+StatusOr<bool> Transaction::TryLockVertex(vertex_t v, int64_t waited_ns) {
+  if (state_ != State::kActive) return Status::kNotActive;
+  if (v < 0 || v >= graph_->VertexCount()) return true;
+  if (scratch_->locked_set.count(v) > 0) return true;
+  if (graph_->LockFor(v)->TryLockFor(0)) {
+    NoteLocked(v);
+    return true;
+  }
+  if (waited_ns < graph_->options_.lock_timeout_ns) return false;
+  Abort();
+  return Status::kTimeout;
+}
+
+void Transaction::NoteLocked(vertex_t v) {
   // Same-rank reacquisition is legal for vertex locks (arbitrary-order
   // locking with timeout rollback, §5); the rank table only forbids taking
   // one after a higher-ranked section started.
   LIVEGRAPH_LOCK_RANK_ACQUIRE(LockRank::kVertexLock);
   scratch_->locked.push_back(v);
   scratch_->locked_set.insert(v);
-  return Status::kOk;
 }
 
 void Transaction::DetachFromThread() {

@@ -200,6 +200,17 @@ class Transaction {
   void DetachFromThread();
   void AttachToThread();
 
+  /// Non-blocking LockVertex for callers that wait elsewhere (the reactor
+  /// server parks the connection instead of blocking its event loop).
+  /// true: v is locked by this transaction (re-entrant), or v is out of
+  /// range and takes no lock, so the following operation reports
+  /// kNotFound itself. false: another transaction holds the lock; nothing
+  /// changed and the transaction stays active. Once the caller has waited
+  /// `waited_ns` >= GraphOptions::lock_timeout_ns, the transaction aborts
+  /// and this returns kTimeout, the same rollback as a blocking
+  /// LockVertex timeout (§5). kNotActive after commit/abort.
+  StatusOr<bool> TryLockVertex(vertex_t v, int64_t waited_ns);
+
  private:
   friend class Graph;
   friend class CommitManager;
@@ -212,6 +223,8 @@ class Transaction {
   /// Acquires v's futex lock (once per transaction). kTimeout on deadlock
   /// timeout, after which the caller aborts.
   Status LockVertex(vertex_t v);
+  /// Records a freshly acquired lock on v in the write set.
+  void NoteLocked(vertex_t v);
 
   TelWrite* FindTelWrite(vertex_t v, label_t label);
   /// Locks, conflict-checks (CT vs TRE) and stages the TEL for writing.

@@ -4,8 +4,9 @@
 // An accept thread hands every connection to the epoll reactor
 // (server/reactor.h): `reactors` event-loop threads own the accepted
 // connections, pipeline buffered requests, batch replies into single
-// writev calls, and hand blocking work (group-commit waits, frontier
-// waits, lock-acquiring mutations) to a small worker pool. Each connection
+// writev calls, hand group-commit waits to a small worker pool, and park
+// connections whose request waits on a vertex lock or the replication
+// frontier, retrying them on the loop. Each connection
 // is a protocol session (server/session.h): it owns a table of open
 // transactions (ids handed out by Begin{,Read}Txn) mapped onto real
 // StoreTxn/StoreReadTxn sessions, so remote sessions keep exactly the
@@ -72,8 +73,8 @@ class GraphServer {
     /// Event-loop threads (docs/SERVER.md "Event loop"). 0 resolves to
     /// the hardware concurrency at Start().
     int reactors = 0;
-    /// Commit-offload worker threads shared by the reactors. 0 resolves
-    /// to max(2, reactors).
+    /// Commit worker threads shared by the reactors: the one lane that
+    /// waits for group durability. 0 resolves to max(2, reactors).
     int workers = 0;
     /// Reactor per-connection output-queue watermarks, in bytes: above
     /// high the reactor stops reading from the connection (and parks

@@ -80,7 +80,7 @@ struct Flags {
   size_t page_cache_pages = size_t{1} << 16;  // PagedLiveGraph: 256 MiB
   size_t scan_batch_edges = 512;
   int reactors = 0;  // event-loop threads; 0 = hw concurrency
-  int workers = 0;   // commit-offload workers; 0 = max(2, reactors)
+  int workers = 0;   // commit workers; 0 = max(2, reactors)
   int64_t idle_timeout_ms = 0;  // close silent connections; 0 = never
   std::string replica_of;   // "host:port" of the primary (follower mode)
   std::string replica_dir;  // follower durable dir (empty = in-memory)
@@ -128,7 +128,7 @@ int Usage(const char* argv0) {
       "          [--metrics-port=N] [--slow-op-ms=N]\n"
       "  --reactors picks the epoll event-loop thread count (docs/SERVER.md\n"
       "  \"Event loop\"; 0, the default, = hardware concurrency). --workers\n"
-      "  sizes the commit-offload pool (0 = max(2, reactors));\n"
+      "  sizes the shared commit worker pool (0 = max(2, reactors));\n"
       "  --idle-timeout-ms closes connections silent that long (0 = never).\n"
       "  --shards=N (N > 1) serves a hash-partitioned ShardedLiveGraph;\n"
       "  LiveGraph engine only. With durability the server recovers its\n"
@@ -248,7 +248,9 @@ int main(int argc, char** argv) {
       continue;
     }
     if (TakeValue(argv[i], "--port", &value)) {
-      flags.port = static_cast<uint16_t>(std::atoi(value.c_str()));
+      long long port = std::atoll(value.c_str());
+      if (port < 0 || port > 65535) return Usage(argv[0]);
+      flags.port = static_cast<uint16_t>(port);
     } else if (TakeValue(argv[i], "--shards", &value)) {
       flags.shards = std::atoi(value.c_str());
     } else if (TakeValue(argv[i], "--max-vertices", &value)) {

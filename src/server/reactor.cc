@@ -2,6 +2,7 @@
 
 #include <sys/uio.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
@@ -12,7 +13,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "replication/epoch_frontier.h"
 #include "util/metrics.h"
 
 namespace livegraph {
@@ -33,6 +33,11 @@ constexpr int kMaxIov = 64;
 
 /// Input buffer compaction threshold: consumed prefix worth a memmove.
 constexpr size_t kCompactThreshold = 256u << 10;
+
+/// Epoll timeout while connections are parked: the latest a parked
+/// request is retried when no commit rings the loop (locks released by
+/// aborts or compaction, a follower's frontier advancing).
+constexpr int kParkedRecheckMs = 1;
 
 metrics::Counter& WakeupsTotal() {
   static metrics::Counter& counter = metrics::Registry::Instance().GetCounter(
@@ -62,76 +67,49 @@ metrics::Counter& IdleClosedTotal() {
 
 }  // namespace
 
-/// What a worker task will do — and, crucially, which pool lane it may
-/// run in (see ReactorWorkerPool).
-enum class TaskKind : uint8_t {
-  kCommit,    // releases the transaction's locks; bounded by group commit
-  kEpochWait, // may block for the client's full timeout (seconds)
-  kMutation,  // may futex-wait on a vertex lock another task will release
-};
-
-/// A blocking operation in flight on the worker pool, and its result on
-/// the way back to the owning reactor.
-struct AsyncTask {
+/// A commit handed to the worker pool, and its result on the way back to
+/// the owning reactor.
+struct CommitTask {
   Reactor* reactor = nullptr;
   uint64_t conn_id = 0;
-  TaskKind kind = TaskKind::kCommit;
-  std::unique_ptr<StoreTxn> txn;               // kCommit
-  ServerSession::PendingMutation mutation;     // kMutation (owns its txn)
-  EpochFrontier* frontier = nullptr;           // kEpochWait
-  int64_t min_epoch = 0;
-  int64_t timeout_ms = 0;
+  std::unique_ptr<StoreTxn> txn;
 };
 
-struct AsyncCompletion {
+struct CommitDone {
   uint64_t conn_id = 0;
-  TaskKind kind = TaskKind::kCommit;
   StatusOr<timestamp_t> committed{Status::kUnavailable};
-  bool covered = false;
-  ServerSession::PendingMutation mutation;     // kMutation (txn rides back)
-  ServerSession::MutationResult result;
 };
 
-/// The shared blocking-work pool, split into two lanes:
+/// The shared commit pool: one queue, `workers` threads. A commit's wait
+/// for group durability is the one wait an event loop cannot finish by
+/// retrying — lock and frontier waits park their connection on its own
+/// loop instead (ServerSession::Outcome::kParked). A commit releases its
+/// transaction's vertex locks, so after each one the pool rings every
+/// reactor holding a parked connection; the atomic parked count keeps
+/// that to one load while nothing is parked.
 ///
-///   release lane  commits — the tasks that RELEASE vertex locks. Their
-///                 only wait is group-commit durability, which the WAL
-///                 thread always resolves.
-///   acquire lane  mutations and epoch waits — tasks that may BLOCK for a
-///                 long bound (a contended vertex lock, a frontier
-///                 timeout).
-///
-/// The split is a deadlock-shaped requirement, not a tuning choice: a
-/// mutation blocked on a vertex lock is waiting, transitively, for some
-/// holder's commit to run. If that commit could queue behind blocked
-/// mutations (one shared lane), every worker could end up waiting for a
-/// release that none of them will ever execute, and all of them would ride
-/// their waits to the full timeout. With commits in their own lane the
-/// release is always schedulable, so contended waits resolve in
-/// microseconds instead.
-///
-/// Stop() drains both lanes before joining: every handed-off transaction
-/// runs to completion (its client may be gone, but its locks and epoch
-/// must not leak).
+/// Stop() drains the queue before joining: every handed-off transaction
+/// commits (its client may be gone, but its locks and epoch must not
+/// leak).
 class ReactorWorkerPool {
  public:
   explicit ReactorWorkerPool(int workers) : workers_(workers) {}
   ~ReactorWorkerPool() { Stop(); }
 
-  void Start() {
+  /// `reactors` are the loops to ring; they outlive the pool's threads.
+  void Start(std::vector<Reactor*> reactors) {
+    reactors_ = std::move(reactors);
     for (int i = 0; i < workers_; ++i) {
-      threads_.emplace_back([this] { Run(&release_queue_, &release_cv_); });
-      threads_.emplace_back([this] { Run(&acquire_queue_, &acquire_cv_); });
+      threads_.emplace_back([this] { Run(); });
     }
   }
 
-  void Submit(AsyncTask task) {
-    const bool release = task.kind == TaskKind::kCommit;
+  void Submit(CommitTask task) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      (release ? release_queue_ : acquire_queue_).push_back(std::move(task));
+      queue_.push_back(std::move(task));
     }
-    (release ? release_cv_ : acquire_cv_).notify_one();
+    cv_.notify_one();
   }
 
   void Stop() {
@@ -140,32 +118,36 @@ class ReactorWorkerPool {
       if (stopped_) return;
       stopped_ = true;
     }
-    release_cv_.notify_all();
-    acquire_cv_.notify_all();
+    cv_.notify_all();
     for (std::thread& thread : threads_) {
       if (thread.joinable()) thread.join();
     }
     threads_.clear();
   }
 
+  /// Parked connections across every reactor (loops add and subtract;
+  /// a ring lost to a race costs one re-check tick, never correctness).
+  void AddParked(int64_t delta) { parked_.fetch_add(delta); }
+
  private:
-  void Run(std::deque<AsyncTask>* queue, std::condition_variable* cv);
-  static void Execute(AsyncTask task);
+  void Run();
+  void RingParked(const Reactor* committer);
 
   int workers_;
+  std::vector<Reactor*> reactors_;
+  std::atomic<int64_t> parked_{0};
   std::mutex mu_;
-  std::condition_variable release_cv_;
-  std::condition_variable acquire_cv_;
-  std::deque<AsyncTask> release_queue_;
-  std::deque<AsyncTask> acquire_queue_;
+  std::condition_variable cv_;
+  std::deque<CommitTask> queue_;
   bool stopped_ = false;
   std::vector<std::thread> threads_;
 };
 
 /// One event-loop thread: an epoll instance, an eventfd doorbell, and the
 /// connections the acceptor assigned here. Everything per-connection is
-/// touched only from this thread; the doorbell paths (new sockets, worker
-/// completions) go through small mutex-guarded hand-off queues.
+/// touched only from this thread; the doorbell paths (new sockets, commit
+/// completions, parked-connection rings) go through small mutex-guarded
+/// hand-off queues or the bare eventfd.
 class Reactor {
  public:
   Reactor(const ReactorGroup::Options& options,
@@ -178,14 +160,7 @@ class Reactor {
             "livegraph_server_reactor_connections{reactor=\"" +
             std::to_string(index) + "\"}")) {}
 
-  ~Reactor() {
-    Join();
-    // Completions posted after the loop exited were parked here; any
-    // mutation transactions they carry still hold locks.
-    for (AsyncCompletion& completion : completions_) {
-      ReleaseOrphanMutation(&completion);
-    }
-  }
+  ~Reactor() { Join(); }
 
   bool Start() {
     if (!epoll_.valid() || !wake_.valid()) return false;
@@ -214,13 +189,18 @@ class Reactor {
   }
 
   /// Worker-pool hand-back (any thread).
-  void PostCompletion(AsyncCompletion completion) {
+  void PostCompletion(CommitDone done) {
     {
       std::lock_guard<std::mutex> lock(completions_mu_);
-      completions_.push_back(std::move(completion));
+      completions_.push_back(std::move(done));
     }
     wake_.Signal();
   }
+
+  /// Commit hand-back to a loop with parked connections (any thread):
+  /// they retry at this wakeup instead of the next re-check tick.
+  void Ring() { wake_.Signal(); }
+  bool has_parked() const { return parked_count_.load() > 0; }
 
   size_t active() const { return active_.load(std::memory_order_relaxed); }
 
@@ -237,15 +217,13 @@ class Reactor {
     ServerSession::Sink out;
     /// Currently registered epoll interest bits.
     uint32_t interest = Epoll::kRead;
-    enum class Wait : uint8_t { kNone, kCommit, kEpoch, kMutation };
+    /// kCommit: a worker runs the commit. kParked: `frame` waits to be
+    /// handled again (ServerSession::Outcome::kParked).
+    enum class Wait : uint8_t { kNone, kCommit, kParked };
     Wait wait = Wait::kNone;
     bool eof = false;
     bool closing = false;
     bool adopting = false;
-    /// Mirrored into the reactor's write_conns_ aggregate (the
-    /// mutation-offload hint): true while this connection holds >= 1 open
-    /// write transaction.
-    bool counted_write = false;
     Frame frame;
     uint64_t last_activity_ns = 0;
 
@@ -256,8 +234,9 @@ class Reactor {
           session(config),
           out(high_water) {}
 
-    /// An async op or parked scan owns the reply stream: no new frames
-    /// may dispatch until it completes (replies are in request order).
+    /// A commit, a parked request or a parked scan owns the reply stream:
+    /// no new frames may dispatch until it completes (replies are in
+    /// request order).
     bool blocked() const {
       return wait != Wait::kNone || session.scan_paused();
     }
@@ -266,7 +245,7 @@ class Reactor {
   void Run() {
     std::vector<Epoll::Event> events;
     while (running_.load(std::memory_order_acquire)) {
-      epoll_.Wait(SweepIntervalMs(), &events);
+      epoll_.Wait(WaitTimeoutMs(), &events);
       WakeupsTotal().Add();
       uint64_t frames = 0;
       bool woken = false;
@@ -286,14 +265,17 @@ class Reactor {
         AdoptPendingSockets();
         DrainCompletions(&frames);
       }
+      if (!parked_.empty()) RetryParked(&frames);
       if (!events.empty()) FramesPerWakeup().Record(frames);
       Sweep();
     }
     ShutdownAll();
   }
 
-  /// Epoll timeout: bounded only when a periodic sweep has work to do.
-  int SweepIntervalMs() const {
+  /// Epoll timeout: the parked re-check tick, else bounded only when a
+  /// periodic sweep has work to do.
+  int WaitTimeoutMs() const {
+    if (!parked_.empty()) return kParkedRecheckMs;
     if (conns_.empty()) return -1;
     if (options_.idle_timeout_ms <= 0 &&
         options_.write_stall_timeout_ms <= 0) {
@@ -341,7 +323,7 @@ class Reactor {
   }
 
   /// Dispatches every complete buffered frame, stopping at backpressure,
-  /// an async hand-off, a parked scan, or a protocol violation.
+  /// a commit hand-off, a parked request or scan, or a protocol violation.
   void ProcessFrames(Conn* conn, uint64_t* frames) {
     while (!conn->closing && !conn->adopting && !conn->blocked() &&
            !conn->out.throttled()) {
@@ -364,39 +346,7 @@ class Reactor {
       }
       conn->in_off += kFrameHeaderSize + body_size;
       ++*frames;
-      // Mutations must offload only when ANOTHER connection on this loop
-      // holds a write transaction (a potential vertex-lock holder whose
-      // releasing Commit this loop must stay live to dispatch); otherwise
-      // the inline lock acquisition cannot wait on anything this loop
-      // serves, and the worker round trip is skipped. Re-derived per
-      // frame: a pipelined batch can open and close transactions as it
-      // drains.
-      conn->session.set_offload_mutations(
-          write_conns_ > (conn->counted_write ? 1u : 0u));
-      ServerSession::Outcome outcome =
-          conn->session.Handle(conn->frame, &conn->out);
-      SyncWriteCount(conn);
-      switch (outcome) {
-        case ServerSession::Outcome::kDone:
-          break;
-        case ServerSession::Outcome::kClose:
-          conn->closing = true;
-          break;
-        case ServerSession::Outcome::kScanPaused:
-          break;  // blocked() is now true; resume on output drain
-        case ServerSession::Outcome::kCommitAsync:
-          SubmitCommit(conn);
-          break;
-        case ServerSession::Outcome::kWaitAsync:
-          SubmitEpochWait(conn);
-          break;
-        case ServerSession::Outcome::kMutateAsync:
-          SubmitMutation(conn);
-          break;
-        case ServerSession::Outcome::kSubscribe:
-          conn->adopting = true;  // conn->frame is the kSubscribe frame
-          break;
-      }
+      Dispatch(conn, conn->session.Handle(conn->frame, &conn->out));
     }
     // Reclaim the consumed prefix once it is worth a memmove.
     if (conn->in_off == conn->in_len) {
@@ -428,9 +378,31 @@ class Reactor {
     }
   }
 
+  /// Acts on the handler's outcome for `conn->frame`.
+  void Dispatch(Conn* conn, ServerSession::Outcome outcome) {
+    switch (outcome) {
+      case ServerSession::Outcome::kDone:
+        break;
+      case ServerSession::Outcome::kClose:
+        conn->closing = true;
+        break;
+      case ServerSession::Outcome::kScanPaused:
+        break;  // blocked() is now true; resume on output drain
+      case ServerSession::Outcome::kCommitAsync:
+        SubmitCommit(conn);
+        break;
+      case ServerSession::Outcome::kParked:
+        Park(conn);  // conn->frame is handled again by RetryParked
+        break;
+      case ServerSession::Outcome::kSubscribe:
+        conn->adopting = true;  // conn->frame is the kSubscribe frame
+        break;
+    }
+  }
+
   /// Alternates dispatch and flush until the connection can make no more
-  /// progress this round: input exhausted, output throttled, an async op
-  /// pending, or teardown.
+  /// progress this round: input exhausted, output throttled, a commit or
+  /// parked request pending, or teardown.
   void Drive(Conn* conn, uint64_t* frames) {
     while (!conn->closing && !conn->adopting) {
       if (!conn->blocked()) ProcessFrames(conn, frames);
@@ -479,35 +451,45 @@ class Reactor {
 
   void SubmitCommit(Conn* conn) {
     conn->wait = Conn::Wait::kCommit;
-    AsyncTask task;
+    CommitTask task;
     task.reactor = this;
     task.conn_id = conn->id;
-    task.kind = TaskKind::kCommit;
     task.txn = conn->session.TakePendingCommit().txn;
     workers_->Submit(std::move(task));
   }
 
-  void SubmitEpochWait(Conn* conn) {
-    conn->wait = Conn::Wait::kEpoch;
-    const ServerSession::PendingWait& wait = conn->session.pending_wait();
-    AsyncTask task;
-    task.reactor = this;
-    task.conn_id = conn->id;
-    task.kind = TaskKind::kEpochWait;
-    task.frontier = options_.session.frontier;
-    task.min_epoch = wait.min_epoch;
-    task.timeout_ms = static_cast<int64_t>(wait.timeout_ms);
-    workers_->Submit(std::move(task));
+  void Park(Conn* conn) {
+    conn->wait = Conn::Wait::kParked;
+    parked_.push_back(conn->id);
+    CountParked(1);
   }
 
-  void SubmitMutation(Conn* conn) {
-    conn->wait = Conn::Wait::kMutation;
-    AsyncTask task;
-    task.reactor = this;
-    task.conn_id = conn->id;
-    task.kind = TaskKind::kMutation;
-    task.mutation = conn->session.TakePendingMutation();
-    workers_->Submit(std::move(task));
+  void Unpark(Conn* conn) {
+    conn->wait = Conn::Wait::kNone;
+    parked_.erase(std::find(parked_.begin(), parked_.end(), conn->id));
+    CountParked(-1);
+  }
+
+  void CountParked(int64_t delta) {
+    parked_count_.fetch_add(delta);
+    workers_->AddParked(delta);
+  }
+
+  /// Handles every parked connection's frame again. Those still waiting
+  /// stay parked; the rest continue with their buffered frames.
+  void RetryParked(uint64_t* frames) {
+    retry_.assign(parked_.begin(), parked_.end());
+    for (uint64_t id : retry_) {
+      auto it = conns_.find(id);
+      if (it == conns_.end()) continue;  // closed earlier this round
+      Conn* conn = it->second.get();
+      ServerSession::Outcome outcome =
+          conn->session.Handle(conn->frame, &conn->out);
+      if (outcome == ServerSession::Outcome::kParked) continue;
+      Unpark(conn);
+      Dispatch(conn, outcome);
+      PostProcess(conn, frames);
+    }
   }
 
   void AdoptPendingSockets() {
@@ -530,38 +512,20 @@ class Reactor {
   }
 
   void DrainCompletions(uint64_t* frames) {
-    std::vector<AsyncCompletion> completions;
+    std::vector<CommitDone> completions;
     {
       std::lock_guard<std::mutex> lock(completions_mu_);
       completions.swap(completions_);
     }
-    for (AsyncCompletion& completion : completions) {
-      auto it = conns_.find(completion.conn_id);
-      if (it == conns_.end()) {
-        // Connection died while waiting. A mutation's transaction rides in
-        // the completion: re-attach so its abort releases on this thread.
-        ReleaseOrphanMutation(&completion);
-        continue;
-      }
+    for (CommitDone& done : completions) {
+      auto it = conns_.find(done.conn_id);
+      if (it == conns_.end()) continue;  // connection died while committing
       Conn* conn = it->second.get();
       conn->wait = Conn::Wait::kNone;
-      ServerSession::Sink* sink = &conn->out;
-      ServerSession::Outcome outcome = ServerSession::Outcome::kClose;
-      switch (completion.kind) {
-        case TaskKind::kCommit:
-          outcome = conn->session.FinishCommit(
-              std::move(completion.committed), sink);
-          break;
-        case TaskKind::kEpochWait:
-          outcome = conn->session.FinishEpochWait(completion.covered, sink);
-          break;
-        case TaskKind::kMutation:
-          outcome = conn->session.FinishMutation(
-              std::move(completion.mutation), completion.result, sink);
-          break;
+      if (conn->session.FinishCommit(std::move(done.committed), &conn->out) ==
+          ServerSession::Outcome::kClose) {
+        conn->closing = true;
       }
-      if (outcome == ServerSession::Outcome::kClose) conn->closing = true;
-      SyncWriteCount(conn);
       PostProcess(conn, frames);
     }
   }
@@ -570,7 +534,6 @@ class Reactor {
   /// kSubscribe frame to the owner's adoption callback; the replication
   /// push stream runs on a dedicated thread from here on.
   void AdoptSubscription(Conn* conn) {
-    if (conn->counted_write) --write_conns_;
     epoll_.Del(conn->socket.fd());
     Socket socket = std::move(conn->socket);
     Frame frame = std::move(conn->frame);
@@ -590,30 +553,8 @@ class Reactor {
     }
   }
 
-  /// Folds the connection's open-write-transaction state into the loop
-  /// aggregate backing the mutation-offload hint.
-  void SyncWriteCount(Conn* conn) {
-    const bool has = conn->session.open_write_txns() > 0;
-    if (has == conn->counted_write) return;
-    if (has) {
-      ++write_conns_;
-    } else {
-      --write_conns_;
-    }
-    conn->counted_write = has;
-  }
-
-  /// Destroys a completion's orphaned mutation transaction (its
-  /// connection is gone): attach first so the abort's lock releases are
-  /// accounted to this thread.
-  static void ReleaseOrphanMutation(AsyncCompletion* completion) {
-    if (completion->mutation.txn == nullptr) return;
-    completion->mutation.txn->AttachToThread();
-    completion->mutation.txn.reset();
-  }
-
   void CloseConn(Conn* conn) {
-    if (conn->counted_write) --write_conns_;
+    if (conn->wait == Conn::Wait::kParked) Unpark(conn);
     epoll_.Del(conn->socket.fd());
     conns_.erase(conn->id);  // Socket closes; session aborts open txns
     NoteConnCount();
@@ -661,7 +602,8 @@ class Reactor {
       conn->socket.Shutdown();
     }
     conns_.clear();
-    write_conns_ = 0;
+    CountParked(-static_cast<int64_t>(parked_.size()));
+    parked_.clear();
     NoteConnCount();
   }
 
@@ -680,59 +622,50 @@ class Reactor {
   std::thread thread_;
   std::atomic<bool> running_{false};
   std::atomic<size_t> active_{0};
+  /// parked_.size(), for the worker pool's rings.
+  std::atomic<int64_t> parked_count_{0};
 
   uint64_t next_id_ = 1;
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
-  /// Connections holding >= 1 open write transaction (offload hint).
-  size_t write_conns_ = 0;
+  /// Ids of the connections in Wait::kParked, and RetryParked's copy.
+  std::vector<uint64_t> parked_;
+  std::vector<uint64_t> retry_;
 
   std::mutex pending_mu_;
   std::vector<Socket> pending_;
 
   std::mutex completions_mu_;
-  std::vector<AsyncCompletion> completions_;
+  std::vector<CommitDone> completions_;
 };
 
-void ReactorWorkerPool::Run(std::deque<AsyncTask>* queue,
-                            std::condition_variable* cv) {
+void ReactorWorkerPool::Run() {
   while (true) {
-    AsyncTask task;
+    CommitTask task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv->wait(lock, [&] { return stopped_ || !queue->empty(); });
-      // Drain before exiting: a handed-off transaction must run (or the
+      cv_.wait(lock, [&] { return stopped_ || !queue_.empty(); });
+      // Drain before exiting: a handed-off transaction must commit (or the
       // epoch frontier could wedge on its acquired epoch).
-      if (queue->empty()) return;
-      task = std::move(queue->front());
-      queue->pop_front();
+      if (queue_.empty()) return;
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    Execute(std::move(task));
+    CommitDone done;
+    done.conn_id = task.conn_id;
+    task.txn->AttachToThread();
+    done.committed = task.txn->Commit();
+    task.txn.reset();
+    RingParked(task.reactor);
+    task.reactor->PostCompletion(std::move(done));
   }
 }
 
-void ReactorWorkerPool::Execute(AsyncTask task) {
-  AsyncCompletion done;
-  done.conn_id = task.conn_id;
-  done.kind = task.kind;
-  switch (task.kind) {
-    case TaskKind::kCommit:
-      task.txn->AttachToThread();
-      done.committed = task.txn->Commit();
-      task.txn.reset();
-      break;
-    case TaskKind::kEpochWait:
-      done.covered =
-          task.frontier->WaitCovered(task.min_epoch, task.timeout_ms);
-      break;
-    case TaskKind::kMutation:
-      task.mutation.txn->AttachToThread();
-      done.result =
-          ServerSession::ExecuteMutation(*task.mutation.txn, task.mutation);
-      task.mutation.txn->DetachFromThread();
-      done.mutation = std::move(task.mutation);
-      break;
+void ReactorWorkerPool::RingParked(const Reactor* committer) {
+  if (parked_.load() == 0) return;
+  for (Reactor* reactor : reactors_) {
+    // The committer's own loop wakes for the completion anyway.
+    if (reactor != committer && reactor->has_parked()) reactor->Ring();
   }
-  task.reactor->PostCompletion(std::move(done));
 }
 
 ReactorGroup::ReactorGroup(Options options, AdoptFn adopt)
@@ -745,11 +678,15 @@ bool ReactorGroup::Start() {
   int reactors = options_.reactors < 1 ? 1 : options_.reactors;
   int workers = options_.workers < 1 ? 1 : options_.workers;
   workers_ = std::make_unique<ReactorWorkerPool>(workers);
-  workers_->Start();
+  std::vector<Reactor*> loops;
   for (int i = 0; i < reactors; ++i) {
     reactors_.push_back(
         std::make_unique<Reactor>(options_, &adopt_, workers_.get(), i));
-    if (!reactors_.back()->Start()) {
+    loops.push_back(reactors_.back().get());
+  }
+  workers_->Start(std::move(loops));
+  for (auto& reactor : reactors_) {
+    if (!reactor->Start()) {
       Stop();
       return false;
     }
@@ -761,7 +698,7 @@ bool ReactorGroup::Start() {
 void ReactorGroup::Stop() {
   // Loops first: they stop submitting new work, close their connections,
   // and exit. The pool then drains — completions posted to stopped
-  // reactors are parked harmlessly until destruction. The Reactor objects
+  // reactors are left harmlessly until destruction. The Reactor objects
   // themselves stay alive (threads joined, zero connections) so that
   // concurrent active_connections() readers never race their teardown.
   for (auto& reactor : reactors_) reactor->RequestStop();

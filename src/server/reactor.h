@@ -4,7 +4,7 @@
 // epoll instance and an exclusive share of the accepted connections (the
 // acceptor hands sockets over round-robin, so a connection lives on one
 // reactor for its whole life and needs no locking), plus one small shared
-// worker pool for operations that would block the loops.
+// worker pool for group commits.
 //
 // Per connection the reactor keeps a non-blocking read/decode state
 // machine and a bounded output queue:
@@ -19,18 +19,20 @@
 //     when EPOLLOUT drains the queue below the low water mark, reading
 //     and the scan resume. Memory per connection stays bounded no matter
 //     how asymmetric the peer.
-//   - Blocking work: group-commit durability waits, replication frontier
-//     waits, AND lock-acquiring mutations run on the worker pool (the
-//     transaction migrates threads — api/store.h "Cross-thread
+//   - Commits: a commit's wait for group durability runs on the worker
+//     pool (the transaction migrates threads — api/store.h "Cross-thread
 //     hand-off"); the completion is posted back to the owning reactor
 //     through an eventfd and the reply is sent from the loop, preserving
-//     reply order. Mutations must offload because a contended vertex
-//     lock's holder is often another connection on the SAME loop: its
-//     releasing Commit frame could never dispatch under a blocked loop,
-//     so every contended wait would ride to the engine's deadlock
-//     timeout. The pool itself is split into a release lane (commits)
-//     and an acquire lane (mutations, frontier waits) for the same
-//     reason one level down — see ReactorWorkerPool in reactor.cc.
+//     reply order.
+//   - Parked waits: a mutation whose vertex lock another transaction
+//     holds, or an epoch-gated read ahead of the frontier, parks its
+//     connection with the decoded frame (ServerSession::Outcome::kParked).
+//     The holder is often another connection on the SAME loop, so the
+//     loop must never block on the lock. The loop handles a parked frame
+//     again after every commit (the pool rings each reactor with parked
+//     connections) and at least every millisecond, until it succeeds or
+//     its deadline — the engine's lock timeout, or the read's own
+//     timeout — passes.
 //
 // Replication subscriptions (kSubscribe) do not fit an event loop — they
 // are infinite write-mostly streams — so the reactor detaches the socket
@@ -57,9 +59,7 @@ class ReactorGroup {
   struct Options {
     /// Event-loop thread count (resolved by the caller; >= 1).
     int reactors = 1;
-    /// Blocking-work worker threads shared by all reactors — per lane:
-    /// the pool runs this many commit (lock-releasing) threads plus this
-    /// many mutation/wait (lock-acquiring) threads.
+    /// Commit worker threads shared by all reactors.
     int workers = 2;
     /// Output-queue watermarks, bytes per connection. Above high: stop
     /// reading and park scans. Below low: resume.

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <utility>
 
+#include "replication/epoch_frontier.h"
 #include "server/stats_codec.h"
 #include "util/metrics.h"
 
@@ -99,6 +100,22 @@ metrics::Gauge& OpenTxnsGauge() {
   return gauge;
 }
 
+/// How long a parked mutation waited for its vertex lock, one sample when
+/// it acquires or times out. Mutations that lock at the first attempt
+/// record nothing.
+metrics::Histogram& LockWait() {
+  static metrics::Histogram& histogram =
+      metrics::Registry::Instance().GetHistogram(
+          "livegraph_server_lock_wait", metrics::Unit::kNanos);
+  return histogram;
+}
+
+metrics::Counter& LockTimeouts() {
+  static metrics::Counter& counter = metrics::Registry::Instance().GetCounter(
+      "livegraph_server_lock_timeouts_total");
+  return counter;
+}
+
 }  // namespace
 
 ServerSession::ServerSession(const Config& config) : config_(config) {
@@ -117,23 +134,21 @@ ServerSession::~ServerSession() {
     pending_commit_.txn->AttachToThread();
     pending_commit_.txn.reset();
   }
-  if (pending_mutation_.txn != nullptr) {
-    pending_mutation_.txn->AttachToThread();
-    pending_mutation_.txn.reset();
-  }
 }
 
 ServerSession::Outcome ServerSession::Handle(const Frame& request,
                                              Sink* sink) {
   const OpMetrics* op = OpMetricsFor(request.type);
   if (op == nullptr) return DispatchInner(request, sink);
-  const uint64_t start = metrics::MonotonicNanos();
+  const uint64_t now = metrics::MonotonicNanos();
+  if (!parked_) request_start_ns_ = now;
+  waited_ns_ = static_cast<int64_t>(now - request_start_ns_);
   Outcome outcome = DispatchInner(request, sink);
-  // Paused scans and offloaded commits/waits/mutations record when they
-  // complete (ResumeScan / FinishCommit / FinishEpochWait /
-  // FinishMutation).
+  parked_ = outcome == Outcome::kParked;
+  // Paused scans and offloaded commits record when they complete
+  // (ResumeScan / FinishCommit), parked requests when a retry finishes.
   if (outcome == Outcome::kDone || outcome == Outcome::kClose) {
-    RecordOp(op, start);
+    RecordOp(op, request_start_ns_);
   }
   return outcome;
 }
@@ -274,12 +289,15 @@ ServerSession::Outcome ServerSession::HandleHello(WireReader& reader,
 ServerSession::Outcome ServerSession::HandleBegin(WireReader& reader,
                                                   Sink* sink, bool write) {
   if (!reader.Exhausted()) return Outcome::kClose;
+  return ReplyNewTxn(sink, write);
+}
+
+ServerSession::Outcome ServerSession::ReplyNewTxn(Sink* sink, bool write) {
   uint64_t id = next_txn_id_++;
   OpenTxn& slot = txns_[id];
   OpenTxnsGauge().Add(1);
   if (write) {
     slot.write = config_.store->BeginTxn();
-    ++open_writes_;
   } else {
     slot.read = config_.store->BeginReadTxn();
   }
@@ -299,7 +317,6 @@ ServerSession::Outcome ServerSession::HandleCommit(WireReader& reader,
   std::unique_ptr<StoreTxn> txn = std::move(it->second.write);
   txns_.erase(it);
   OpenTxnsGauge().Sub(1);
-  --open_writes_;
   if (txn->SupportsThreadHandoff()) {
     // The commit would futex-wait on group durability; hand it to a
     // worker so the event loop keeps serving other connections. Detach
@@ -307,7 +324,7 @@ ServerSession::Outcome ServerSession::HandleCommit(WireReader& reader,
     // the transaction's locks (api/store.h "Cross-thread hand-off").
     txn->DetachFromThread();
     pending_commit_.txn = std::move(txn);
-    pending_commit_.start_nanos = metrics::MonotonicNanos();
+    pending_commit_.start_nanos = request_start_ns_;
     return Outcome::kCommitAsync;
   }
   StatusOr<timestamp_t> committed = txn->Commit();
@@ -352,7 +369,6 @@ ServerSession::Outcome ServerSession::HandleAbort(WireReader& reader,
   it->second.write->Abort();
   txns_.erase(it);
   OpenTxnsGauge().Sub(1);
-  --open_writes_;
   return ReplyStatus(sink, Status::kOk);
 }
 
@@ -537,12 +553,11 @@ ServerSession::Outcome ServerSession::PumpScan(Sink* sink) {
 
 // --- Replication-adjacent reads (docs/REPLICATION.md) ----------------------
 
-// Epoch-gated read session: wait until this node's frontier covers the
-// client's epoch, then open a plain read snapshot (which therefore
-// includes every commit at or below it). kTimeout when the frontier does
-// not catch up in time — the client may fail over. The (futex) frontier
-// wait runs on a worker: Outcome::kWaitAsync, completed by
-// FinishEpochWait().
+// Epoch-gated read session: once this node's frontier covers the
+// client's epoch, open a plain read snapshot (which therefore includes
+// every commit at or below it). Until then the request parks and the
+// transport retries it; kTimeout once the client's own timeout has passed
+// since the first attempt — the client may fail over.
 ServerSession::Outcome ServerSession::HandleBeginReadTxnAt(
     WireReader& reader, Sink* sink) {
   int64_t min_epoch;
@@ -555,36 +570,14 @@ ServerSession::Outcome ServerSession::HandleBeginReadTxnAt(
     if (config_.frontier == nullptr) {
       return ReplyStatus(sink, Status::kUnavailable);
     }
-    pending_wait_.min_epoch = min_epoch;
-    pending_wait_.timeout_ms = timeout_ms;
-    pending_wait_.start_nanos = metrics::MonotonicNanos();
-    return Outcome::kWaitAsync;
+    if (config_.frontier->Frontier() < min_epoch) {
+      if (waited_ns_ >= int64_t{timeout_ms} * 1'000'000) {
+        return ReplyStatus(sink, Status::kTimeout);
+      }
+      return Outcome::kParked;
+    }
   }
-  uint64_t id = next_txn_id_++;
-  txns_[id].read = config_.store->BeginReadTxn();
-  OpenTxnsGauge().Add(1);
-  WireWriter writer = BeginReply(Status::kOk);
-  writer.PutU64(id);
-  return SendReply(sink) ? Outcome::kDone : Outcome::kClose;
-}
-
-ServerSession::Outcome ServerSession::FinishEpochWait(bool covered,
-                                                      Sink* sink) {
-  const uint64_t start = pending_wait_.start_nanos;
-  pending_wait_ = PendingWait{};
-  Outcome outcome;
-  if (!covered) {
-    outcome = ReplyStatus(sink, Status::kTimeout);
-  } else {
-    uint64_t id = next_txn_id_++;
-    txns_[id].read = config_.store->BeginReadTxn();
-    OpenTxnsGauge().Add(1);
-    WireWriter writer = BeginReply(Status::kOk);
-    writer.PutU64(id);
-    outcome = SendReply(sink) ? Outcome::kDone : Outcome::kClose;
-  }
-  RecordOp(OpMetricsFor(MsgType::kBeginReadTxnAt), start);
-  return outcome;
+  return ReplyNewTxn(sink, /*write=*/false);
 }
 
 /// STATS: collect the live registry (probes included) and reply with the
@@ -602,92 +595,24 @@ ServerSession::Outcome ServerSession::HandleStats(WireReader& reader,
 
 // --- Writes ----------------------------------------------------------------
 
-// Why the lock-acquiring mutations offload (kMutateAsync): acquiring a
-// vertex lock can futex-wait up to the engine's deadlock-avoidance
-// timeout (core/config.h lock_timeout_ns), and the holder is typically
-// another client whose releasing Commit is a frame the event loop has yet
-// to dispatch. Blocking the loop on the wait would therefore serialize
-// the waiter IN FRONT of the release — every contended acquisition on a
-// shared reactor would time out at the full bound instead of resolving in
-// microseconds. AddNode stays inline: it locks a freshly minted vertex,
-// which nothing else can hold. The transport narrows the offload further
-// through set_offload_mutations(): when no other connection on the same
-// loop holds a write transaction the hazard cannot arise, and the
-// mutation runs inline, skipping both thread hand-offs.
-
-bool ServerSession::StageMutation(uint64_t txn_id, MsgType op, int64_t src,
-                                  uint16_t label, int64_t dst,
-                                  std::string_view data) {
-  auto it = txns_.find(txn_id);
-  StoreTxn* txn = it->second.write.get();
-  if (!offload_mutations_ || !txn->SupportsThreadHandoff()) return false;
-  txn->DetachFromThread();
-  pending_mutation_.txn = std::move(it->second.write);
-  pending_mutation_.txn_id = txn_id;
-  pending_mutation_.op = op;
-  pending_mutation_.src = src;
-  pending_mutation_.dst = dst;
-  pending_mutation_.label = label;
-  pending_mutation_.data.assign(data);
-  pending_mutation_.start_nanos = metrics::MonotonicNanos();
-  return true;
-}
-
-ServerSession::PendingMutation ServerSession::TakePendingMutation() {
-  PendingMutation taken = std::move(pending_mutation_);
-  pending_mutation_ = PendingMutation{};
-  return taken;
-}
-
-ServerSession::MutationResult ServerSession::ExecuteMutation(
-    StoreTxn& txn, const PendingMutation& mutation) {
-  MutationResult result;
-  switch (mutation.op) {
-    case MsgType::kUpdateNode:
-      result.status = txn.UpdateNode(mutation.src, mutation.data);
-      break;
-    case MsgType::kDeleteNode:
-      result.status = txn.DeleteNode(mutation.src);
-      break;
-    case MsgType::kAddLink: {
-      StatusOr<bool> inserted =
-          txn.AddLink(mutation.src, mutation.label, mutation.dst,
-                      mutation.data);
-      result.status = inserted.status();
-      if (inserted.ok()) result.inserted = *inserted;
-      break;
-    }
-    case MsgType::kUpdateLink:
-      result.status = txn.UpdateLink(mutation.src, mutation.label,
-                                     mutation.dst, mutation.data);
-      break;
-    case MsgType::kDeleteLink:
-      result.status =
-          txn.DeleteLink(mutation.src, mutation.label, mutation.dst);
-      break;
-    default:
-      result.status = Status::kUnavailable;
-      break;
-  }
-  return result;
-}
-
-ServerSession::Outcome ServerSession::FinishMutation(
-    PendingMutation mutation, MutationResult result, Sink* sink) {
-  mutation.txn->AttachToThread();
-  txns_[mutation.txn_id].write = std::move(mutation.txn);
-  Outcome outcome;
-  if (result.status != Status::kOk) {
-    outcome = ReplyStatus(sink, result.status);
-  } else if (mutation.op == MsgType::kAddLink) {
-    WireWriter writer = BeginReply(Status::kOk);
-    writer.PutU8(result.inserted ? 1 : 0);
-    outcome = SendReply(sink) ? Outcome::kDone : Outcome::kClose;
-  } else {
-    outcome = ReplyStatus(sink, Status::kOk);
-  }
-  RecordOp(OpMetricsFor(mutation.op), mutation.start_nanos);
-  return outcome;
+// Parked lock waits: a vertex lock's holder is typically another client
+// whose releasing Commit is a frame some event loop has yet to dispatch —
+// often this very loop. Blocking the loop on the futex would serialize
+// the waiter IN FRONT of the release, so the mutation first tries the
+// lock without waiting and, on contention, parks its connection
+// (Outcome::kParked) until a commit or the re-check tick retries it. The
+// engine's lock_timeout_ns stays the deadlock rule: TryLockVertex rolls
+// the transaction back once the wait since the first attempt reaches it.
+// AddNode needs no such step: it locks a freshly minted vertex, which
+// nothing else can hold.
+std::optional<ServerSession::Outcome> ServerSession::LockOrPark(
+    StoreTxn* txn, vertex_t v, Sink* sink) {
+  StatusOr<bool> locked = txn->TryLockVertex(v, waited_ns_);
+  if (locked.ok() && !*locked) return Outcome::kParked;
+  if (parked_) LockWait().Record(static_cast<uint64_t>(waited_ns_));
+  if (locked.ok()) return std::nullopt;
+  if (locked.status() == Status::kTimeout) LockTimeouts().Add();
+  return ReplyStatus(sink, locked.status());
 }
 
 ServerSession::Outcome ServerSession::HandleAddNode(WireReader& reader,
@@ -718,9 +643,7 @@ ServerSession::Outcome ServerSession::HandleUpdateNode(WireReader& reader,
   }
   StoreTxn* txn = FindWrite(id);
   if (txn == nullptr) return ReplyStatus(sink, Status::kNotActive);
-  if (StageMutation(id, MsgType::kUpdateNode, vertex, 0, 0, data)) {
-    return Outcome::kMutateAsync;
-  }
+  if (auto early = LockOrPark(txn, vertex, sink)) return *early;
   return ReplyStatus(sink, txn->UpdateNode(vertex, data));
 }
 
@@ -734,9 +657,7 @@ ServerSession::Outcome ServerSession::HandleDeleteNode(WireReader& reader,
   }
   StoreTxn* txn = FindWrite(id);
   if (txn == nullptr) return ReplyStatus(sink, Status::kNotActive);
-  if (StageMutation(id, MsgType::kDeleteNode, vertex, 0, 0, {})) {
-    return Outcome::kMutateAsync;
-  }
+  if (auto early = LockOrPark(txn, vertex, sink)) return *early;
   return ReplyStatus(sink, txn->DeleteNode(vertex));
 }
 
@@ -754,10 +675,7 @@ ServerSession::Outcome ServerSession::HandleAddLink(WireReader& reader,
   }
   StoreTxn* txn = FindWrite(id);
   if (txn == nullptr) return ReplyStatus(sink, Status::kNotActive);
-  if (StageMutation(id, upsert ? MsgType::kAddLink : MsgType::kUpdateLink,
-                    src, label, dst, data)) {
-    return Outcome::kMutateAsync;
-  }
+  if (auto early = LockOrPark(txn, src, sink)) return *early;
   if (!upsert) {
     return ReplyStatus(sink, txn->UpdateLink(src, label, dst, data));
   }
@@ -780,9 +698,7 @@ ServerSession::Outcome ServerSession::HandleDeleteLink(WireReader& reader,
   }
   StoreTxn* txn = FindWrite(id);
   if (txn == nullptr) return ReplyStatus(sink, Status::kNotActive);
-  if (StageMutation(id, MsgType::kDeleteLink, src, label, dst, {})) {
-    return Outcome::kMutateAsync;
-  }
+  if (auto early = LockOrPark(txn, src, sink)) return *early;
   return ReplyStatus(sink, txn->DeleteLink(src, label, dst));
 }
 

@@ -4,27 +4,24 @@
 // The reactor (server/reactor.h) runs one session per connection and
 // hands it the connection's output queue (Sink). The places a handler
 // would block the event loop surface as explicit outcomes the reactor
-// schedules around (commits and mutations only when the engine supports
-// cross-thread hand-off, api/store.h; otherwise they run inline):
+// schedules around:
 //
 //   kScanPaused   a streaming scan hit output backpressure mid-list; the
 //                 cursor (and the engine read session it borrows from)
 //                 stays parked in the session until ResumeScan().
 //   kCommitAsync  a write commit would futex-wait on group durability;
-//                 TakePendingCommit() hands the StoreTxn to a worker
-//                 thread, whose result comes back through FinishCommit().
-//   kWaitAsync    an epoch-gated read (kBeginReadTxnAt) must wait for the
-//                 frontier; a worker runs the wait and reports through
-//                 FinishEpochWait().
-//   kMutateAsync  a lock-acquiring mutation (link/node write) can
-//                 futex-wait up to the engine's deadlock-avoidance
-//                 timeout — and the lock's holder may be ANOTHER
-//                 connection on the same event loop, whose releasing
-//                 Commit frame would then never dispatch, turning every
-//                 contended wait into a guaranteed timeout. The staged op
-//                 (TakePendingMutation) runs on a worker via
-//                 ExecuteMutation(); FinishMutation() restores the
-//                 transaction and queues the reply.
+//                 TakePendingCommit() hands the StoreTxn to a commit
+//                 worker, whose result comes back through FinishCommit().
+//                 Engines without cross-thread hand-off (api/store.h)
+//                 commit inline instead.
+//   kParked       the request would wait on something another session
+//                 or thread resolves: a vertex lock held by another
+//                 transaction (StoreTxn::TryLockVertex), or a frontier
+//                 that does not yet cover an epoch-gated read. Nothing
+//                 changed; the transport keeps the frame and Handle()s it
+//                 again after a commit or a short re-check interval. The
+//                 deadline is the engine's lock timeout or the request's
+//                 own timeout, measured from the first attempt.
 //
 // While any of these is outstanding the caller must not Handle() further
 // frames on the connection — replies are strictly in request order, which
@@ -101,8 +98,7 @@ class ServerSession {
     kClose,        // protocol violation or dead sink: close the connection
     kScanPaused,   // scan parked on backpressure; ResumeScan() when clear
     kCommitAsync,  // TakePendingCommit() -> worker -> FinishCommit()
-    kWaitAsync,    // pending_wait() -> worker -> FinishEpochWait()
-    kMutateAsync,  // TakePendingMutation() -> worker -> FinishMutation()
+    kParked,       // would wait; Handle() the same frame again later
     kSubscribe,    // hand the socket to a blocking replication thread
   };
 
@@ -121,7 +117,9 @@ class ServerSession {
   ServerSession& operator=(const ServerSession&) = delete;
 
   /// Handles one request frame end to end (per-opcode accounting
-  /// included). See Outcome for the non-inline results.
+  /// included). See Outcome for the non-inline results. After kParked the
+  /// caller passes the same frame again; its latency and deadline count
+  /// from the first attempt.
   Outcome Handle(const Frame& request, Sink* sink);
 
   /// Continues the parked streaming scan. Precondition: scan_paused().
@@ -140,62 +138,6 @@ class ServerSession {
   PendingCommit TakePendingCommit();
   /// Queues the commit reply (worker's result), on the transport thread.
   Outcome FinishCommit(StatusOr<timestamp_t> committed, Sink* sink);
-
-  // --- Async epoch wait (Outcome::kWaitAsync) ---
-
-  struct PendingWait {
-    int64_t min_epoch = 0;
-    uint32_t timeout_ms = 0;
-    uint64_t start_nanos = 0;
-  };
-  const PendingWait& pending_wait() const { return pending_wait_; }
-  /// Queues the kBeginReadTxnAt reply: opens the read session if the
-  /// worker reported the frontier covered, kTimeout otherwise.
-  Outcome FinishEpochWait(bool covered, Sink* sink);
-
-  // --- Async mutation (Outcome::kMutateAsync) ---
-
-  /// A staged lock-acquiring mutation, carrying its (detached) write
-  /// transaction to the worker and back. `src` doubles as the vertex id
-  /// for node ops.
-  struct PendingMutation {
-    std::unique_ptr<StoreTxn> txn;
-    uint64_t txn_id = 0;
-    MsgType op = MsgType::kReply;
-    int64_t src = 0;
-    int64_t dst = 0;
-    uint16_t label = 0;
-    std::string data;
-    uint64_t start_nanos = 0;
-  };
-  struct MutationResult {
-    Status status = Status::kUnavailable;
-    bool inserted = false;  // kAddLink only
-  };
-  /// Transfers the staged mutation (transaction included, already
-  /// detached) to the worker.
-  PendingMutation TakePendingMutation();
-  /// Runs the staged op against its transaction — on the worker thread,
-  /// with the transaction attached there.
-  static MutationResult ExecuteMutation(StoreTxn& txn,
-                                        const PendingMutation& mutation);
-  /// Back on the transport thread: re-attaches and restores the
-  /// transaction into the session table, queues the reply.
-  Outcome FinishMutation(PendingMutation mutation, MutationResult result,
-                         Sink* sink);
-
-  /// Open transactions (the global open-txns gauge tracks the sum).
-  size_t open_txns() const { return txns_.size(); }
-  /// Open WRITE transactions, a staged (offloaded) mutation's included —
-  /// the transport's input for the mutation-offload hint below.
-  size_t open_write_txns() const { return open_writes_; }
-  /// Transport hint, consulted by StageMutation: false lets mutations run
-  /// inline on the event loop. The reactor clears it only when no OTHER
-  /// connection on the same loop holds an open write transaction — then
-  /// any vertex-lock holder lives on a loop that stays live to dispatch
-  /// its releasing Commit, so an inline wait cannot self-deadlock and the
-  /// two thread hand-offs are pure overhead.
-  void set_offload_mutations(bool offload) { offload_mutations_ = offload; }
 
  private:
   /// A slot in the session's transaction table. Write sessions serve
@@ -250,12 +192,14 @@ class ServerSession {
   StoreReadTxn* FindRead(uint64_t id);
   StoreTxn* FindWrite(uint64_t id);
 
-  /// Offload gate for the lock-acquiring mutations: when the transport
-  /// hint allows it and the engine supports thread hand-off, stages the op
-  /// (detaching its transaction) and returns true — the handler then
-  /// returns kMutateAsync. False means run it inline.
-  bool StageMutation(uint64_t txn_id, MsgType op, int64_t src,
-                     uint16_t label, int64_t dst, std::string_view data);
+  /// First step of UpdateNode, DeleteNode and the link writes: takes the
+  /// one vertex lock the mutation needs without blocking. nullopt when it
+  /// is held (run the mutation); otherwise the handler's outcome —
+  /// kParked on contention, or the queued error reply (kTimeout once the
+  /// engine's lock timeout has passed since the first attempt).
+  std::optional<Outcome> LockOrPark(StoreTxn* txn, vertex_t v, Sink* sink);
+  /// Opens a session and queues its id (kBeginTxn, kBeginReadTxn{,At}).
+  Outcome ReplyNewTxn(Sink* sink, bool write);
 
   /// Walks the parked cursor, flushing batches until done or throttled.
   Outcome PumpScan(Sink* sink);
@@ -264,13 +208,15 @@ class ServerSession {
 
   uint64_t next_txn_id_ = 1;
   std::map<uint64_t, OpenTxn> txns_;
-  size_t open_writes_ = 0;
-  bool offload_mutations_ = true;
 
   std::optional<ActiveScan> scan_;
   PendingCommit pending_commit_;
-  PendingWait pending_wait_;
-  PendingMutation pending_mutation_;
+  /// The request in flight returned kParked and is being retried.
+  bool parked_ = false;
+  /// When the request in flight was first tried, and how long before the
+  /// current attempt that was (0 on the first).
+  uint64_t request_start_ns_ = 0;
+  int64_t waited_ns_ = 0;
 
   // Reused per-session buffers: steady-state replies allocate nothing.
   std::string reply_body_;

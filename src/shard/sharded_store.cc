@@ -205,6 +205,17 @@ class ShardedWriteTxn : public StoreTxn {
     return Wrote(s, Filter(txn.DeleteEdge(store_->LocalId(src), label, dst)));
   }
 
+  /// Routed to the owning shard's transaction; a timeout there takes the
+  /// whole session down, as a blocking acquisition's would (Filter).
+  StatusOr<bool> TryLockVertex(vertex_t v, int64_t waited_ns) override {
+    if (!active_) return Status::kNotActive;
+    if (v < 0) return true;
+    StatusOr<bool> locked = Shard(store_->ShardOf(v))
+                                .TryLockVertex(store_->LocalId(v), waited_ns);
+    if (!locked.ok()) Filter(locked.status());
+    return locked;
+  }
+
   // --- Lifecycle ---
 
   StatusOr<timestamp_t> Commit() override {

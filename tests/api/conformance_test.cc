@@ -420,5 +420,96 @@ INSTANTIATE_TEST_SUITE_P(
                        }))),
     [](const auto& info) { return info.param.first; });
 
+// StoreTxn::TryLockVertex on the engines that hold per-vertex write locks:
+// the non-blocking acquisition the reactor server parks connections on.
+class VertexLockTest : public StoreConformanceTest {
+ protected:
+  const int64_t timeout_ns_ = GraphOptions{}.lock_timeout_ns;
+};
+
+TEST_P(VertexLockTest, TryLockVertexIsReentrant) {
+  vertex_t v = store_->AddNode("v");
+  std::unique_ptr<StoreTxn> txn = store_->BeginTxn();
+  ASSERT_TRUE(txn->TryLockVertex(v, 0).value_or(false));
+  ASSERT_TRUE(txn->TryLockVertex(v, 0).value_or(false));
+  // The mutation's own acquisition finds the lock already held.
+  EXPECT_EQ(txn->UpdateNode(v, "x"), Status::kOk);
+  ASSERT_TRUE(txn->TryLockVertex(v, timeout_ns_).value_or(false));
+  EXPECT_TRUE(txn->Commit().ok());
+  EXPECT_EQ(store_->GetNode(v).value_or(""), "x");
+}
+
+TEST_P(VertexLockTest, TryLockVertexWouldBlockWhileHeld) {
+  vertex_t v = store_->AddNode("v");
+  vertex_t w = store_->AddNode("w");
+  std::unique_ptr<StoreTxn> holder = store_->BeginTxn();
+  ASSERT_TRUE(holder->TryLockVertex(v, 0).value_or(false));
+
+  std::unique_ptr<StoreTxn> waiter = store_->BeginTxn();
+  StatusOr<bool> locked = waiter->TryLockVertex(v, timeout_ns_ - 1);
+  ASSERT_TRUE(locked.ok());
+  EXPECT_FALSE(*locked);
+  // No side effect: the waiter is still active and can write elsewhere.
+  EXPECT_EQ(waiter->UpdateNode(w, "w2"), Status::kOk);
+
+  holder->Abort();
+  ASSERT_TRUE(waiter->TryLockVertex(v, 0).value_or(false));
+  EXPECT_EQ(waiter->UpdateNode(v, "v2"), Status::kOk);
+  EXPECT_TRUE(waiter->Commit().ok());
+  EXPECT_EQ(store_->GetNode(v).value_or(""), "v2");
+  EXPECT_EQ(store_->GetNode(w).value_or(""), "w2");
+}
+
+TEST_P(VertexLockTest, TryLockVertexTimesOutAndAborts) {
+  vertex_t v = store_->AddNode("v");
+  vertex_t w = store_->AddNode("w");
+  std::unique_ptr<StoreTxn> holder = store_->BeginTxn();
+  ASSERT_TRUE(holder->TryLockVertex(v, 0).value_or(false));
+
+  std::unique_ptr<StoreTxn> waiter = store_->BeginTxn();
+  ASSERT_EQ(waiter->UpdateNode(w, "lost"), Status::kOk);
+  EXPECT_EQ(waiter->TryLockVertex(v, timeout_ns_).status(), Status::kTimeout);
+  // Rolled back: inactive, its write undone and its lock on w released.
+  EXPECT_EQ(waiter->UpdateNode(w, "again"), Status::kNotActive);
+  EXPECT_EQ(waiter->Commit().status(), Status::kNotActive);
+  std::unique_ptr<StoreTxn> next = store_->BeginTxn();
+  EXPECT_TRUE(next->TryLockVertex(w, 0).value_or(false));
+  next->Abort();
+  holder->Abort();
+  EXPECT_EQ(store_->GetNode(w).value_or(""), "w");
+}
+
+TEST_P(VertexLockTest, OutOfRangeVertexTakesNoLock) {
+  store_->AddNode("v");
+  const vertex_t beyond = 1 << 17;  // in no engine's range yet
+  std::unique_ptr<StoreTxn> txn = store_->BeginTxn();
+  EXPECT_TRUE(txn->TryLockVertex(beyond, 0).value_or(false));
+  EXPECT_TRUE(txn->TryLockVertex(-1, 0).value_or(false));
+  // The operation itself reports the missing vertex, and the session
+  // stays usable.
+  EXPECT_EQ(txn->UpdateNode(beyond, "x"), Status::kNotFound);
+  EXPECT_EQ(txn->AddLink(beyond, 0, 0, "e").status(), Status::kNotFound);
+  EXPECT_TRUE(txn->Commit().ok());
+  // Even past the deadline nothing times out: there was nothing to wait on.
+  std::unique_ptr<StoreTxn> late = store_->BeginTxn();
+  EXPECT_TRUE(late->TryLockVertex(beyond, timeout_ns_).value_or(false));
+  EXPECT_TRUE(late->Commit().ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LockingEngines, VertexLockTest,
+    ::testing::Values(
+        std::make_pair("LiveGraph",
+                       StoreFactory([] {
+                         return std::unique_ptr<Store>(
+                             new LiveGraphStore(SmallGraphOptions()));
+                       })),
+        std::make_pair("ShardedLiveGraph",
+                       StoreFactory([] {
+                         return std::unique_ptr<Store>(
+                             new ShardedStore(SmallShardOptions()));
+                       }))),
+    [](const auto& info) { return info.param.first; });
+
 }  // namespace
 }  // namespace livegraph

@@ -1,13 +1,17 @@
 // Reactor-frontend integration tests over real loopback TCP: in-connection
 // pipelining of buffered frames, the client-side Pipeline batching API,
 // idle-connection reaping, output backpressure on streaming scans,
-// graceful drain, and the mutation-offload regression — contended vertex
-// locks on a single event loop must not ride to the engine's deadlock
-// timeout. Protocol semantics live in remote_store_test.cc.
+// graceful drain, and parked waits — a contended vertex lock or an
+// epoch-gated read parks its connection on the event loop, so it neither
+// rides to the engine's deadlock timeout nor stalls other clients.
+// Protocol semantics live in remote_store_test.cc.
 #include <gtest/gtest.h>
+
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -15,6 +19,7 @@
 #include <vector>
 
 #include "baselines/livegraph_store.h"
+#include "replication/epoch_frontier.h"
 #include "server/graph_server.h"
 #include "server/net.h"
 #include "server/protocol.h"
@@ -42,9 +47,10 @@ int ResolveReactors(int requested) {
 
 // Engine + server + connected client.
 struct Harness {
-  explicit Harness(GraphServer::Options options = {}) {
+  explicit Harness(GraphServer::Options options = {},
+                   GraphOptions graph = SmallGraphOptions()) {
     options.reactors = ResolveReactors(options.reactors);
-    engine = std::make_unique<LiveGraphStore>(SmallGraphOptions());
+    engine = std::make_unique<LiveGraphStore>(graph);
     server = std::make_unique<GraphServer>(*engine, options);
     EXPECT_TRUE(server->Start());
     client = RemoteStore::Connect("127.0.0.1", server->port());
@@ -239,10 +245,11 @@ TEST(Reactor, BackpressuredScanStreamsCompletely) {
 
 // Regression for the event-loop lock-wait deadlock: with ONE reactor, two
 // connections hammering the same vertex put the lock holder's releasing
-// Commit on the same loop as the waiter. Without mutation offload every
-// contended acquisition rides to the engine's 50ms deadlock timeout and
-// fails with kTimeout (which RunWrite does not retry); with it, all ops
-// succeed.
+// Commit on the same loop as the waiter. A loop that blocked on the lock
+// would make every contended acquisition ride to the engine's 50ms
+// deadlock timeout and fail with kTimeout (which RunWrite does not
+// retry); parking the waiter keeps the loop serving the release, so all
+// ops succeed.
 TEST(Reactor, ContendedWritesOnOneLoopDoNotTimeout) {
   GraphServer::Options options;
   options.reactors = 1;
@@ -269,6 +276,200 @@ TEST(Reactor, ContendedWritesOnOneLoopDoNotTimeout) {
   t1.join();
   t2.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// Opens a write transaction on a raw connection; returns its id.
+uint64_t RawBeginTxn(Socket* sock) {
+  std::string scratch;
+  EXPECT_TRUE(sock->WriteFrame(MsgType::kBeginTxn, kFlagNone, "", &scratch));
+  Frame reply;
+  EXPECT_TRUE(sock->ReadFrame(&reply));
+  WireReader reader(reply.body);
+  uint8_t status = 0;
+  uint64_t id = 0;
+  EXPECT_TRUE(reader.GetU8(&status));
+  EXPECT_TRUE(reader.GetU64(&id));
+  return id;
+}
+
+bool SendAddLink(Socket* sock, uint64_t txn, vertex_t src, vertex_t dst) {
+  std::string body;
+  WireWriter writer(&body);
+  writer.PutU64(txn);
+  writer.PutI64(src);
+  writer.PutU16(0);
+  writer.PutI64(dst);
+  writer.PutBytes("parked");
+  std::string scratch;
+  return sock->WriteFrame(MsgType::kAddLink, kFlagNone, body, &scratch);
+}
+
+// True when a reply is already waiting on the socket.
+bool ReplyPending(const Socket& sock) {
+  char byte;
+  return ::recv(sock.fd(), &byte, 1, MSG_PEEK | MSG_DONTWAIT) > 0;
+}
+
+uint64_t LockWaitSamples() {
+  metrics::Snapshot snapshot = metrics::Registry::Instance().Collect();
+  const metrics::HistogramSample* sample =
+      snapshot.histogram("livegraph_server_lock_wait");
+  return sample == nullptr ? 0 : sample->count;
+}
+
+uint64_t LockTimeouts() {
+  return metrics::Registry::Instance().Collect().counter(
+      "livegraph_server_lock_timeouts_total");
+}
+
+// A writer blocked on a vertex lock parks its connection, not the loop:
+// with ONE reactor, a reader's 100 round trips complete while the writer
+// waits, and the writer goes through once the holder commits.
+TEST(Reactor, ParkedWriterLetsOtherClientsRun) {
+  GraphServer::Options options;
+  options.reactors = 1;
+  GraphOptions graph = SmallGraphOptions();
+  graph.lock_timeout_ns = int64_t{30} * 1'000'000'000;  // never the limit
+  Harness harness(options, graph);
+  vertex_t v = harness.client->AddNode("v");
+  vertex_t other = harness.client->AddNode("other");
+  const uint64_t samples_before = LockWaitSamples();
+
+  // A holds v's lock: an open transaction that updated it.
+  auto a = RemoteStore::Connect("127.0.0.1", harness.server->port());
+  ASSERT_NE(a, nullptr);
+  std::unique_ptr<StoreTxn> holder = a->BeginTxn();
+  ASSERT_EQ(holder->UpdateNode(v, "held"), Status::kOk);
+
+  // B's AddLink on v parks.
+  Socket b = RawHello(harness.server->port());
+  uint64_t b_txn = RawBeginTxn(&b);
+  ASSERT_TRUE(SendAddLink(&b, b_txn, v, other));
+
+  // C is served while B waits.
+  auto c = RemoteStore::Connect("127.0.0.1", harness.server->port());
+  ASSERT_NE(c, nullptr);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(c->GetNode(other).status(), Status::kOk) << "read " << i;
+  }
+  EXPECT_FALSE(ReplyPending(b)) << "B answered while A still holds v";
+
+  ASSERT_TRUE(holder->Commit().ok());
+  Frame reply;
+  ASSERT_TRUE(b.ReadFrame(&reply));
+  EXPECT_EQ(ReplyStatus(reply), Status::kOk);
+  EXPECT_EQ(LockWaitSamples(), samples_before + 1);
+}
+
+// A holder that never commits: the parked writer gets the engine's
+// timeout rollback once lock_timeout_ns has passed, its transaction is
+// gone, and other clients are served throughout.
+TEST(Reactor, ParkedWriterTimesOutAndAborts) {
+  GraphServer::Options options;
+  options.reactors = 1;
+  GraphOptions graph = SmallGraphOptions();
+  graph.lock_timeout_ns = 200'000'000;  // 200 ms
+  Harness harness(options, graph);
+  vertex_t v = harness.client->AddNode("v");
+  vertex_t other = harness.client->AddNode("other");
+  const uint64_t samples_before = LockWaitSamples();
+  const uint64_t timeouts_before = LockTimeouts();
+
+  auto a = RemoteStore::Connect("127.0.0.1", harness.server->port());
+  ASSERT_NE(a, nullptr);
+  std::unique_ptr<StoreTxn> holder = a->BeginTxn();
+  ASSERT_EQ(holder->UpdateNode(v, "held"), Status::kOk);
+
+  Socket b = RawHello(harness.server->port());
+  uint64_t b_txn = RawBeginTxn(&b);
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(SendAddLink(&b, b_txn, v, other));
+
+  auto c = RemoteStore::Connect("127.0.0.1", harness.server->port());
+  ASSERT_NE(c, nullptr);
+  int reads = 0;
+  while (!ReplyPending(b)) {
+    ASSERT_EQ(c->GetNode(other).status(), Status::kOk);
+    ++reads;
+    ASSERT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(10));
+  }
+  EXPECT_GT(reads, 0);
+
+  Frame reply;
+  ASSERT_TRUE(b.ReadFrame(&reply));
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(ReplyStatus(reply), Status::kTimeout);
+  EXPECT_GE(waited, std::chrono::nanoseconds(graph.lock_timeout_ns));
+  // The timeout rolled B back: its transaction is no longer active.
+  ASSERT_TRUE(SendAddLink(&b, b_txn, other, v));
+  ASSERT_TRUE(b.ReadFrame(&reply));
+  EXPECT_EQ(ReplyStatus(reply), Status::kNotActive);
+  EXPECT_EQ(LockWaitSamples(), samples_before + 1);
+  EXPECT_EQ(LockTimeouts(), timeouts_before + 1);
+
+  ASSERT_TRUE(holder->Commit().ok());
+  EXPECT_EQ(c->GetNode(v).value_or(""), "held");
+}
+
+// Epoch-gated reads for an epoch the frontier never reaches park on the
+// loop instead of holding worker threads: with ONE worker, two of them
+// waiting out 5 s timeouts leave the contended-write hammer unaffected.
+TEST(Reactor, ParkedEpochWaitsDoNotStallWriters) {
+  auto engine = std::make_unique<LiveGraphStore>(SmallGraphOptions());
+  DomainFrontier frontier(engine->graph().epoch_domain());
+  GraphServer::Options options;
+  options.reactors = 1;
+  options.workers = 1;
+  options.frontier = &frontier;
+  GraphServer server(*engine, options);
+  ASSERT_TRUE(server.Start());
+
+  std::vector<Socket> bogus;
+  for (int i = 0; i < 2; ++i) {
+    bogus.push_back(RawHello(server.port()));
+    std::string body;
+    WireWriter writer(&body);
+    writer.PutI64(INT64_MAX);
+    writer.PutU32(5000);
+    std::string scratch;
+    ASSERT_TRUE(bogus.back().WriteFrame(MsgType::kBeginReadTxnAt, kFlagNone,
+                                        body, &scratch));
+  }
+
+  auto first = RemoteStore::Connect("127.0.0.1", server.port());
+  auto second = RemoteStore::Connect("127.0.0.1", server.port());
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  vertex_t hot = first->AddNode("hot");
+  vertex_t other = first->AddNode("other");
+  constexpr int kOpsPerClient = 50;
+  std::atomic<int> failures{0};
+  auto hammer = [&](RemoteStore* client, int salt) {
+    for (int i = 0; i < kOpsPerClient; ++i) {
+      if (!client->AddLink(hot, 0, other, std::to_string(salt * 1000 + i))
+               .ok()) {
+        failures.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  };
+  const auto start = std::chrono::steady_clock::now();
+  std::thread t1(hammer, first.get(), 1);
+  std::thread t2(hammer, second.get(), 2);
+  t1.join();
+  t2.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(2));
+  EXPECT_EQ(failures.load(), 0);
+
+  for (Socket& sock : bogus) {
+    Frame reply;
+    ASSERT_TRUE(sock.ReadFrame(&reply));
+    EXPECT_EQ(ReplyStatus(reply), Status::kTimeout);
+  }
+  first.reset();
+  second.reset();
+  server.Stop();
 }
 
 // Satellite: the reactor exports its event-loop telemetry.
