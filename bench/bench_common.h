@@ -2,8 +2,8 @@
 //
 // Every bench prints the corresponding paper table/figure as aligned text.
 // Scales default small enough that the full suite completes in minutes;
-// env overrides (LG_SCALE, LG_OPS, LG_CLIENTS, ...) reproduce paper-sized
-// runs when hardware/time permits.
+// env overrides (LG_SCALE, LG_OPS, LG_CLIENTS, LG_FSYNC_WAL, ...) reproduce
+// paper-sized runs when hardware/time permits.
 #ifndef LIVEGRAPH_BENCH_BENCH_COMMON_H_
 #define LIVEGRAPH_BENCH_BENCH_COMMON_H_
 
@@ -67,7 +67,10 @@ inline GraphOptions BenchGraphOptions(bool wal = false) {
     }) == 0;
     (void)cleanup_registered;
     options.wal_path = BenchWalPath();
-    options.fsync_wal = false;  // tmp storage; group commit path still runs
+    // LG_FSYNC_WAL=1 makes every group durable with fdatasync (a real one
+    // when /tmp is a disk filesystem); the default keeps the group commit
+    // path and its writev but skips the sync.
+    options.fsync_wal = EnvInt("LG_FSYNC_WAL", 0) != 0;
   }
   return options;
 }

@@ -1,5 +1,7 @@
 #include "core/commit_manager.h"
 
+#include <unistd.h>
+
 #include <thread>
 
 #include "core/epoch_domain.h"
@@ -19,16 +21,25 @@ size_t NextPow2(size_t n) {
   return p;
 }
 
+/// 1-in-16 gate for the formation-latency sample. Its own tick, so that it
+/// never shifts the phase of the commit stages' SampleStageTiming() gate
+/// on the same thread; forced on while slow-op tracing is armed, like it.
+bool SampleFormation() {
+  if (metrics::SlowOpRing::Instance().threshold_nanos() != 0) return true;
+  thread_local uint32_t tick = 0;
+  return (++tick & 15u) == 0;
+}
+
 }  // namespace
 
 CommitManager::CommitManager(Graph* graph, Wal* wal, size_t max_batch)
     : graph_(graph),
       wal_(wal),
       max_batch_(max_batch == 0 ? 1 : max_batch),
-      spin_iters_(std::thread::hardware_concurrency() > 1 ? 256 : 0) {
+      spin_iters_(sysconf(_SC_NPROCESSORS_ONLN) > 1 ? 256 : 0) {
   // Every concurrent committer holds a Graph worker slot, so max_workers
   // bounds the requests in flight; doubling that means a producer never
-  // waits for the consumer to free its ring slot.
+  // finds its ring slot still occupied (the invariant Enqueue checks).
   size_t ring_size =
       NextPow2(static_cast<size_t>(graph->options().max_workers) * 2);
   if (ring_size < 64) ring_size = 64;
@@ -37,122 +48,154 @@ CommitManager::CommitManager(Graph* graph, Wal* wal, size_t max_batch)
   for (size_t i = 0; i < ring_size; ++i) {
     ring_[i].seq.store(i, std::memory_order_relaxed);
   }
-  thread_ = std::thread([this] { ThreadMain(); });
-}
-
-CommitManager::~CommitManager() {
-  shutdown_.store(true, std::memory_order_release);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  doorbell_.fetch_add(1, std::memory_order_relaxed);
-  FutexWakeAll(&doorbell_);
-  thread_.join();
+  batch_.reserve(max_batch_);
+  records_.reserve(max_batch_);
 }
 
 void CommitManager::Enqueue(Request* req) {
   uint64_t pos = ring_tail_.fetch_add(1, std::memory_order_acq_rel);
   RingSlot& slot = ring_[pos & ring_mask_];
-  // The ring is sized past the worker-slot table, so the slot is free in
-  // the common case; a short stall here means the manager is a full lap
-  // behind, which backpressure-throttles producers exactly then.
-  while (slot.seq.load(std::memory_order_acquire) != pos) CpuRelax();
-  // Single-writer discipline: the seq handshake above means the manager
-  // finished with this slot (and nulled it in DrainRing); a non-null req
-  // here is two producers inside one slot — ring corruption.
+  // Nobody but a committing thread consumes the ring, so a producer that
+  // waited here for a full ring to drain would wait forever. It never has
+  // to: at most max_workers requests are in flight (each committer holds
+  // a worker slot) and the ring has at least twice that many slots, so the
+  // request one lap ahead was drained before this claim.
+  LIVEGRAPH_DCHECK(slot.seq.load(std::memory_order_acquire) == pos,
+                   "commit ring slot %llu not yet drained one lap later: "
+                   "more requests in flight than the ring (sized past "
+                   "max_workers * 2) holds",
+                   static_cast<unsigned long long>(pos & ring_mask_));
+  // Single-writer discipline: the leader nulled the slot in DrainRing
+  // before recycling it; a non-null req here is two producers inside one
+  // slot — ring corruption.
   LIVEGRAPH_DCHECK(slot.req == nullptr,
                    "commit ring slot %llu claimed while still occupied "
                    "(two producers in one slot)",
                    static_cast<unsigned long long>(pos & ring_mask_));
   slot.req = req;
   // Slot handoff edge: the request's fields (payload view, epoch inputs)
-  // happen-before the manager's read of them — carried by the seq
+  // happen-before the leader's read of them — carried by the seq
   // release/acquire pair; annotated so TSan keeps the pair checkable.
   LIVEGRAPH_TSAN_RELEASE(&slot.seq);
   slot.seq.store(pos + 1, std::memory_order_release);
-  // Doorbell eventcount: the fence orders the slot publication against the
-  // parked-flag read (the manager mirrors it before its empty re-check),
-  // so either we see it parked or it sees our slot.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  // relaxed: the doorbell value is only a wake ticket (FutexWait compares
-  // it for equality); all ordering comes from the seq_cst fences around it.
-  doorbell_.fetch_add(1, std::memory_order_relaxed);
-  // relaxed: parked is a hint to skip the wake syscall; the fence pairing
-  // above guarantees we cannot miss a parked manager that missed our slot.
-  if (manager_parked_.load(std::memory_order_relaxed) != 0 &&
-      manager_parked_.exchange(0, std::memory_order_relaxed) != 0) {
-    FutexWakeOne(&doorbell_);
-  }
 }
 
-size_t CommitManager::DrainRing(std::vector<Request*>* batch) {
-  size_t taken = 0;
-  while (batch->size() < max_batch_) {
+void CommitManager::DrainRing() {
+  static metrics::Histogram& formation_latency =
+      metrics::Registry::Instance().GetHistogram(
+          "livegraph_commit_formation_latency", metrics::Unit::kNanos);
+  bool sampled = false;
+  while (batch_.size() < max_batch_) {
     RingSlot& slot = ring_[ring_head_ & ring_mask_];
     if (slot.seq.load(std::memory_order_acquire) != ring_head_ + 1) break;
     LIVEGRAPH_TSAN_ACQUIRE(&slot.seq);  // pairs with Enqueue's RELEASE
     LIVEGRAPH_DCHECK(slot.req != nullptr,
                      "commit ring slot %llu published empty",
                      static_cast<unsigned long long>(ring_head_ & ring_mask_));
-    batch->push_back(slot.req);
+    batch_.push_back(slot.req);
+    sampled |= slot.req->enqueued_nanos != 0;
     // Null before recycling the slot: the Request lives on the producer's
     // stack and dies when Persist returns; this also arms the
     // two-producers DCHECK in Enqueue.
     slot.req = nullptr;
     slot.seq.store(ring_head_ + ring_.size(), std::memory_order_release);
     ++ring_head_;
-    ++taken;
   }
-  return taken;
+  if (!sampled) return;
+  // Formation latency: how long a sampled request sat in the ring before
+  // a leader drained it.
+  const uint64_t now = metrics::MonotonicNanos();
+  for (const Request* request : batch_) {
+    if (request->enqueued_nanos != 0) {
+      formation_latency.Record(now - request->enqueued_nanos);
+    }
+  }
 }
 
-bool CommitManager::DequeueBatch(std::vector<Request*>* batch) {
-  // Block until at least one request is queued.
-  while (true) {
-    RingSlot& head = ring_[ring_head_ & ring_mask_];
-    if (head.seq.load(std::memory_order_acquire) == ring_head_ + 1) break;
-    // relaxed: the ticket is only compared for equality by FutexWait; a
-    // stale read causes at most one spurious wake-and-recheck. The
-    // parked-flag store needs no ordering of its own — the seq_cst fence
-    // below pairs with Enqueue's fence so a producer that missed our
-    // parked flag published its slot before our re-check.
-    uint32_t ticket = doorbell_.load(std::memory_order_relaxed);
-    manager_parked_.store(1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (head.seq.load(std::memory_order_acquire) == ring_head_ + 1) {
-      manager_parked_.store(0, std::memory_order_relaxed);
-      break;
-    }
-    if (shutdown_.load(std::memory_order_acquire)) {
-      manager_parked_.store(0, std::memory_order_relaxed);
-      return false;
-    }
-    FutexWait(&doorbell_, ticket);
-    manager_parked_.store(0, std::memory_order_relaxed);
-  }
-  DrainRing(batch);
-  // Group-commit window: while this pipeline's previous epochs are still
-  // below the visible frontier, their committers are in (or about to
-  // finish) their apply phase and will re-enter with new transactions.
-  // Yield them the CPU and re-drain so the batch does not collapse to
-  // whatever happened to be queued the instant the manager came around —
-  // that keeps batches near the number of active writers (the old
-  // apply-barrier design got this for free, at the cost of stalling the
-  // pipeline).
-  EpochDomain* domain = graph_->epoch_domain();
-  static metrics::Histogram& formation_latency =
+void CommitManager::LeadGroup() {
+  static metrics::Counter& groups = metrics::Registry::Instance().GetCounter(
+      "livegraph_commit_groups_total");
+  static metrics::Histogram& group_size =
+      metrics::Registry::Instance().GetHistogram("livegraph_commit_group_size",
+                                                 metrics::Unit::kCount);
+  static metrics::Histogram& ring_occupancy =
       metrics::Registry::Instance().GetHistogram(
-          "livegraph_commit_formation_latency", metrics::Unit::kNanos);
-  const bool timed = metrics::SampleStageTiming();
-  const uint64_t window_start = timed ? metrics::MonotonicNanos() : 0;
-  int window = 8;
-  while (batch->size() < max_batch_ && window-- > 0 &&
-         domain->visible() < last_issued_) {
-    std::this_thread::yield();
-    DrainRing(batch);
+          "livegraph_commit_ring_occupancy", metrics::Unit::kCount);
+  batch_.clear();
+  DrainRing();
+  const bool drained = !batch_.empty();
+  if (drained) {
+    groups.Add();
+    group_size.Record(batch_.size());
+    // Requests still queued behind the group just taken: the backlog the
+    // pipeline is running at.
+    ring_occupancy.Record(ring_tail_.load(std::memory_order_relaxed) -
+                          ring_head_);
+
+    // One fresh epoch for every request that does not carry a
+    // coordinator-stamped one; its MarkApplied countdown is the number of
+    // fresh transactions in the group.
+    uint32_t fresh = 0;
+    for (Request* request : batch_) {
+      if (request->external_epoch == 0) ++fresh;
+    }
+    timestamp_t fresh_epoch =
+        fresh > 0 ? graph_->epoch_domain()->Acquire(fresh) : 0;
+    records_.clear();
+    for (Request* request : batch_) {
+      request->epoch = request->external_epoch != 0 ? request->external_epoch
+                                                    : fresh_epoch;
+      if (!request->payload.empty()) {
+        records_.push_back(Wal::Record{request->epoch, request->participants,
+                                       request->payload});
+      }
+    }
+
+    // Persist the whole group: writev gathered straight from the members'
+    // payload buffers, one fsync. A failed append/sync poisons the WAL,
+    // degrades the engine to read-only, and fails every member of the
+    // group — none of their records reached stable storage (the fsync
+    // covers the whole group).
+    Status wal_status = Status::kOk;
+    if (wal_ != nullptr && !records_.empty()) {
+      wal_status = wal_->AppendBatch(records_);
+      if (wal_status != Status::kOk) graph_->EnterDegraded(wal_status);
+    }
+
+    // Release the group into its apply phase. A member's Request dies the
+    // moment its durable flag flips, so nothing touches it afterwards.
+    for (Request* request : batch_) {
+      request->status = wal_status;
+      request->durable.store(1, std::memory_order_release);
+    }
   }
-  if (timed) {
-    formation_latency.Record(metrics::MonotonicNanos() - window_start);
+  // Step down, then wake the followers asleep under this leadership —
+  // members of the group and those queued behind it, one of which leads
+  // next. Dekker pair with WaitForLeader: it bumps waiters_ before
+  // re-checking leading_, this bumps durable_word_ before reading
+  // waiters_ (all seq_cst), so either it sees the follower or the
+  // follower's futex compare sees the new word.
+  leading_.store(0, std::memory_order_seq_cst);
+  durable_word_.fetch_add(1, std::memory_order_seq_cst);
+  if (waiters_.load(std::memory_order_seq_cst) != 0) {
+    FutexWakeAll(&durable_word_);
   }
-  return true;
+  // Nothing drained: the head slot is claimed but not yet published, its
+  // producer preempted between the two steps. Let it run.
+  if (!drained) std::this_thread::yield();
+}
+
+void CommitManager::WaitForLeader(const Request& request) {
+  uint32_t word = durable_word_.load(std::memory_order_acquire);
+  waiters_.fetch_add(1, std::memory_order_seq_cst);
+  // Sleep only while a leader is active: with none, this committer must
+  // lead the next group itself (its request may be the only one queued).
+  if (request.durable.load(std::memory_order_acquire) == 0 &&
+      leading_.load(std::memory_order_seq_cst) != 0) {
+    FutexWait(&durable_word_, word);
+  }
+  // relaxed: a stale count costs the next leader one spare wake syscall.
+  waiters_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 timestamp_t CommitManager::Persist(std::string_view wal_payload,
@@ -162,23 +205,27 @@ timestamp_t CommitManager::Persist(std::string_view wal_payload,
   request.payload = wal_payload;
   request.external_epoch = external_epoch;
   request.participants = participants;
+  if (SampleFormation()) request.enqueued_nanos = metrics::MonotonicNanos();
   Enqueue(&request);
 
-  // Wait for the batch's writev + fsync. Spin briefly (the manager turns
-  // batches around quickly), then sleep on the global durability word —
-  // one wake syscall releases the whole batch; members of other in-flight
-  // batches re-check their own flag and go back to sleep.
-  for (int spin = 0; spin < spin_iters_; ++spin) {
-    if (request.durable.load(std::memory_order_acquire) != 0) {
-      if (error != nullptr) *error = request.status;
-      return request.epoch;
+  // Lead or wait until the request is durable. The request is usually in
+  // the group its committer leads; when it is not (behind max_batch_
+  // others, or behind a claimed but unpublished slot) the loop leads the
+  // next group too. A follower spins briefly — groups turn around in a
+  // few µs without fsync — then sleeps until the leader releases.
+  for (int pass = 0; request.durable.load(std::memory_order_acquire) == 0;
+       ++pass) {
+    // relaxed pre-check: a contention hint; the exchange decides, and its
+    // acquire pairs with the previous leader's release of the leader-only
+    // state (ring_head_, batch_, records_).
+    if (leading_.load(std::memory_order_relaxed) == 0 &&
+        leading_.exchange(1, std::memory_order_seq_cst) == 0) {
+      LeadGroup();
+    } else if (pass < spin_iters_) {
+      CpuRelax();
+    } else {
+      WaitForLeader(request);
     }
-    CpuRelax();
-  }
-  while (request.durable.load(std::memory_order_acquire) == 0) {
-    uint32_t word = durable_word_.load(std::memory_order_acquire);
-    if (request.durable.load(std::memory_order_acquire) != 0) break;
-    FutexWait(&durable_word_, word);
   }
   if (error != nullptr) *error = request.status;
   return request.epoch;
@@ -189,81 +236,14 @@ void CommitManager::FinishApply(timestamp_t epoch, bool wait_visible) {
   // "After all transactions in the commit group make their updates
   // visible, the transaction manager advances the global read timestamp"
   // (§5) — here the domain's cascade advances the frontier the moment the
-  // last participant of each consecutive epoch reports in, while the
-  // manager keeps persisting the next batch.
+  // last participant of each consecutive epoch reports in, while the next
+  // leader persists the next group.
   domain->MarkApplied(epoch);
   // Commit() must not return before the epoch becomes visible: otherwise
   // this worker's next transaction could start at a read epoch below its
   // own commit timestamp and spuriously conflict with itself. A
   // multi-shard coordinator instead waits once, after its last piece.
   if (wait_visible) domain->WaitVisible(epoch);
-}
-
-void CommitManager::ThreadMain() {
-  std::vector<Request*> batch;
-  std::vector<Wal::Record> records;
-  batch.reserve(max_batch_);
-  records.reserve(max_batch_);
-  EpochDomain* domain = graph_->epoch_domain();
-  static metrics::Counter& groups = metrics::Registry::Instance().GetCounter(
-      "livegraph_commit_groups_total");
-  static metrics::Histogram& group_size =
-      metrics::Registry::Instance().GetHistogram("livegraph_commit_group_size",
-                                                 metrics::Unit::kCount);
-  static metrics::Histogram& ring_occupancy =
-      metrics::Registry::Instance().GetHistogram(
-          "livegraph_commit_ring_occupancy", metrics::Unit::kCount);
-  while (true) {
-    batch.clear();
-    if (!DequeueBatch(&batch)) return;
-    groups.Add();
-    group_size.Record(batch.size());
-    // Requests still queued behind the batch just taken: the backlog the
-    // pipeline is running at.
-    ring_occupancy.Record(ring_tail_.load(std::memory_order_relaxed) -
-                          ring_head_);
-
-    // One fresh epoch for every request that does not carry a
-    // coordinator-stamped one; its MarkApplied countdown is the number of
-    // fresh transactions in the batch.
-    uint32_t fresh = 0;
-    for (Request* request : batch) {
-      if (request->external_epoch == 0) ++fresh;
-    }
-    timestamp_t fresh_epoch = fresh > 0 ? domain->Acquire(fresh) : 0;
-    records.clear();
-    for (Request* request : batch) {
-      request->epoch = request->external_epoch != 0 ? request->external_epoch
-                                                    : fresh_epoch;
-      if (request->epoch > last_issued_) last_issued_ = request->epoch;
-      if (!request->payload.empty()) {
-        records.push_back(Wal::Record{request->epoch, request->participants,
-                                      request->payload});
-      }
-    }
-
-    // Persist the whole batch: writev gathered straight from the workers'
-    // payload buffers, one fsync. Workers stay parked on the durability
-    // word. A failed append/sync poisons the WAL, degrades the engine to
-    // read-only, and fails every member of the group — none of their
-    // records reached stable storage (the fsync covers the whole batch).
-    Status wal_status = Status::kOk;
-    if (wal_ != nullptr && !records.empty()) {
-      wal_status = wal_->AppendBatch(records);
-      if (wal_status != Status::kOk) graph_->EnterDegraded(wal_status);
-    }
-
-    // Release the batch into its apply phase with one wake, then loop
-    // straight into assembling the next one — batch N+1's WAL write
-    // overlaps batch N's apply phase; visibility order is enforced by the
-    // domain's cascade, not by this thread.
-    for (Request* request : batch) {
-      request->status = wal_status;
-      request->durable.store(1, std::memory_order_release);
-    }
-    durable_word_.fetch_add(1, std::memory_order_release);
-    FutexWakeAll(&durable_word_);
-  }
 }
 
 }  // namespace livegraph

@@ -1,39 +1,38 @@
-// Transaction manager thread: pipelined group commit (paper §5, persist
-// phase) over the unified EpochDomain.
+// Leader-based group commit (paper §5, persist phase) over the unified
+// EpochDomain.
 //
-// "LiveGraph keeps a pool of transaction-serving threads ... plus one
-// transaction manager thread." The manager batches commit requests,
-// persists the batch's WAL records with a single writev + fsync, and hands
-// every transaction its write epoch TWE. Epochs come from the engine's
-// EpochDomain — private to a standalone Graph, shared across every shard
-// of a ShardedStore — and visibility is the domain's business: a commit
-// epoch becomes readable only after every lower epoch (on every attached
-// engine) finished its apply phase. The old per-graph GRE cascade lives in
-// EpochDomain::MarkApplied now; the manager's only synchronization duty is
-// durability.
+// The paper batches commits on "one transaction manager thread". Here the
+// committing threads take turns as that manager (the write-group scheme of
+// RocksDB and MySQL's binlog group commit): a committer enqueues its
+// request, and the first one that finds no leader drains the queue,
+// persists the group's WAL records with one writev (+ fsync), hands every
+// member its write epoch TWE and releases the group. Committers that
+// arrive meanwhile form the next group. Visibility is the EpochDomain's
+// business (private to a Graph, shared by every shard of a ShardedStore):
+// an epoch becomes readable only after every lower epoch finished its
+// apply phase on every attached engine.
 //
 // Two kinds of commit requests flow through the same ring:
 //
-//   * Fresh commits (the default): the manager acquires ONE fresh epoch
-//     per batch and every fresh request in the batch commits at it — the
+//   * Fresh commits (the default): the leader acquires ONE fresh epoch
+//     per group and every fresh request in the group commits at it — the
 //     classic group commit, epochs dense per attached engine set.
 //   * Externally-stamped commits: a multi-shard coordinator already
 //     acquired one epoch for the whole transaction; each shard's piece
 //     carries that epoch through its own shard's pipeline untouched, so
 //     all pieces surface at a single point of the global visibility order.
 //
-// The pipeline never funnels committers through a lock and never barriers
-// between batches: workers hand their payload to the manager through a
-// lock-free MPSC ring (Vyukov-style sequence numbers), sleep on a global
-// durability futex word, and run their apply phase concurrently with the
-// manager's next WAL batch.
+// No lock on this path: requests go through a lock-free MPSC ring
+// (Vyukov-style sequence numbers) that only leaders consume, followers
+// spin and then sleep on a futex word while a leader is active, and each
+// member's apply phase overlaps the next leader's WAL write
+// (docs/DESIGN.md §2).
 #ifndef LIVEGRAPH_CORE_COMMIT_MANAGER_H_
 #define LIVEGRAPH_CORE_COMMIT_MANAGER_H_
 
 #include <atomic>
 #include <cstdint>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "storage/wal.h"
@@ -47,16 +46,16 @@ class CommitManager {
  public:
   /// `wal` may be null (durability disabled); epoch sequencing still runs.
   CommitManager(Graph* graph, Wal* wal, size_t max_batch);
-  ~CommitManager();
 
   CommitManager(const CommitManager&) = delete;
   CommitManager& operator=(const CommitManager&) = delete;
 
-  /// Persist phase entry point, called by the committing worker thread.
-  /// Blocks until the transaction's WAL record is durable and returns the
+  /// Persist phase entry point, called by the committing thread. Blocks
+  /// until the transaction's WAL record is durable — leading the group
+  /// that writes it, or waiting for the leader that does — and returns the
   /// assigned write epoch TWE. With `external_epoch` != 0 the record is
   /// stamped with that coordinator-acquired epoch (and `participants`
-  /// counts the shard WALs holding a piece of it); otherwise the batch's
+  /// counts the shard WALs holding a piece of it); otherwise the group's
   /// fresh epoch is assigned. The caller must then run its apply phase and
   /// call FinishApply(TWE). The payload is borrowed until return.
   ///
@@ -78,13 +77,15 @@ class CommitManager {
   void FinishApply(timestamp_t epoch, bool wait_visible = true);
 
  private:
-  /// One committing worker's hand-off cell; lives on the worker's stack
-  /// for the duration of Persist().
+  /// One committer's hand-off cell; lives on the committer's stack for the
+  /// duration of Persist().
   struct Request {
     std::string_view payload;
     timestamp_t external_epoch = 0;
     uint32_t participants = 1;
-    timestamp_t epoch = 0;                // result, set by the manager
+    /// Enqueue time for the formation-latency sample; 0 when unsampled.
+    uint64_t enqueued_nanos = 0;
+    timestamp_t epoch = 0;                // result, set by the leader
     Status status = Status::kOk;          // result, set before durable flips
     std::atomic<uint32_t> durable{0};
   };
@@ -95,41 +96,40 @@ class CommitManager {
   };
 
   void Enqueue(Request* req);
-  /// Pops 1..max_batch_ requests, sleeping on the doorbell while the ring
-  /// is empty. Returns false on shutdown with a drained ring.
-  bool DequeueBatch(std::vector<Request*>* batch);
-  /// Drains whatever is immediately available into `batch` (up to
-  /// max_batch_); returns the number of requests taken.
-  size_t DrainRing(std::vector<Request*>* batch);
-  void ThreadMain();
+  /// Leader only: drains whatever is published (up to max_batch_) into
+  /// batch_, stopping at the first claimed-but-unpublished slot.
+  void DrainRing();
+  /// Leader only (leading_ held): persists one group and releases it and
+  /// the leadership.
+  void LeadGroup();
+  /// Follower: sleeps on durable_word_ while a leader is active and
+  /// `request` is not yet durable.
+  void WaitForLeader(const Request& request);
 
   Graph* graph_;
   Wal* wal_;
   size_t max_batch_;
-  /// Worker-side spin budget before a futex sleep; zero on a single
-  /// hardware thread, where spinning can only delay the manager.
+  /// Follower spin budget before a futex sleep; zero on a single hardware
+  /// thread, where spinning can only delay the leader.
   int spin_iters_;
 
-  // MPSC ring: many committing workers produce, the manager consumes.
+  // MPSC ring: committers produce, the current leader consumes.
   size_t ring_mask_;
   std::vector<RingSlot> ring_;
   alignas(64) std::atomic<uint64_t> ring_tail_{0};  // producers claim slots
-  alignas(64) uint64_t ring_head_ = 0;              // manager only
-  /// Highest epoch this manager issued or forwarded (manager thread only);
-  /// visible() below it means appliers are still in flight, which keeps
-  /// the batch-formation window open for their next transactions.
-  timestamp_t last_issued_ = 0;
 
-  // Eventcount parking the manager while the ring is empty.
-  alignas(64) std::atomic<uint32_t> doorbell_{0};
-  std::atomic<uint32_t> manager_parked_{0};
+  /// 1 while a committer leads a group. Its exchange/store pair hands the
+  /// leader-only state below from one leader to the next.
+  alignas(64) std::atomic<uint32_t> leading_{0};
+  uint64_t ring_head_ = 0;              // leader only
+  std::vector<Request*> batch_;         // leader only, reused per group
+  std::vector<Wal::Record> records_;    // leader only, reused per group
 
-  /// Bumped once per durable batch; the futex word workers sleep on while
-  /// waiting for their request's durable flag.
+  /// Bumped once per released group; the futex word followers sleep on.
   alignas(64) std::atomic<uint32_t> durable_word_{0};
-
-  std::atomic<bool> shutdown_{false};
-  std::thread thread_;
+  /// Followers asleep (or about to sleep) on durable_word_; lets a leader
+  /// skip the wake syscall when nobody sleeps.
+  std::atomic<uint32_t> waiters_{0};
 };
 
 }  // namespace livegraph

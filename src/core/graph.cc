@@ -56,10 +56,14 @@ Graph::Graph(GraphOptions options) : options_(std::move(options)) {
 }
 
 Graph::~Graph() {
-  shutdown_.store(true, std::memory_order_release);
+  {
+    // Set under the mutex: a compaction thread between its predicate check
+    // and its wait would otherwise miss the notify and never exit.
+    std::lock_guard<std::mutex> lock(compaction_mu_);
+    shutdown_.store(true, std::memory_order_release);
+  }
   compaction_cv_.notify_all();
   if (compaction_thread_.joinable()) compaction_thread_.join();
-  commit_manager_.reset();  // joins the transaction manager thread
 }
 
 Graph::WorkerSlot* Graph::AcquireSlot() {

@@ -527,7 +527,7 @@ StatusOr<timestamp_t> Transaction::Commit() {
     Abort();
     return degraded;
   }
-  // Persist phase: group commit through the transaction manager (§5).
+  // Persist phase: leader-based group commit (§5; docs/DESIGN.md §2).
   // Stage timings feed the commit-pipeline histograms and, past the
   // configured threshold, the slow-op ring (docs/OBSERVABILITY.md).
   static metrics::Histogram& persist_latency =

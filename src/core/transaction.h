@@ -163,13 +163,13 @@ class Transaction {
 
   // --- Lifecycle (§5: work / persist / apply phases) ---
 
-  /// Runs the persist phase through the transaction manager (group commit
-  /// + WAL fsync) and the apply phase (publish LS/CT, convert -TID
-  /// timestamps to the write epoch). Returns the commit epoch: the write
-  /// epoch (TWE) assigned by the commit manager, or the read epoch for a
-  /// transaction that staged no writes. On conflict/timeout the
-  /// transaction was already aborted at the failing operation and this
-  /// returns kNotActive.
+  /// Runs the persist phase (leader-based group commit: this thread
+  /// writes its group's WAL batch or waits for the leader that does) and
+  /// the apply phase (publish LS/CT, convert -TID timestamps to the write
+  /// epoch). Returns the commit epoch: the write epoch (TWE) the group's
+  /// leader assigned, or the read epoch for a transaction that staged no
+  /// writes. On conflict/timeout the transaction was already aborted at
+  /// the failing operation and this returns kNotActive.
   StatusOr<timestamp_t> Commit();
 
   /// Commit one piece of a multi-shard transaction at a coordinator-
@@ -258,7 +258,7 @@ class Transaction {
   timestamp_t tre_;
   int64_t tid_;
   State state_ = State::kActive;
-  timestamp_t write_epoch_ = 0;  // TWE, assigned by the commit manager
+  timestamp_t write_epoch_ = 0;  // TWE, assigned by the group's leader
 
   /// The slot's pooled write-set arenas (core/txn_scratch.h). Exclusive to
   /// this transaction while it is active; reset — capacity preserved — on

@@ -100,12 +100,13 @@ Status Wal::AppendBatch(const std::vector<Record>& records) {
   if (records.empty()) return error();
   // Poisoned log: never touch the fd again (see error() in the header).
   if (Status sticky = error(); sticky != Status::kOk) return sticky;
-  // Single-writer section: the commit-manager thread is the only appender,
-  // and it must hold no engine locks here (WAL is the bottom of the rank
-  // table — see util/lock_rank.h). Both facts are checked, not assumed.
+  // Single-writer section: the group-commit leader is the only appender.
+  // It may hold its own transaction's vertex locks (and a multi-shard
+  // coordinator's section) but nothing ranked above the WAL — see
+  // util/lock_rank.h. Both facts are checked, not assumed.
   LIVEGRAPH_DCHECK(appending_.exchange(1, std::memory_order_acquire) == 0,
                    "concurrent Wal::AppendBatch — the WAL has exactly one "
-                   "appender (the commit-manager thread)");
+                   "appender (the group-commit leader)");
   LIVEGRAPH_SCOPED_LOCK_RANK(LockRank::kWalAppend);
   // Headers into a reusable array first (the iovecs point into it, so it
   // must not reallocate while they are built), then gather headers and the

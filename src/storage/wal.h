@@ -7,7 +7,9 @@
 // Record framing: [u32 payload_len][u32 crc32c(epoch ++ participants ++
 //                 payload)][i64 epoch][u32 participants][u32 reserved]
 //                 [payload bytes]
-// A torn tail record (crash mid-write) fails its CRC and terminates replay.
+// The writer zeroes `reserved`, and the reader treats anything else like a
+// CRC mismatch. A torn tail record (crash mid-write) fails its CRC and
+// terminates replay.
 // Epochs come from the unified EpochDomain, so records of one group-commit
 // batch may carry distinct epochs: fresh commits share the batch's epoch
 // while coordinator-stamped multi-shard pieces keep the epoch the
@@ -154,15 +156,17 @@ class Wal {
   std::vector<RecordHeader> headers_;  // reused across batches
   std::vector<struct iovec> iov_;      // reused across batches
   /// Plain (non-atomic) on purpose: AppendBatch is a single-writer section
-  /// owned by the commit-manager thread, enforced by `appending_` below in
-  /// DCHECK builds.
+  /// — only the current group-commit leader appends, and leadership hands
+  /// over with acquire/release — enforced by `appending_` below in DCHECK
+  /// builds.
   uint64_t bytes_written_ = 0;
   /// Single-appender guard (LIVEGRAPH_DCHECK builds): set for the duration
   /// of AppendBatch; a second concurrent appender aborts loudly instead of
   /// interleaving torn records.
   std::atomic<uint32_t> appending_{0};
   /// Durable-batch tee (replication). Atomic so installation from the
-  /// serving thread is safe against a concurrent commit-manager append.
+  /// serving thread is safe against a concurrent leader's append; the tee
+  /// runs on whichever committing thread leads the group.
   std::atomic<DurableSink*> sink_{nullptr};
   /// Sticky first-error status (see error()). Atomic: committers and the
   /// serving thread may read it while the appender poisons it.

@@ -15,27 +15,30 @@ bool ParseWalRecord(const uint8_t* data, size_t size, size_t pos,
                     WalRecordView* out) {
   constexpr size_t kHeader = sizeof(WalRecordHeader);
   if (pos > size || size - pos < kHeader) return false;
-  uint32_t len, crc;
+  uint32_t len, crc, reserved;
   std::memcpy(&len, data + pos, sizeof(len));
   std::memcpy(&crc, data + pos + 4, sizeof(crc));
   std::memcpy(&out->epoch, data + pos + 8, sizeof(out->epoch));
   std::memcpy(&out->participants, data + pos + 16,
               sizeof(out->participants));
+  std::memcpy(&reserved, data + pos + 20, sizeof(reserved));
   if (size - pos - kHeader < len) return false;  // torn tail
   const uint8_t* body = data + pos + kHeader;
   uint32_t expect = Crc32c(&out->epoch, sizeof(out->epoch));
   expect = Crc32c(&out->participants, sizeof(out->participants), expect);
   expect = Crc32c(body, len, expect);
-  if (expect != crc) {
+  // The reserved bytes sit outside the CRC and the writer always zeroes
+  // them, so a nonzero value is damage the CRC cannot see.
+  if (expect != crc || reserved != 0) {
     // Corrupt record terminates replay. Failing on the very FIRST record
     // of a non-empty log is indistinguishable from "empty log" to the
     // caller, and the usual cause is a file written with a different
     // record framing — say so instead of silently replaying nothing.
     if (pos == 0) {
       std::fprintf(stderr,
-                   "Wal: first record fails its CRC (%zu bytes on disk) — "
-                   "corrupt log or incompatible record framing; replaying "
-                   "nothing\n",
+                   "Wal: first record fails its CRC or header check (%zu "
+                   "bytes on disk) — corrupt log or incompatible record "
+                   "framing; replaying nothing\n",
                    size);
     }
     return false;

@@ -51,8 +51,9 @@ struct WalRecordView {
 
 /// Parses (and CRC-checks) the record starting at `pos` in `data[0,size)`.
 /// False at end of valid records: EOF, a torn tail (header or payload runs
-/// past `size`), or a corrupt record (CRC mismatch). Every access is
-/// bounds-checked against `size` before it happens.
+/// past `size`), or a corrupt record (CRC mismatch, or nonzero reserved
+/// bytes — they sit outside the CRC). Every access is bounds-checked
+/// against `size` before it happens.
 bool ParseWalRecord(const uint8_t* data, size_t size, size_t pos,
                     WalRecordView* out);
 

@@ -12,8 +12,9 @@
 //   * EpochDomain: GRE never exceeds GWE, epochs become visible densely in
 //     issue order, MarkApplied countdowns never underflow (a double
 //     MarkApplied would silently corrupt the visibility order).
-//   * CommitManager: single-writer discipline on ring slots.
-//   * Wal: exactly one appender at a time (the manager thread).
+//   * CommitManager: single-writer discipline on ring slots, and a ring
+//     slot is always drained one lap before it is claimed again.
+//   * Wal: exactly one appender at a time (the group-commit leader).
 //   * Lock ranking (util/lock_rank.h): out-of-order lock acquisition
 //     aborts instead of deadlocking once in a blue moon.
 #ifndef LIVEGRAPH_UTIL_INVARIANT_H_

@@ -32,10 +32,13 @@
 //                     and inside a compaction pass while a vertex lock is
 //                     held (the contended-vertex requeue).
 //   kWalAppend        Wal::AppendBatch — not a mutex but a single-writer
-//                     section owned by the commit-manager thread, which
-//                     holds nothing else; ranked near-last so any future
-//                     code that tried to append while holding engine locks
-//                     trips the checker.
+//                     section owned by the group-commit leader: a
+//                     committing thread that still holds its own
+//                     transaction's vertex locks and, for a multi-shard
+//                     piece, the coordinator section — both ranked below.
+//                     Ranked above every engine lock, so code that tried
+//                     to take one inside the append (say, from the
+//                     replication tee) trips the checker.
 //   kReplicationLog   ReplicationLog::mu_ — guards the primary's in-memory
 //                     replication buffer. Acquired by the WAL durable-sink
 //                     tee INSIDE the append section (hence above

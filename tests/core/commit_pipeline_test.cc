@@ -1,21 +1,26 @@
 // Stress tests for the pipelined group-commit path: GRE monotonicity,
 // all-or-nothing group visibility under concurrent snapshots, total epoch
-// order across writers, WAL durability of overlapped groups, and the
-// graceful max_vertices capacity failure.
+// order across writers, WAL durability of overlapped groups, leader
+// hand-off with and without fsync, and the graceful max_vertices capacity
+// failure.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "baselines/livegraph_store.h"
+#include "core/epoch_domain.h"
 #include "core/graph.h"
 #include "core/transaction.h"
+#include "storage/wal_reader.h"
+#include "util/metrics.h"
 
 namespace livegraph {
 namespace {
@@ -263,6 +268,140 @@ TEST(CommitPipeline, OverlappedGroupsRecoverFromWal) {
   }
   std::remove(options.wal_path.c_str());
 }
+
+// Leader-based group commit under every hand-off pattern: with
+// group_commit_max_batch = 1 each group holds one request, so leadership
+// changes hands on every commit and most committers find their request
+// behind someone else's; with the default, groups form from whoever
+// queued while the previous leader wrote. Each runs with fsync off and on.
+struct HandoffCase {
+  const char* name;
+  size_t max_batch;
+  bool fsync;
+};
+
+class LeaderHandoff : public ::testing::TestWithParam<HandoffCase> {};
+
+TEST_P(LeaderHandoff, EveryCommitIsDurableOrderedAndReplayed) {
+  const HandoffCase& param = GetParam();
+  GraphOptions options = StressOptions();
+  options.wal_path = TempWalPath(param.name);
+  options.fsync_wal = param.fsync;
+  options.group_commit_max_batch = param.max_batch;
+  constexpr int kWriters = 8;
+  const int per_writer = param.fsync ? 100 : 500;
+  std::remove(options.wal_path.c_str());
+  metrics::Counter& groups = metrics::Registry::Instance().GetCounter(
+      "livegraph_commit_groups_total");
+
+  std::vector<vertex_t> bases(kWriters);
+  std::vector<timestamp_t> committed;  // every epoch Commit() returned
+  timestamp_t last_epoch = 0;
+  {
+    Graph graph(options);
+    {
+      auto txn = graph.BeginTransaction();
+      for (auto& b : bases) b = txn.AddVertex("hub");
+      StatusOr<timestamp_t> epoch = txn.Commit();
+      ASSERT_EQ(epoch, Status::kOk);
+      committed.push_back(*epoch);
+    }
+    const uint64_t groups_before = groups.Value();
+    std::atomic<int> slow_commits{0};
+    std::vector<std::vector<timestamp_t>> epochs(kWriters);
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&, w] {
+        for (int i = 0; i < per_writer; ++i) {
+          auto txn = graph.BeginTransaction();
+          ASSERT_EQ(txn.AddEdge(bases[static_cast<size_t>(w)], 0, 20000 + i,
+                                "w" + std::to_string(w) + "#" +
+                                    std::to_string(i)),
+                    Status::kOk);
+          const auto start = std::chrono::steady_clock::now();
+          StatusOr<timestamp_t> epoch = txn.Commit();
+          if (std::chrono::steady_clock::now() - start >=
+              std::chrono::milliseconds(50)) {
+            slow_commits.fetch_add(1, std::memory_order_relaxed);
+          }
+          ASSERT_EQ(epoch, Status::kOk);
+          epochs[static_cast<size_t>(w)].push_back(*epoch);
+        }
+      });
+    }
+    for (auto& t : writers) t.join();
+    const uint64_t group_count = groups.Value() - groups_before;
+    // A wait that FutexWait's 50 ms safety net ends is a lost wake. A
+    // group takes µs without fsync and well under a millisecond with it, so
+    // only a rare descheduled thread or disk stall may take that long;
+    // a lost wake in the follower's sleep makes most commits that slow.
+    EXPECT_LT(slow_commits.load(), kWriters * per_writer / 10);
+
+    for (const auto& per_thread : epochs) {
+      ASSERT_EQ(per_thread.size(), static_cast<size_t>(per_writer));
+      // Each transaction began after the previous one was visible, so its
+      // group came strictly later.
+      for (size_t i = 1; i < per_thread.size(); ++i) {
+        EXPECT_GT(per_thread[i], per_thread[i - 1]);
+      }
+      committed.insert(committed.end(), per_thread.begin(), per_thread.end());
+      last_epoch = std::max(last_epoch, per_thread.back());
+    }
+    // Nothing in flight: the frontier sits exactly at the last epoch any
+    // leader issued.
+    EXPECT_EQ(graph.epoch_domain()->issued(), last_epoch);
+    EXPECT_EQ(graph.ReadEpoch(), last_epoch);
+    const uint64_t commits = static_cast<uint64_t>(kWriters) * per_writer;
+    if (param.max_batch == 1) {
+      EXPECT_EQ(group_count, commits);
+    } else {
+      EXPECT_GE(group_count, 1u);
+      EXPECT_LE(group_count, commits);
+    }
+  }
+
+  // The log holds exactly the committed records, one per commit, stamped
+  // with the epochs the committers got back.
+  std::vector<timestamp_t> logged;
+  {
+    WalReader reader(options.wal_path);
+    timestamp_t epoch = 0;
+    std::string payload;
+    while (reader.Next(&epoch, &payload)) logged.push_back(epoch);
+    EXPECT_EQ(reader.valid_bytes(), reader.file_bytes());
+  }
+  std::sort(logged.begin(), logged.end());
+  std::sort(committed.begin(), committed.end());
+  EXPECT_EQ(logged, committed);
+
+  // Recovery replays every one of them.
+  auto recovered = Graph::Recover(options, /*checkpoint_dir=*/"");
+  ASSERT_NE(recovered, nullptr);
+  auto read = recovered->BeginReadOnlyTransaction();
+  for (int w = 0; w < kWriters; ++w) {
+    const vertex_t base = bases[static_cast<size_t>(w)];
+    EXPECT_EQ(read.CountEdges(base, 0), static_cast<size_t>(per_writer));
+    for (int i = 0; i < per_writer; ++i) {
+      StatusOr<std::string_view> props = read.GetEdge(base, 0, 20000 + i);
+      ASSERT_TRUE(props.ok()) << "writer " << w << " commit " << i;
+      EXPECT_EQ(*props, "w" + std::to_string(w) + "#" + std::to_string(i));
+    }
+  }
+  std::remove(options.wal_path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CommitPipeline, LeaderHandoff,
+    ::testing::Values(
+        HandoffCase{"OnePerGroup", 1, false},
+        HandoffCase{"OnePerGroupFsync", 1, true},
+        HandoffCase{"DefaultBatch", GraphOptions{}.group_commit_max_batch,
+                    false},
+        HandoffCase{"DefaultBatchFsync", GraphOptions{}.group_commit_max_batch,
+                    true}),
+    [](const ::testing::TestParamInfo<HandoffCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // Exhausting max_vertices fails the operation, not the process, and the
 // transaction stays usable; the v2 Store surface reports kOutOfRange.

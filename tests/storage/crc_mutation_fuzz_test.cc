@@ -244,10 +244,10 @@ void ExpectRecordPrefix(const std::vector<LoggedRecord>& got,
 }
 
 // How many leading records of `original` (record k spans
-// [starts[k], starts[k+1])) survive in `damaged` unchanged. The header's 4
-// trailing padding bytes are outside the CRC and never replayed, so a
-// change confined to them leaves the record intact; any other changed,
-// missing or extra byte inside a record damages it.
+// [starts[k], starts[k+1])) survive in `damaged` unchanged. Any changed,
+// missing or extra byte inside a record damages it — the header's 4
+// reserved bytes too: they sit outside the CRC, but the reader rejects a
+// nonzero value.
 size_t IntactRecords(const std::string& original,
                      const std::vector<size_t>& starts,
                      const std::string& damaged) {
@@ -256,12 +256,9 @@ size_t IntactRecords(const std::string& original,
     const size_t begin = starts[intact];
     const size_t end =
         intact + 1 < starts.size() ? starts[intact + 1] : original.size();
-    if (damaged.size() < end) break;
-    const size_t padding = begin + offsetof(WalRecordHeader, reserved);
-    const size_t body = begin + sizeof(WalRecordHeader);
-    if (damaged.compare(begin, padding - begin, original, begin,
-                        padding - begin) != 0 ||
-        damaged.compare(body, end - body, original, body, end - body) != 0) {
+    if (damaged.size() < end ||
+        damaged.compare(begin, end - begin, original, begin, end - begin) !=
+            0) {
       break;
     }
   }

@@ -6,15 +6,19 @@
 // failpoint registry; in a normal build the whole matrix skips.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/epoch_domain.h"
 #include "core/graph.h"
 #include "core/transaction.h"
 #include "shard/sharded_store.h"
 #include "util/fault_injection.h"
+#include "util/metrics.h"
 
 namespace livegraph {
 namespace {
@@ -190,6 +194,79 @@ TEST_F(FaultMatrixTest, FdatasyncFailurePoisonsStickily) {
   ExpectPresent(*recovered, committed, "ok");
   std::vector<vertex_t> fresh = CommitSome(*recovered, 2, "fresh");
   ExpectPresent(*recovered, fresh, "fresh");
+}
+
+// A failed append fails every member of the group that shared it. The
+// first committer leads a group whose fdatasync is held for 300 ms; the
+// seven that commit meanwhile queue behind it and form the next group,
+// whose append hits ENOSPC. Every member gets the typed error, the
+// failed epoch still passes the visibility frontier (no member wedges
+// it), and the engine rejects later writes.
+TEST_F(FaultMatrixTest, FailedAppendFailsEveryMemberOfItsGroup) {
+  auto graph = std::make_unique<Graph>(DurableOptions(/*fsync=*/true));
+  std::vector<vertex_t> committed = CommitSome(*graph, 3, "ok");
+  metrics::Counter& groups = metrics::Registry::Instance().GetCounter(
+      "livegraph_commit_groups_total");
+  const uint64_t groups_before = groups.Value();
+
+  ASSERT_TRUE(faults::Configure(
+      "wal.fdatasync=delay:300@once;wal.append=error:ENOSPC@after=1"));
+  Status first_status = Status::kIOError;
+  vertex_t first = kNullVertex;
+  std::thread leader([&] {
+    auto txn = graph->BeginTransaction();
+    first = txn.AddVertex("first");
+    first_status = txn.Commit().status();
+  });
+  // Let the first group reach its held sync, then queue seven behind it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  constexpr int kMembers = 7;
+  std::vector<Status> member_status(kMembers, Status::kOk);
+  std::vector<vertex_t> members(kMembers, kNullVertex);
+  std::vector<std::thread> threads;
+  for (int m = 0; m < kMembers; ++m) {
+    threads.emplace_back([&, m] {
+      auto txn = graph->BeginTransaction();
+      members[static_cast<size_t>(m)] = txn.AddVertex("member");
+      member_status[static_cast<size_t>(m)] = txn.Commit().status();
+    });
+  }
+  leader.join();
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(first_status, Status::kOk);
+  for (Status status : member_status) {
+    EXPECT_EQ(status, Status::kResourceExhausted);
+  }
+  EXPECT_EQ(groups.Value() - groups_before, 2u)
+      << "the seven committers queued behind the held sync share a group";
+  EXPECT_EQ(graph->degraded_status(), Status::kResourceExhausted);
+  // Nothing in flight: the failed group's epoch was accounted for and
+  // the frontier passed it.
+  EXPECT_EQ(graph->ReadEpoch(), graph->epoch_domain()->issued());
+  {
+    auto txn = graph->BeginTransaction();
+    txn.AddVertex("rejected");
+    EXPECT_EQ(txn.Commit(), Status::kResourceExhausted);
+  }
+  committed.push_back(first);
+  {
+    auto read = graph->BeginReadOnlyTransaction();
+    EXPECT_TRUE(read.GetVertex(first).has_value());
+    for (vertex_t member : members) {
+      EXPECT_FALSE(read.GetVertex(member).has_value());
+    }
+  }
+
+  // Restart: the acknowledged commits replay, the failed group does not.
+  faults::Clear();
+  graph.reset();
+  auto recovered = Graph::Recover(DurableOptions(/*fsync=*/true), "");
+  auto read = recovered->BeginReadOnlyTransaction();
+  for (vertex_t v : committed) EXPECT_TRUE(read.GetVertex(v).has_value());
+  for (vertex_t member : members) {
+    EXPECT_FALSE(read.GetVertex(member).has_value());
+  }
 }
 
 // Checkpoint failpoints: open/write/sync/rename failures must return -1,
