@@ -81,6 +81,18 @@ bool Socket::ReadFull(void* data, size_t size) {
 }
 
 int64_t Socket::ReadSome(void* data, size_t size) {
+  if (faults::Action fault = LIVEGRAPH_FAULT("net.recv")) {
+    // Same failure ReadFull injects: consume up to the injected budget,
+    // then tear the stream mid-frame.
+    if (fault.kind == faults::Action::Kind::kShortWrite) {
+      size_t budget = static_cast<size_t>(fault.arg) < size
+                          ? static_cast<size_t>(fault.arg)
+                          : size;
+      if (budget > 0) ::recv(fd_, data, budget, 0);
+    }
+    Shutdown();
+    return -1;
+  }
   while (true) {
     ssize_t n = ::recv(fd_, data, size, 0);
     if (n < 0 && errno == EINTR) continue;
@@ -92,7 +104,7 @@ int64_t Socket::ReadSome(void* data, size_t size) {
   }
 }
 
-bool Socket::WriteFull(const void* data, size_t size) {
+bool Socket::WriteFull(const void* data, size_t size, bool more) {
   if (faults::Action fault = LIVEGRAPH_FAULT("net.send")) {
     if (fault.kind == faults::Action::Kind::kShortWrite) {
       // Push a real partial frame onto the wire before tearing the
@@ -112,8 +124,9 @@ bool Socket::WriteFull(const void* data, size_t size) {
     return false;
   }
   const char* at = static_cast<const char*>(data);
+  const int flags = MSG_NOSIGNAL | (more ? MSG_MORE : 0);
   while (size > 0) {
-    ssize_t n = ::send(fd_, at, size, MSG_NOSIGNAL);
+    ssize_t n = ::send(fd_, at, size, flags);
     if (n < 0) {
       if (errno == EINTR) continue;
       // Expired SO_SNDTIMEO deadline: the peer stopped draining, fail.
@@ -247,6 +260,56 @@ bool Socket::ReadFrame(Frame* frame) {
   frame->body.resize(body_size);
   if (body_size > 0 && !ReadFull(frame->body.data(), body_size)) {
     return false;
+  }
+  return ValidateFrame(header, frame->body);
+}
+
+namespace {
+
+/// FrameReader's buffer: the usual refill size, and the capacity above
+/// which an emptied buffer (after an outsized frame) is given back.
+constexpr size_t kReaderChunk = 64u << 10;
+constexpr size_t kReaderKeep = 256u << 10;
+
+}  // namespace
+
+bool FrameReader::Fill(Socket* socket, size_t need) {
+  while (end_ - begin_ < need) {
+    if (buf_.size() - begin_ < need || end_ == buf_.size()) {
+      // Move the unread tail to the front, growing only for a frame larger
+      // than the buffer.
+      std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
+      end_ -= begin_;
+      begin_ = 0;
+      if (buf_.size() < need || buf_.size() < kReaderChunk) {
+        buf_.resize(need > kReaderChunk ? need : kReaderChunk);
+      }
+    }
+    int64_t n = socket->ReadSome(buf_.data() + end_, buf_.size() - end_);
+    if (recvs_ != nullptr) recvs_->fetch_add(1, std::memory_order_relaxed);
+    if (n <= 0) return false;  // EOF, error or expired deadline
+    end_ += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+bool FrameReader::Read(Socket* socket, Frame* frame) {
+  if (!Fill(socket, kFrameHeaderSize)) return false;
+  char header[kFrameHeaderSize];
+  std::memcpy(header, buf_.data() + begin_, kFrameHeaderSize);
+  uint32_t body_size;
+  if (!DecodeFrameHeader(header, &frame->type, &frame->flags, &body_size) ||
+      !Fill(socket, kFrameHeaderSize + body_size)) {
+    return false;
+  }
+  frame->body.assign(buf_.data() + begin_ + kFrameHeaderSize, body_size);
+  begin_ += kFrameHeaderSize + body_size;
+  if (begin_ == end_) {
+    begin_ = end_ = 0;
+    if (buf_.size() > kReaderKeep) {
+      buf_.resize(kReaderChunk);
+      buf_.shrink_to_fit();
+    }
   }
   return ValidateFrame(header, frame->body);
 }

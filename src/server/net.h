@@ -7,6 +7,7 @@
 #ifndef LIVEGRAPH_SERVER_NET_H_
 #define LIVEGRAPH_SERVER_NET_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -52,12 +53,16 @@ class Socket {
   /// Writes exactly `size` bytes (MSG_NOSIGNAL: a dead peer surfaces as an
   /// error return, not SIGPIPE). False also on an expired send deadline
   /// (SetSendTimeout) — a peer that stops draining cannot wedge a server
-  /// or replication thread forever.
-  bool WriteFull(const void* data, size_t size);
+  /// or replication thread forever. With `more` (MSG_MORE) the kernel may
+  /// hold a small write back and put it on the wire with the socket's next
+  /// write, or on its own after about 200 ms (the TCP_CORK ceiling,
+  /// tcp(7)).
+  bool WriteFull(const void* data, size_t size, bool more = false);
 
   /// Reads at most `size` bytes in one recv: > 0 bytes read, 0 on orderly
   /// EOF, -1 on error or an expired receive deadline. For byte-oriented
-  /// peers (the /metrics HTTP endpoint); the frame protocol uses ReadFull.
+  /// peers (the /metrics HTTP endpoint) and FrameReader's refills. Shares
+  /// the "net.recv" failpoint with ReadFull.
   int64_t ReadSome(void* data, size_t size);
 
   /// Optional byte accounting (docs/OBSERVABILITY.md): when set, ReadFull/
@@ -119,6 +124,33 @@ class Socket {
   int fd_ = -1;
   metrics::Counter* rx_bytes_ = nullptr;
   metrics::Counter* tx_bytes_ = nullptr;
+};
+
+/// Buffered frame receive over a blocking socket. Each refill is one recv
+/// of whatever has arrived, and frames are parsed out of the buffer, so
+/// replies that arrive together cost one syscall between them instead of
+/// two per frame (Socket::ReadFrame). Bytes read ahead belong to later
+/// frames of the same stream: every read of that stream must go through
+/// the same reader.
+class FrameReader {
+ public:
+  /// `recvs`, when non-null, counts the recv calls (relaxed).
+  explicit FrameReader(std::atomic<uint64_t>* recvs = nullptr)
+      : recvs_(recvs) {}
+
+  /// Reads one frame, validating header structure and CRC. False means
+  /// the stream is unusable (EOF, I/O error, expired deadline, corrupt
+  /// frame); the caller must close.
+  bool Read(Socket* socket, Frame* frame);
+
+ private:
+  /// Buffers at least `need` unread bytes, one recv at a time.
+  bool Fill(Socket* socket, size_t need);
+
+  std::atomic<uint64_t>* recvs_;
+  std::string buf_;
+  size_t begin_ = 0;  // unread bytes are [begin_, end_)
+  size_t end_ = 0;
 };
 
 /// Owning epoll instance (level-triggered). Thin enough that the reactor's

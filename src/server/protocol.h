@@ -15,12 +15,14 @@
 // the connection: framing is lost, and resynchronizing inside a corrupt
 // byte stream is not worth the attack surface.
 //
-// Requests carry a session-scoped transaction id assigned by Begin{,Read}-
-// Txn. Responses are kReply (status byte + operation-specific payload)
-// except scans: ScanLinks answers with a pipelined sequence of kScanBatch
-// frames, each holding up to the server's batch budget of edges, the last
-// flagged kEndOfStream — the server never materializes the adjacency list,
-// and the client never holds more than one batch (EdgeCursor chunked mode).
+// Requests carry a transaction id that the client chose when it opened the
+// session (one counter per connection; the Begin frames carry it).
+// Responses are kReply (status byte + operation-specific payload), except
+// that kEndRead and kFrontierAck get none and ScanLinks answers with a
+// pipelined sequence of kScanBatch frames, each holding up to the server's
+// batch budget of edges, the last flagged kEndOfStream — the server never
+// materializes the adjacency list, and the client never holds more than
+// one batch (EdgeCursor chunked mode).
 #ifndef LIVEGRAPH_SERVER_PROTOCOL_H_
 #define LIVEGRAPH_SERVER_PROTOCOL_H_
 
@@ -36,8 +38,11 @@ namespace livegraph {
 /// Hello handshake. v2 added the replication frames (kSubscribe,
 /// kLogBatch, kSnapshotBatch, kFrontierAck) and epoch-gated reads
 /// (kBeginReadTxnAt) — docs/REPLICATION.md. v3 added kStats
-/// (docs/OBSERVABILITY.md).
-inline constexpr uint32_t kProtocolVersion = 3;
+/// (docs/OBSERVABILITY.md). v4 lets the client choose transaction ids:
+/// the three Begin frames carry the `u64 txn_id` and get a status-only
+/// reply, so a client can send a begin and the session's first request in
+/// one write; kEndRead gets no reply (docs/SERVER.md).
+inline constexpr uint32_t kProtocolVersion = 4;
 
 /// "LGW1" — rejects non-protocol peers (and byte-shifted streams) before
 /// the CRC even runs.
@@ -49,13 +54,16 @@ inline constexpr uint32_t kFrameMagic = 0x3157474C;
 inline constexpr uint32_t kMaxFrameBody = 16u << 20;
 
 enum class MsgType : uint8_t {
-  // Requests. All carry `u64 txn_id` first unless noted.
+  // Requests. All carry `u64 txn_id` first unless noted. The Begin frames
+  // open that id (the server closes the connection if it is already
+  // open) and reply with a status byte only.
   kHello = 1,         // u32 protocol_version (no txn id)
-  kBeginTxn = 2,      // (no txn id)
-  kBeginReadTxn = 3,  // (no txn id)
+  kBeginTxn = 2,
+  kBeginReadTxn = 3,
   kCommit = 4,
   kAbort = 5,
-  kEndRead = 6,
+  kEndRead = 6,       // no reply; an id naming no open read session is
+                      // ignored
   kGetNode = 7,       // i64 id
   kGetLink = 8,       // i64 src, u16 label, i64 dst
   kScanLinks = 9,     // i64 src, u16 label, u64 limit
@@ -75,9 +83,9 @@ enum class MsgType : uint8_t {
   kSubscribe = 18,      // i64 from_epoch, u32 follower_shards (0 = fresh)
                         //   -> kReply{status; on kOk: u32 shards,
                         //      u8 snapshot_follows, i64 snapshot_epoch}
-  kBeginReadTxnAt = 19, // i64 min_epoch, u32 timeout_ms (no txn id)
-                        //   -> kReply{status, u64 txn_id}; kTimeout when
-                        //      the frontier does not cover min_epoch in time
+  kBeginReadTxnAt = 19, // u64 txn_id, i64 min_epoch, u32 timeout_ms
+                        //   -> kReply{status}; kTimeout when the frontier
+                        //      does not cover min_epoch in time
   kFrontierAck = 20,    // i64 epoch — follower->primary, no reply
 
   kStats = 21,          // (empty body, no txn id) -> kReply{status, bytes

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <deque>
 #include <utility>
 
@@ -14,7 +15,8 @@ namespace livegraph {
 // One client connection. All methods serialize on mu_: a connection is
 // normally owned by one session at a time, but a chunked scan cursor can
 // outlive its scan (early exit) or even its session, and must observe a
-// consistent answer rather than racing the next owner's frames.
+// consistent answer rather than racing the next owner's frames. Replies are
+// read through reader_, so frames that arrive together cost one recv.
 //
 // Interleaving rule: the socket carries at most one live scan stream. When
 // a new request (including a nested scan — SNB traversals open cursors
@@ -25,9 +27,17 @@ namespace livegraph {
 // interleaved access pays memory proportional to what it left unconsumed,
 // which is exactly what an embedded materialized cursor would have paid up
 // front.
+//
+// Lazy begin: QueueBegin encodes the session's begin frame and keeps it
+// here. Whoever next writes to the socket while holding mu_ — the
+// session's first request, or another session's SettleBegin — sends it in
+// front of its own bytes and reads its reply before anything else.
+// begin_queued_ is written only under both mu_ and begin_mu_, so
+// SettleBegin can watch it under begin_mu_ alone.
 class RemoteStore::Connection {
  public:
   static std::shared_ptr<Connection> Dial(const Options& options,
+                                          std::atomic<uint64_t>* reply_waits,
                                           std::string* name,
                                           StoreTraits* traits) {
     Socket socket = ConnectTcp(options.host, options.port);
@@ -37,12 +47,15 @@ class RemoteStore::Connection {
     // wedging this client thread forever.
     socket.SetRecvTimeout(options.io_timeout_ms);
     socket.SetSendTimeout(options.io_timeout_ms);
-    auto connection = std::make_shared<Connection>(std::move(socket));
+    auto connection =
+        std::make_shared<Connection>(std::move(socket), reply_waits);
     std::string body;
     WireWriter writer(&body);
     writer.PutU32(kProtocolVersion);
     Frame reply;
-    if (!connection->Call(MsgType::kHello, body, &reply)) return nullptr;
+    if (connection->Call(MsgType::kHello, body, &reply) != Status::kOk) {
+      return nullptr;
+    }
     WireReader reader(reply.body);
     uint8_t status;
     uint32_t version;
@@ -50,9 +63,10 @@ class RemoteStore::Connection {
     uint8_t time_ordered, snapshot, transactional;
     if (!reader.GetU8(&status) ||
         StatusFromWire(status) != Status::kOk ||
-        !reader.GetU32(&version) || !reader.GetBytes(&remote_name) ||
-        !reader.GetU8(&time_ordered) || !reader.GetU8(&snapshot) ||
-        !reader.GetU8(&transactional) || !reader.Exhausted()) {
+        !reader.GetU32(&version) || version != kProtocolVersion ||
+        !reader.GetBytes(&remote_name) || !reader.GetU8(&time_ordered) ||
+        !reader.GetU8(&snapshot) || !reader.GetU8(&transactional) ||
+        !reader.Exhausted()) {
       return nullptr;
     }
     if (name != nullptr) *name = std::string(remote_name);
@@ -63,7 +77,8 @@ class RemoteStore::Connection {
     return connection;
   }
 
-  explicit Connection(Socket socket) : socket_(std::move(socket)) {}
+  Connection(Socket socket, std::atomic<uint64_t>* reply_waits)
+      : socket_(std::move(socket)), reader_(reply_waits) {}
 
   /// Per-stream state, shared between the connection (which appends parked
   /// frames) and the cursor's batch source (which consumes). `live` means
@@ -79,60 +94,64 @@ class RemoteStore::Connection {
     return !broken_;
   }
 
-  /// One request/reply exchange. Parks any live scan stream first so the
-  /// reply read below cannot swallow its batch frames.
-  bool Call(MsgType type, std::string_view body, Frame* reply) {
+  /// Starts a session: picks its txn id and queues `type`'s begin frame,
+  /// which the session's first request (or a SettleBegin) sends.
+  uint64_t QueueBegin(MsgType type) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (broken_) return false;
-    ParkActiveStreamLocked();
-    if (broken_) return false;
-    if (!socket_.WriteFrame(type, kFlagNone, body, &send_scratch_) ||
-        !socket_.ReadFrame(reply) || reply->type != MsgType::kReply) {
-      MarkBrokenLocked();
-      return false;
-    }
-    return true;
+    uint64_t id = next_txn_id_++;
+    std::string body;
+    WireWriter(&body).PutU64(id);
+    pending_begin_.clear();
+    EncodeFrame(type, kFlagNone, body, &pending_begin_);
+    std::lock_guard<std::mutex> state(begin_mu_);
+    begin_queued_ = true;
+    return id;
+  }
+
+  /// A txn id for a begin the caller sends itself (kBeginReadTxnAt).
+  uint64_t NextTxnId() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return next_txn_id_++;
+  }
+
+  /// One request/reply exchange, carrying the session's queued begin if it
+  /// has not gone out yet. kUnavailable when the transport failed; a
+  /// refused begin's status; else kOk with the reply in `reply`.
+  Status Call(MsgType type, std::string_view body, Frame* reply) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return CallLocked(type, body, reply);
   }
 
   /// Pipelined exchange: `encoded` holds `count` fully framed requests.
-  /// One send, then `count` in-order reply frames appended to `replies`.
-  /// Parks any live scan stream first so its batch frames cannot be
-  /// mistaken for replies.
-  bool Exchange(std::string_view encoded, size_t count,
-                std::vector<Frame>* replies) {
+  /// One send (with the queued begin, if any), then `count` in-order reply
+  /// frames appended to `replies`. Status as for Call.
+  Status Exchange(std::string_view encoded, size_t count,
+                  std::vector<Frame>* replies) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (broken_) return false;
-    ParkActiveStreamLocked();
-    if (broken_) return false;
-    if (!socket_.WriteFull(encoded.data(), encoded.size())) {
-      MarkBrokenLocked();
-      return false;
-    }
+    if (!ReadyLocked()) return Status::kUnavailable;
+    if (begin_status_ != Status::kOk) return begin_status_;
+    if (!SendLocked(encoded)) return Status::kUnavailable;
     for (size_t i = 0; i < count; ++i) {
       Frame frame;
-      if (!socket_.ReadFrame(&frame) || frame.type != MsgType::kReply) {
-        MarkBrokenLocked();
-        return false;
-      }
+      if (!ReadReplyLocked(&frame)) return Status::kUnavailable;
       replies->push_back(std::move(frame));
     }
-    return true;
+    return begin_status_;
   }
 
-  /// Opens a scan stream, parking the previous one if still live. Null on
-  /// I/O failure.
+  /// Opens a scan stream (with the queued begin, if any), parking the
+  /// previous one if still live. Null on I/O failure or a refused begin.
   std::shared_ptr<StreamState> StartScan(std::string_view body) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (broken_) return nullptr;
-    ParkActiveStreamLocked();
-    if (broken_) return nullptr;
-    if (!socket_.WriteFrame(MsgType::kScanLinks, kFlagNone, body,
-                            &send_scratch_)) {
-      MarkBrokenLocked();
-      return nullptr;
-    }
+    if (!ReadyLocked() || begin_status_ != Status::kOk) return nullptr;
+    request_buf_.clear();
+    EncodeFrame(MsgType::kScanLinks, kFlagNone, body, &request_buf_);
+    if (!SendLocked(request_buf_)) return nullptr;
     active_ = std::make_shared<StreamState>();
     active_->live = true;
+    // A refused begin leaves the server's error reply for the scan on the
+    // socket; the stream is abandoned and drained before the next request.
+    if (begin_status_ != Status::kOk) return nullptr;
     return active_;
   }
 
@@ -157,7 +176,7 @@ class RemoteStore::Connection {
       }
       if (!stream.live || broken_) return false;
       Frame frame;
-      if (!socket_.ReadFrame(&frame)) {
+      if (!reader_.Read(&socket_, &frame)) {
         MarkBrokenLocked();
         return false;
       }
@@ -180,7 +199,144 @@ class RemoteStore::Connection {
     }
   }
 
+  /// Ends session `txn_id`. Nothing goes on the wire when its begin never
+  /// did (or was refused). kAbort waits for its reply, so the vertex locks
+  /// are free when this returns. kEndRead is one-way and written with
+  /// MSG_MORE: it reaches the server with the connection's next request,
+  /// in the same segment and the same server wakeup, or within about
+  /// 200 ms if the connection goes idle — an idle pooled connection never
+  /// pins a snapshot for longer.
+  void End(MsgType type, uint64_t txn_id) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (DropQueuedBeginLocked() || broken_ ||
+        begin_status_ != Status::kOk) {
+      return;
+    }
+    std::string body;
+    WireWriter(&body).PutU64(txn_id);
+    if (type == MsgType::kAbort) {
+      Frame reply;
+      CallLocked(type, body, &reply);
+      return;
+    }
+    request_buf_.clear();
+    EncodeFrame(type, kFlagNone, body, &request_buf_);
+    WriteLocked(request_buf_, /*more=*/true);
+  }
+
+  /// Before the pool takes the connection back: forgets the ended
+  /// session's begin. False when the connection is broken.
+  bool Recycle() {
+    std::lock_guard<std::mutex> lock(mu_);
+    DropQueuedBeginLocked();
+    begin_status_ = Status::kOk;
+    return !broken_;
+  }
+
+  /// If this connection still holds a begin back (another session's, the
+  /// caller is about to commit), sends it and reads the server's answer.
+  /// A begin already on its way with the owner's first request is left to
+  /// the owner. Never blocks on mu_: its holder may be the owner, in a
+  /// request that waits on the caller's commit (a vertex lock).
+  void SettleBegin() {
+    std::unique_lock<std::mutex> state(begin_mu_);
+    while (begin_queued_) {
+      state.unlock();
+      {
+        std::unique_lock<std::mutex> io(mu_, std::try_to_lock);
+        if (io.owns_lock()) {
+          if (ReadyLocked()) SendLocked({});
+          return;  // sent, dropped, or the connection broke
+        }
+      }
+      // mu_'s holder is the owner, whose next send carries the begin, or
+      // a cursor draining an earlier stream. Look again shortly.
+      state.lock();
+      if (begin_queued_) {
+        begin_cv_.wait_for(state, std::chrono::microseconds(50));
+      }
+    }
+  }
+
  private:
+  Status CallLocked(MsgType type, std::string_view body, Frame* reply) {
+    if (!ReadyLocked()) return Status::kUnavailable;
+    if (begin_status_ != Status::kOk) return begin_status_;
+    if (body.size() > kMaxFrameBody) {
+      MarkBrokenLocked();  // the server would refuse the header anyway
+      return Status::kUnavailable;
+    }
+    request_buf_.clear();
+    EncodeFrame(type, kFlagNone, body, &request_buf_);
+    if (!SendLocked(request_buf_) || !ReadReplyLocked(reply)) {
+      return Status::kUnavailable;
+    }
+    return begin_status_;  // a refused begin answers its request too
+  }
+
+  /// Writes `requests` (whole frames) in one send, behind the session's
+  /// begin if it is still queued, and then reads that begin's reply. False
+  /// when the connection broke.
+  bool SendLocked(std::string_view requests) {
+    send_buf_.clear();
+    if (!TakeBeginLocked()) return requests.empty() || WriteLocked(requests);
+    send_buf_.append(requests.data(), requests.size());
+    return WriteLocked(send_buf_) && ReadBeginReplyLocked();
+  }
+
+  /// Parks any live scan stream so the reply reads that follow cannot
+  /// swallow its batch frames. False when the connection is broken.
+  bool ReadyLocked() {
+    if (broken_) return false;
+    ParkActiveStreamLocked();
+    return !broken_;
+  }
+
+  /// Appends the queued begin frame to send_buf_ (see SendLocked).
+  bool TakeBeginLocked() { return UnqueueBeginLocked(/*send=*/true); }
+
+  /// Drops a begin that never went out: the server never saw the session.
+  bool DropQueuedBeginLocked() { return UnqueueBeginLocked(/*send=*/false); }
+
+  bool UnqueueBeginLocked(bool send) {
+    {
+      std::lock_guard<std::mutex> state(begin_mu_);
+      if (!begin_queued_) return false;
+      if (send) send_buf_.append(pending_begin_);
+      begin_queued_ = false;
+    }
+    begin_cv_.notify_all();
+    return true;
+  }
+
+  /// Reads the begin's status-only reply into begin_status_.
+  bool ReadBeginReplyLocked() {
+    Frame reply;
+    if (!ReadReplyLocked(&reply)) return false;
+    WireReader reader(reply.body);
+    uint8_t status;
+    if (!reader.GetU8(&status) || !reader.Exhausted()) {
+      MarkBrokenLocked();
+      return false;
+    }
+    begin_status_ = StatusFromWire(status);
+    return true;
+  }
+
+  bool WriteLocked(std::string_view bytes, bool more = false) {
+    if (socket_.WriteFull(bytes.data(), bytes.size(), more)) return true;
+    MarkBrokenLocked();
+    return false;
+  }
+
+  bool ReadReplyLocked(Frame* reply) {
+    if (reader_.Read(&socket_, reply) && reply->type == MsgType::kReply) {
+      return true;
+    }
+    MarkBrokenLocked();
+    return false;
+  }
+
   void MarkBrokenLocked() {
     broken_ = true;
     if (active_ != nullptr) {
@@ -188,6 +344,7 @@ class RemoteStore::Connection {
       active_.reset();
     }
     socket_.Shutdown();
+    DropQueuedBeginLocked();
   }
 
   /// Moves the live stream's remaining frames off the socket into its
@@ -199,7 +356,7 @@ class RemoteStore::Connection {
     bool abandoned = active_ != nullptr && active_.use_count() == 1;
     while (active_ != nullptr && active_->live) {
       Frame frame;
-      if (!socket_.ReadFrame(&frame)) {
+      if (!reader_.Read(&socket_, &frame)) {
         MarkBrokenLocked();
         return;
       }
@@ -243,9 +400,19 @@ class RemoteStore::Connection {
 
   mutable std::mutex mu_;
   Socket socket_;
+  FrameReader reader_;
   bool broken_ = false;
   std::shared_ptr<StreamState> active_;  // stream with frames on the socket
-  std::string send_scratch_;
+  std::string request_buf_;  // one encoded request
+  std::string send_buf_;     // what one send writes: begin + requests
+
+  // The current session's begin (see the class comment).
+  uint64_t next_txn_id_ = 1;
+  std::string pending_begin_;
+  Status begin_status_ = Status::kOk;  // the server's answer to the begin
+  std::mutex begin_mu_;
+  std::condition_variable begin_cv_;  // begin_queued_ went false
+  bool begin_queued_ = false;
 };
 
 namespace {
@@ -273,10 +440,10 @@ class RemoteBatchSource : public EdgeCursor::BatchSource {
 
 }  // namespace
 
-// A remote session: one checked-out connection plus the server-side txn
-// id. Serves as both StoreTxn and StoreReadTxn; mutations on a read-only
-// session fail client-side with kNotActive (matching what the server
-// would answer).
+// A remote session: one checked-out connection plus the txn id the
+// connection picked for it. Serves as both StoreTxn and StoreReadTxn;
+// mutations on a read-only session fail client-side with kNotActive
+// (matching what the server would answer).
 class RemoteTxn : public StoreTxn {
  public:
   RemoteTxn(RemoteStore* store,
@@ -291,10 +458,11 @@ class RemoteTxn : public StoreTxn {
         open_(connection_ != nullptr) {}
 
   ~RemoteTxn() override {
-    // Destroying an open session aborts it (write) or releases it (read)
-    // — synchronously, so engine latches are free once the destructor
-    // returns. Release() is a no-op if Abort already returned the
-    // connection.
+    // Destroying an open session aborts it (write: a round trip, so its
+    // vertex locks are free once the destructor returns) or ends it (read:
+    // END_READ goes out without waiting for the server). A session that
+    // never sent a request sends nothing. Release() is a no-op if Abort
+    // already returned the connection.
     Abort();
     Release();
   }
@@ -434,6 +602,7 @@ class RemoteTxn : public StoreTxn {
     if (!writable_) return Status::kNotActive;
     Status guard = Guard();
     if (guard != Status::kOk) return guard;
+    store_->SettleBegins(connection_.get());
     Frame reply;
     Status status = CallWithTxn(MsgType::kCommit, {}, &reply);
     open_ = false;
@@ -450,8 +619,8 @@ class RemoteTxn : public StoreTxn {
 
   void Abort() override {
     if (!open_) return;
-    Frame reply;
-    CallWithTxn(writable_ ? MsgType::kAbort : MsgType::kEndRead, {}, &reply);
+    connection_->End(writable_ ? MsgType::kAbort : MsgType::kEndRead,
+                     txn_id_);
     open_ = false;
     Release();
   }
@@ -465,7 +634,8 @@ class RemoteTxn : public StoreTxn {
     WireWriter writer(&body);
     writer.PutU64(txn_id_);
     body.append(extra.data(), extra.size());
-    if (!connection_->Call(type, body, reply)) return Status::kUnavailable;
+    Status sent = connection_->Call(type, body, reply);
+    if (sent != Status::kOk) return sent;
     WireReader reader(reply->body);
     uint8_t status;
     if (!reader.GetU8(&status)) return Status::kUnavailable;
@@ -485,7 +655,8 @@ class RemoteTxn : public StoreTxn {
     Status guard = Guard();
     if (guard != Status::kOk) return guard;
     if (body.empty()) return CallWithTxn(type, {}, reply);
-    if (!connection_->Call(type, body, reply)) return Status::kUnavailable;
+    Status sent = connection_->Call(type, body, reply);
+    if (sent != Status::kOk) return sent;
     WireReader reader(reply->body);
     uint8_t status;
     if (!reader.GetU8(&status)) return Status::kUnavailable;
@@ -649,7 +820,8 @@ bool RemoteStore::Pipeline::Flush(std::vector<Status>* statuses) {
     size_t last_off = ends_[last - 1];
     std::string_view chunk =
         std::string_view(batch_).substr(first_off, last_off - first_off);
-    if (!connection_->Exchange(chunk, last - first, &replies)) {
+    if (connection_->Exchange(chunk, last - first, &replies) !=
+        Status::kOk) {
       open_ = false;
       Release();
       return false;
@@ -673,15 +845,16 @@ bool RemoteStore::Pipeline::Flush(std::vector<Status>* statuses) {
 
 StatusOr<timestamp_t> RemoteStore::Pipeline::Commit() {
   if (!open_) return Status::kUnavailable;
+  store_->SettleBegins(connection_.get());
   if (!Flush(nullptr)) return Status::kUnavailable;
   std::string body;
   WireWriter writer(&body);
   writer.PutU64(txn_id_);
   Frame reply;
-  bool ok = connection_->Call(MsgType::kCommit, body, &reply);
+  Status sent = connection_->Call(MsgType::kCommit, body, &reply);
   open_ = false;
   Release();
-  if (!ok) return Status::kUnavailable;
+  if (sent != Status::kOk) return sent;
   WireReader reader(reply.body);
   uint8_t status;
   if (!reader.GetU8(&status)) return Status::kUnavailable;
@@ -697,11 +870,7 @@ void RemoteStore::Pipeline::Abort() {
   if (!open_) return;
   batch_.clear();
   ends_.clear();
-  std::string body;
-  WireWriter writer(&body);
-  writer.PutU64(txn_id_);
-  Frame reply;
-  connection_->Call(MsgType::kAbort, body, &reply);
+  connection_->End(MsgType::kAbort, txn_id_);
   open_ = false;
   Release();
 }
@@ -718,30 +887,17 @@ std::unique_ptr<RemoteStore::Pipeline> RemoteStore::NewPipeline() {
       AcquireConnection(/*replica=*/false);
   uint64_t txn_id = 0;
   if (connection != nullptr) {
-    Frame reply;
-    if (connection->Call(MsgType::kBeginTxn, {}, &reply)) {
-      WireReader reader(reply.body);
-      uint8_t status;
-      if (!reader.GetU8(&status) || StatusFromWire(status) != Status::kOk ||
-          !reader.GetU64(&txn_id)) {
-        connection = nullptr;
-      }
-    } else {
-      connection = nullptr;
-    }
+    txn_id = connection->QueueBegin(MsgType::kBeginTxn);
   }
   return std::unique_ptr<Pipeline>(
       new Pipeline(this, std::move(connection), txn_id));
 }
 
 std::unique_ptr<RemoteStore> RemoteStore::Connect(const Options& options) {
-  std::string name;
-  StoreTraits traits;
-  auto connection = Connection::Dial(options, &name, &traits);
-  if (connection == nullptr) return nullptr;
   std::unique_ptr<RemoteStore> store(new RemoteStore(options));
-  store->remote_name_ = std::move(name);
-  store->traits_ = traits;
+  auto connection = Connection::Dial(options, &store->reply_waits_,
+                                     &store->remote_name_, &store->traits_);
+  if (connection == nullptr) return nullptr;
   store->pool_.push_back(std::move(connection));
   return store;
 }
@@ -757,7 +913,10 @@ std::shared_ptr<RemoteStore::Connection> RemoteStore::AcquireConnection(
     while (!pool.empty()) {
       std::shared_ptr<Connection> connection = std::move(pool.back());
       pool.pop_back();
-      if (connection->healthy()) return connection;
+      if (connection->healthy()) {
+        if (!replica) checked_out_.push_back(connection);
+        return connection;
+      }
     }
   }
   Options dial = options_;
@@ -765,14 +924,41 @@ std::shared_ptr<RemoteStore::Connection> RemoteStore::AcquireConnection(
     dial.host = options_.replica_host;
     dial.port = options_.replica_port;
   }
-  return Connection::Dial(dial, nullptr, nullptr);
+  std::shared_ptr<Connection> connection =
+      Connection::Dial(dial, &reply_waits_, nullptr, nullptr);
+  if (connection != nullptr && !replica) {
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    checked_out_.push_back(connection);
+  }
+  return connection;
 }
 
 void RemoteStore::ReleaseConnection(std::shared_ptr<Connection> connection,
                                     bool replica) {
-  if (connection == nullptr || !connection->healthy()) return;
+  if (connection == nullptr) return;
+  bool reusable = connection->Recycle();
   std::lock_guard<std::mutex> lock(pool_mu_);
-  (replica ? replica_pool_ : pool_).push_back(std::move(connection));
+  if (!replica) {
+    auto it = std::find(checked_out_.begin(), checked_out_.end(), connection);
+    if (it != checked_out_.end()) {
+      *it = std::move(checked_out_.back());
+      checked_out_.pop_back();
+    }
+  }
+  if (reusable) {
+    (replica ? replica_pool_ : pool_).push_back(std::move(connection));
+  }
+}
+
+void RemoteStore::SettleBegins(const Connection* self) {
+  std::vector<std::shared_ptr<Connection>> open;
+  {
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    open = checked_out_;
+  }
+  for (const std::shared_ptr<Connection>& connection : open) {
+    if (connection.get() != self) connection->SettleBegin();
+  }
 }
 
 void RemoteStore::NoteCommitEpoch(timestamp_t epoch) {
@@ -813,20 +999,24 @@ std::unique_ptr<StoreTxn> RemoteStore::BeginReplicaReadSession() {
     NoteReplicaFailure();
     return nullptr;
   }
+  // Synchronous, unlike the primary's lazy begins: failover is decided on
+  // this reply.
+  const uint64_t txn_id = connection->NextTxnId();
   std::string body;
   WireWriter writer(&body);
+  writer.PutU64(txn_id);
   writer.PutI64(last_commit_epoch_.load(std::memory_order_relaxed));
   writer.PutU32(options_.read_your_epoch_timeout_ms);
   Frame reply;
-  uint64_t txn_id = 0;
   uint8_t status = 0;
-  if (!connection->Call(MsgType::kBeginReadTxnAt, body, &reply)) {
+  if (connection->Call(MsgType::kBeginReadTxnAt, body, &reply) !=
+      Status::kOk) {
     NoteReplicaFailure();
     return nullptr;
   }
   WireReader reader(reply.body);
   if (!reader.GetU8(&status) || StatusFromWire(status) != Status::kOk ||
-      !reader.GetU64(&txn_id)) {
+      !reader.Exhausted()) {
     // The follower answered but cannot serve the epoch (or rejected the
     // request): return its healthy connection and fail over this session.
     ReleaseConnection(std::move(connection), /*replica=*/true);
@@ -851,9 +1041,9 @@ bool RemoteStore::Stats(metrics::Snapshot* out) {
       AcquireConnection(/*replica=*/false);
   if (connection == nullptr) return false;
   Frame reply;
-  bool ok = connection->Call(MsgType::kStats, {}, &reply);
+  Status sent = connection->Call(MsgType::kStats, {}, &reply);
   ReleaseConnection(std::move(connection), /*replica=*/false);
-  if (!ok) return false;
+  if (sent != Status::kOk) return false;
   WireReader reader(reply.body);
   uint8_t status;
   std::string_view payload;
@@ -869,21 +1059,8 @@ std::unique_ptr<StoreTxn> RemoteStore::BeginSession(bool writable) {
       AcquireConnection(/*replica=*/false);
   uint64_t txn_id = 0;
   if (connection != nullptr) {
-    Frame reply;
-    std::string empty;
-    if (connection->Call(
-            writable ? MsgType::kBeginTxn : MsgType::kBeginReadTxn, empty,
-            &reply)) {
-      WireReader reader(reply.body);
-      uint8_t status;
-      if (!reader.GetU8(&status) ||
-          StatusFromWire(status) != Status::kOk ||
-          !reader.GetU64(&txn_id)) {
-        connection = nullptr;
-      }
-    } else {
-      connection = nullptr;
-    }
+    txn_id = connection->QueueBegin(writable ? MsgType::kBeginTxn
+                                             : MsgType::kBeginReadTxn);
   }
   // A null connection yields a dead session: every operation reports
   // kUnavailable, which RunWrite surfaces without retrying.

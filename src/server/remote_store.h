@@ -7,13 +7,26 @@
 // (BeginTxn / BeginReadTxn) checks a connection out of the pool for its
 // lifetime — requests within a session are strictly ordered, which is what
 // gives remote sessions the same semantics as local ones — and returns it
-// on Commit/Abort/EndRead. Scans arrive as the server's pipelined batch
-// stream; the cursor handed to the caller is EdgeCursor in chunked mode,
-// pulling one batch at a time, so neither side ever materializes a long
-// adjacency list. Interleaved access — a nested scan or point read issued
-// while a cursor is mid-stream, as SNB traversals do — parks the live
-// stream's remaining frames into a client-side buffer so the outer cursor
-// keeps its position; an abandoned stream (LIMIT-style early exit, cursor
+// on Commit/Abort/EndRead.
+//
+// A session costs one blocking wait per request. Begin only queues the
+// encoded begin frame on the connection; the session's first request
+// carries it in the same send and reads its reply first. END_READ is sent
+// without waiting (the server does not answer it); Abort stays a round
+// trip so a retry finds the vertex locks free. Before any commit, the
+// store makes the server answer every begin its other sessions still hold
+// back. So a snapshot is taken no earlier than Begin*() and no later than
+// the session's first request, and a session that has sent no request
+// yet never sees a commit this RemoteStore sends after Begin*() returned
+// (docs/API.md).
+//
+// Scans arrive as the server's pipelined batch stream; the cursor handed
+// to the caller is EdgeCursor in chunked mode, pulling one batch at a
+// time, so neither side ever materializes a long adjacency list.
+// Interleaved access — a nested scan or point read issued while a cursor
+// is mid-stream, as SNB traversals do — parks the live stream's remaining
+// frames into a client-side buffer so the outer cursor keeps its
+// position; an abandoned stream (LIMIT-style early exit, cursor
 // destroyed) is drained and discarded before the connection carries the
 // next request.
 //
@@ -151,8 +164,8 @@ class RemoteStore : public Store {
     std::vector<size_t> ends_;   // cumulative end offset of each frame
   };
 
-  /// Opens a pipeline (one round trip for its BeginTxn). Never null; a
-  /// failed open yields a pipeline whose ok() is false.
+  /// Opens a pipeline; its begin rides in the first Flush or Commit. Never
+  /// null; a pipeline that got no connection has ok() false.
   std::unique_ptr<Pipeline> NewPipeline();
 
   /// Fetches the server's metrics snapshot via the STATS opcode
@@ -168,6 +181,13 @@ class RemoteStore : public Store {
   uint64_t read_failovers() const {
     return read_failovers_.load(std::memory_order_relaxed);
   }
+  /// Receive calls made waiting for replies, over every connection: the
+  /// round trips this client really paid (observability, tests). A one-op
+  /// read session costs 1; a one-mutation write session plus its commit
+  /// costs 2.
+  uint64_t reply_waits() const {
+    return reply_waits_.load(std::memory_order_relaxed);
+  }
   /// Highest commit epoch observed by this client's write sessions — the
   /// read-your-epoch bound carried to the follower.
   timestamp_t last_commit_epoch() const {
@@ -182,6 +202,9 @@ class RemoteStore : public Store {
   std::shared_ptr<Connection> AcquireConnection(bool replica);
   void ReleaseConnection(std::shared_ptr<Connection> connection,
                          bool replica);
+  /// Called before a commit is sent: has the server answer every begin
+  /// that a session other than the committer's (`self`) still holds back.
+  void SettleBegins(const Connection* self);
   std::unique_ptr<StoreTxn> BeginSession(bool writable);
   /// Follower-first read session; null means "use the primary".
   std::unique_ptr<StoreTxn> BeginReplicaReadSession();
@@ -196,9 +219,13 @@ class RemoteStore : public Store {
 
   std::atomic<timestamp_t> last_commit_epoch_{0};
   std::atomic<uint64_t> read_failovers_{0};
+  std::atomic<uint64_t> reply_waits_{0};
 
   mutable std::mutex pool_mu_;
   std::vector<std::shared_ptr<Connection>> pool_;
+  /// Primary connections checked out of the pool: the ones whose session
+  /// may still hold its begin back (SettleBegins).
+  std::vector<std::shared_ptr<Connection>> checked_out_;
   std::vector<std::shared_ptr<Connection>> replica_pool_;
   std::chrono::steady_clock::time_point replica_retry_at_{};
   int64_t replica_backoff_ms_ = 0;

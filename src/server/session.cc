@@ -164,7 +164,7 @@ ServerSession::Outcome ServerSession::DispatchInner(const Frame& request,
       return HandleBegin(reader, sink, /*write=*/false);
     case MsgType::kCommit: return HandleCommit(reader, sink);
     case MsgType::kAbort: return HandleAbort(reader, sink);
-    case MsgType::kEndRead: return HandleEndRead(reader, sink);
+    case MsgType::kEndRead: return HandleEndRead(reader);
     case MsgType::kGetNode: return HandleGetNode(reader, sink);
     case MsgType::kGetLink: return HandleGetLink(reader, sink);
     case MsgType::kScanLinks: return HandleScanLinks(reader, sink);
@@ -288,22 +288,24 @@ ServerSession::Outcome ServerSession::HandleHello(WireReader& reader,
 
 ServerSession::Outcome ServerSession::HandleBegin(WireReader& reader,
                                                   Sink* sink, bool write) {
-  if (!reader.Exhausted()) return Outcome::kClose;
-  return ReplyNewTxn(sink, write);
+  uint64_t id;
+  if (!reader.GetU64(&id) || !reader.Exhausted()) return Outcome::kClose;
+  return OpenSession(id, write, sink);
 }
 
-ServerSession::Outcome ServerSession::ReplyNewTxn(Sink* sink, bool write) {
-  uint64_t id = next_txn_id_++;
-  OpenTxn& slot = txns_[id];
+// The id is the client's. One that is already open would alias two
+// sessions, and the client's later frames could not be told apart: close.
+ServerSession::Outcome ServerSession::OpenSession(uint64_t id, bool write,
+                                                  Sink* sink) {
+  auto [slot, inserted] = txns_.try_emplace(id);
+  if (!inserted) return Outcome::kClose;
   OpenTxnsGauge().Add(1);
   if (write) {
-    slot.write = config_.store->BeginTxn();
+    slot->second.write = config_.store->BeginTxn();
   } else {
-    slot.read = config_.store->BeginReadTxn();
+    slot->second.read = config_.store->BeginReadTxn();
   }
-  WireWriter writer = BeginReply(Status::kOk);
-  writer.PutU64(id);
-  return SendReply(sink) ? Outcome::kDone : Outcome::kClose;
+  return ReplyStatus(sink, Status::kOk);
 }
 
 ServerSession::Outcome ServerSession::HandleCommit(WireReader& reader,
@@ -372,17 +374,17 @@ ServerSession::Outcome ServerSession::HandleAbort(WireReader& reader,
   return ReplyStatus(sink, Status::kOk);
 }
 
-ServerSession::Outcome ServerSession::HandleEndRead(WireReader& reader,
-                                                    Sink* sink) {
+// One-way: the client does not wait for the end of a read session, so
+// nothing is sent back, not even for an id that names no read session.
+ServerSession::Outcome ServerSession::HandleEndRead(WireReader& reader) {
   uint64_t id;
   if (!reader.GetU64(&id) || !reader.Exhausted()) return Outcome::kClose;
   auto it = txns_.find(id);
-  if (it == txns_.end() || it->second.read == nullptr) {
-    return ReplyStatus(sink, Status::kNotActive);
+  if (it != txns_.end() && it->second.read != nullptr) {
+    txns_.erase(it);  // releases the engine read session (latch, snapshot)
+    OpenTxnsGauge().Sub(1);
   }
-  txns_.erase(it);  // releases the engine read session (latch, snapshot)
-  OpenTxnsGauge().Sub(1);
-  return ReplyStatus(sink, Status::kOk);
+  return Outcome::kDone;
 }
 
 // --- Reads -----------------------------------------------------------------
@@ -560,12 +562,14 @@ ServerSession::Outcome ServerSession::PumpScan(Sink* sink) {
 // since the first attempt — the client may fail over.
 ServerSession::Outcome ServerSession::HandleBeginReadTxnAt(
     WireReader& reader, Sink* sink) {
+  uint64_t id;
   int64_t min_epoch;
   uint32_t timeout_ms;
-  if (!reader.GetI64(&min_epoch) || !reader.GetU32(&timeout_ms) ||
-      !reader.Exhausted()) {
+  if (!reader.GetU64(&id) || !reader.GetI64(&min_epoch) ||
+      !reader.GetU32(&timeout_ms) || !reader.Exhausted()) {
     return Outcome::kClose;
   }
+  if (txns_.count(id) != 0) return Outcome::kClose;  // see OpenSession
   if (min_epoch > 0) {
     if (config_.frontier == nullptr) {
       return ReplyStatus(sink, Status::kUnavailable);
@@ -577,7 +581,7 @@ ServerSession::Outcome ServerSession::HandleBeginReadTxnAt(
       return Outcome::kParked;
     }
   }
-  return ReplyNewTxn(sink, /*write=*/false);
+  return OpenSession(id, /*write=*/false, sink);
 }
 
 /// STATS: collect the live registry (probes included) and reply with the

@@ -175,7 +175,7 @@ class ServerSession {
   Outcome HandleBegin(WireReader& reader, Sink* sink, bool write);
   Outcome HandleCommit(WireReader& reader, Sink* sink);
   Outcome HandleAbort(WireReader& reader, Sink* sink);
-  Outcome HandleEndRead(WireReader& reader, Sink* sink);
+  Outcome HandleEndRead(WireReader& reader);
   Outcome HandleGetNode(WireReader& reader, Sink* sink);
   Outcome HandleGetLink(WireReader& reader, Sink* sink);
   Outcome HandleScanLinks(WireReader& reader, Sink* sink);
@@ -198,15 +198,17 @@ class ServerSession {
   /// kParked on contention, or the queued error reply (kTimeout once the
   /// engine's lock timeout has passed since the first attempt).
   std::optional<Outcome> LockOrPark(StoreTxn* txn, vertex_t v, Sink* sink);
-  /// Opens a session and queues its id (kBeginTxn, kBeginReadTxn{,At}).
-  Outcome ReplyNewTxn(Sink* sink, bool write);
+  /// Opens session `id` and queues its status-only reply (kBeginTxn,
+  /// kBeginReadTxn{,At}); kClose when `id` is already open.
+  Outcome OpenSession(uint64_t id, bool write, Sink* sink);
 
   /// Walks the parked cursor, flushing batches until done or throttled.
   Outcome PumpScan(Sink* sink);
 
   Config config_;
 
-  uint64_t next_txn_id_ = 1;
+  /// Open sessions by the id their client chose in the Begin frame (one
+  /// counter per client connection, so ids never repeat while open).
   std::map<uint64_t, OpenTxn> txns_;
 
   std::optional<ActiveScan> scan_;

@@ -5,11 +5,14 @@
 //    while the other stays live — both must converge.
 //  * Chaos tests (fault build only): injected push failures, torn frames,
 //    and send delays on the replication stream must end sessions cleanly
-//    and converge after resubscription — never wedge, never diverge.
+//    and converge after resubscription — never wedge, never diverge. The
+//    client's buffered reply path keeps the same torn-read failpoint.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -20,9 +23,11 @@
 #include "replication/replica.h"
 #include "replication/replication_hub.h"
 #include "server/graph_server.h"
+#include "server/net.h"
 #include "server/remote_store.h"
 #include "shard/sharded_store.h"
 #include "util/fault_injection.h"
+#include "util/metrics.h"
 
 namespace livegraph {
 namespace {
@@ -317,6 +322,37 @@ TEST_F(ReplicationChaosTest, DegradedPrimarySurfacesTypedStatusOnWire) {
 
   client.reset();
   std::filesystem::remove_all(root);
+}
+
+// The refills of FrameReader (RemoteStore's reply path) count received
+// bytes and go through the "net.recv" failpoint: a torn refill fails the
+// read instead of waiting for the rest of the frame.
+TEST_F(ReplicationChaosTest, TornRefillFailsTheBufferedReplyRead) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  Socket writer(fds[0]);
+  Socket reader(fds[1]);
+  metrics::Counter& rx = metrics::Registry::Instance().GetCounter(
+      "livegraph_test_frame_reader_rx_bytes_total");
+  reader.SetByteCounters(&rx, nullptr);
+  std::string frame;
+  EncodeFrame(MsgType::kReply, kFlagNone, "a reply body", &frame);
+  std::atomic<uint64_t> recvs{0};
+  FrameReader frames(&recvs);
+  Frame got;
+
+  const uint64_t rx_before = rx.Value();
+  ASSERT_TRUE(writer.WriteFull(frame.data(), frame.size()));
+  ASSERT_TRUE(frames.Read(&reader, &got));
+  EXPECT_EQ(rx.Value() - rx_before, frame.size());
+  EXPECT_EQ(recvs.load(), 1u);
+
+  ASSERT_TRUE(writer.WriteFull(frame.data(), frame.size()));
+  ASSERT_TRUE(faults::Configure("net.recv=short:3@once"));
+  EXPECT_FALSE(frames.Read(&reader, &got));
+  EXPECT_EQ(recvs.load(), 2u);
+  faults::Clear();
+  EXPECT_FALSE(frames.Read(&reader, &got)) << "the stream stays torn";
 }
 
 #endif  // LIVEGRAPH_FAULTS_ENABLED

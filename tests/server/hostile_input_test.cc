@@ -5,8 +5,10 @@
 // Every truncation and a seeded set of bit flips of known-good encodings
 // go in; the contract is that the server replies or closes the connection
 // and keeps serving everyone else, and that DecodeStats returns false or a
-// snapshot — never a crash. Runs under the ASan+UBSan CI job like every
-// test.
+// snapshot — never a crash. The v4 session frames get the same treatment
+// by hand: client-chosen txn ids that collide or are cut short, END_READ
+// for an id that is not open, and a Hello from an older client. Runs under
+// the ASan+UBSan CI job like every test.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -60,7 +62,14 @@ std::vector<std::string> Mutations(const std::string& original, int flips,
 
 // --- Reactor frame parser ------------------------------------------------
 
-// The frames of protocol_test.cc, encoded.
+// A v4 begin body: the client-chosen txn id.
+std::string TxnIdBody(uint64_t id) {
+  std::string body;
+  WireWriter(&body).PutU64(id);
+  return body;
+}
+
+// The frames of protocol_test.cc, plus a v4 begin, encoded.
 std::vector<std::string> FrameFixtures() {
   struct Fixture {
     MsgType type;
@@ -69,7 +78,8 @@ std::vector<std::string> FrameFixtures() {
   };
   const Fixture fixtures[] = {
       {MsgType::kScanBatch, kFlagEndOfStream, "edge-bytes"},
-      {MsgType::kBeginTxn, kFlagNone, ""},
+      {MsgType::kStats, kFlagNone, ""},
+      {MsgType::kBeginTxn, kFlagNone, TxnIdBody(1)},
       {MsgType::kScanBatch, kFlagNone, "first"},
       {MsgType::kScanBatch, kFlagEndOfStream, "second"},
       {MsgType::kHello, kFlagNone, "hi"},
@@ -168,6 +178,121 @@ TEST(HostileInput, ReactorSurvivesTruncatedAndFlippedFrames) {
   EXPECT_GT(sent, 300);
   bystander.reset();
   server.Stop();
+}
+
+// --- v4 session frames -----------------------------------------------------
+
+struct OneLoopServer {
+  OneLoopServer() {
+    GraphOptions graph;
+    graph.region_reserve = size_t{1} << 30;
+    graph.max_vertices = 1 << 16;
+    engine = std::make_unique<LiveGraphStore>(graph);
+    GraphServer::Options options;
+    options.reactors = 1;
+    server = std::make_unique<GraphServer>(*engine, options);
+    EXPECT_TRUE(server->Start());
+  }
+  ~OneLoopServer() { server->Stop(); }
+
+  std::unique_ptr<LiveGraphStore> engine;
+  std::unique_ptr<GraphServer> server;
+};
+
+// Connects and sends Hello{version}; returns the socket and the reply's
+// status (kUnavailable if no reply came).
+Socket RawHello(uint16_t port, uint32_t version, Status* status) {
+  Socket sock = ConnectTcp("127.0.0.1", port);
+  EXPECT_TRUE(sock.valid());
+  sock.SetRecvTimeout(5'000);
+  std::string body;
+  WireWriter(&body).PutU32(version);
+  std::string scratch;
+  EXPECT_TRUE(sock.WriteFrame(MsgType::kHello, kFlagNone, body, &scratch));
+  Frame reply;
+  *status = Status::kUnavailable;
+  if (sock.ReadFrame(&reply) && reply.type == MsgType::kReply &&
+      !reply.body.empty()) {
+    *status = StatusFromWire(static_cast<uint8_t>(reply.body[0]));
+  }
+  return sock;
+}
+
+Socket RawHello(uint16_t port) {
+  Status status;
+  Socket sock = RawHello(port, kProtocolVersion, &status);
+  EXPECT_EQ(status, Status::kOk);
+  return sock;
+}
+
+bool Send(Socket* sock, MsgType type, const std::string& body) {
+  std::string scratch;
+  return sock->WriteFrame(type, kFlagNone, body, &scratch);
+}
+
+// The status byte of the next reply; kUnavailable when none comes.
+Status NextReplyStatus(Socket* sock) {
+  Frame reply;
+  if (!sock->ReadFrame(&reply) || reply.type != MsgType::kReply ||
+      reply.body.empty()) {
+    return Status::kUnavailable;
+  }
+  return StatusFromWire(static_cast<uint8_t>(reply.body[0]));
+}
+
+// True when the server closed the connection (EOF within the deadline).
+bool ServerClosed(Socket* sock) {
+  char byte;
+  return ::recv(sock->fd(), &byte, 1, 0) == 0;
+}
+
+TEST(HostileInput, DuplicateOpenTxnIdClosesTheConnection) {
+  OneLoopServer harness;
+  Socket sock = RawHello(harness.server->port());
+  ASSERT_TRUE(Send(&sock, MsgType::kBeginTxn, TxnIdBody(7)));
+  ASSERT_EQ(NextReplyStatus(&sock), Status::kOk);
+  ASSERT_TRUE(Send(&sock, MsgType::kBeginReadTxn, TxnIdBody(7)));
+  EXPECT_TRUE(ServerClosed(&sock));
+}
+
+TEST(HostileInput, BeginWithTruncatedTxnIdClosesTheConnection) {
+  OneLoopServer harness;
+  for (MsgType type : {MsgType::kBeginTxn, MsgType::kBeginReadTxn}) {
+    Socket sock = RawHello(harness.server->port());
+    ASSERT_TRUE(Send(&sock, type, TxnIdBody(1).substr(0, 4)));
+    EXPECT_TRUE(ServerClosed(&sock)) << static_cast<int>(type);
+  }
+}
+
+TEST(HostileInput, EndReadForUnknownIdIsIgnoredAndConnectionServes) {
+  OneLoopServer harness;
+  vertex_t v = harness.engine->AddNode("v");
+  Socket sock = RawHello(harness.server->port());
+  std::string get_node = TxnIdBody(1);
+  WireWriter(&get_node).PutI64(v);
+  // One write: END_READ for ids never opened (1 is not open yet), then a
+  // read session 1 with one GetNode, its END_READ, and a GetNode after it.
+  std::string batch;
+  EncodeFrame(MsgType::kEndRead, kFlagNone, TxnIdBody(99), &batch);
+  EncodeFrame(MsgType::kEndRead, kFlagNone, TxnIdBody(1), &batch);
+  EncodeFrame(MsgType::kBeginReadTxn, kFlagNone, TxnIdBody(1), &batch);
+  EncodeFrame(MsgType::kGetNode, kFlagNone, get_node, &batch);
+  EncodeFrame(MsgType::kEndRead, kFlagNone, TxnIdBody(1), &batch);
+  EncodeFrame(MsgType::kGetNode, kFlagNone, get_node, &batch);
+  ASSERT_TRUE(sock.WriteFull(batch.data(), batch.size()));
+  EXPECT_EQ(NextReplyStatus(&sock), Status::kOk);         // begin
+  EXPECT_EQ(NextReplyStatus(&sock), Status::kOk);         // GetNode
+  EXPECT_EQ(NextReplyStatus(&sock), Status::kNotActive);  // after END_READ
+  // Nothing else is owed: the three END_READs sent no reply.
+  EXPECT_FALSE(sock.Readable(/*timeout_ms=*/100));
+}
+
+TEST(HostileInput, HelloFromAVersion3ClientIsRefused) {
+  OneLoopServer harness;
+  Status status;
+  Socket sock = RawHello(harness.server->port(), 3, &status);
+  EXPECT_EQ(status, Status::kUnavailable);
+  EXPECT_TRUE(ServerClosed(&sock));
 }
 
 // --- STATS codec ----------------------------------------------------------

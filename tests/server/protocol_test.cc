@@ -97,7 +97,7 @@ TEST(FrameCodec, EncodeDecodeRoundTrip) {
 
 TEST(FrameCodec, EmptyBodyRoundTrip) {
   std::string encoded;
-  EncodeFrame(MsgType::kBeginTxn, kFlagNone, "", &encoded);
+  EncodeFrame(MsgType::kStats, kFlagNone, "", &encoded);
   SplitFrame split = Split(encoded);
   MsgType type;
   uint8_t flags;

@@ -100,17 +100,20 @@ TEST(Reactor, PipelinesBufferedFramesInOneWrite) {
   ASSERT_GE(harness.server->resolved_reactors(), 1);
   Socket sock = RawHello(harness.server->port());
 
-  // BeginTxn now, so the batch below can reference the txn id.
+  // BeginTxn now; the client picks the id the batch below references.
+  const uint64_t txn_id = 1;
+  std::string begin_body;
+  WireWriter(&begin_body).PutU64(txn_id);
   std::string scratch;
-  ASSERT_TRUE(sock.WriteFrame(MsgType::kBeginTxn, kFlagNone, "", &scratch));
+  ASSERT_TRUE(
+      sock.WriteFrame(MsgType::kBeginTxn, kFlagNone, begin_body, &scratch));
   Frame reply;
   ASSERT_TRUE(sock.ReadFrame(&reply));
   ASSERT_EQ(ReplyStatus(reply), Status::kOk);
   WireReader begin_reader(reply.body);
   uint8_t status_byte = 0;
-  uint64_t txn_id = 0;
   ASSERT_TRUE(begin_reader.GetU8(&status_byte));
-  ASSERT_TRUE(begin_reader.GetU64(&txn_id));
+  ASSERT_TRUE(begin_reader.Exhausted());  // v4: status-only begin reply
 
   // One buffer: 16 AddNode frames plus the Commit, a single send.
   constexpr int kOps = 16;
@@ -278,17 +281,19 @@ TEST(Reactor, ContendedWritesOnOneLoopDoNotTimeout) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-// Opens a write transaction on a raw connection; returns its id.
+// Opens write transaction 1 on a raw connection; returns its id.
 uint64_t RawBeginTxn(Socket* sock) {
+  const uint64_t id = 1;
+  std::string body;
+  WireWriter(&body).PutU64(id);
   std::string scratch;
-  EXPECT_TRUE(sock->WriteFrame(MsgType::kBeginTxn, kFlagNone, "", &scratch));
+  EXPECT_TRUE(sock->WriteFrame(MsgType::kBeginTxn, kFlagNone, body, &scratch));
   Frame reply;
   EXPECT_TRUE(sock->ReadFrame(&reply));
   WireReader reader(reply.body);
   uint8_t status = 0;
-  uint64_t id = 0;
   EXPECT_TRUE(reader.GetU8(&status));
-  EXPECT_TRUE(reader.GetU64(&id));
+  EXPECT_TRUE(reader.Exhausted());  // v4: status-only begin reply
   return id;
 }
 
@@ -430,6 +435,7 @@ TEST(Reactor, ParkedEpochWaitsDoNotStallWriters) {
     bogus.push_back(RawHello(server.port()));
     std::string body;
     WireWriter writer(&body);
+    writer.PutU64(1);  // txn id
     writer.PutI64(INT64_MAX);
     writer.PutU32(5000);
     std::string scratch;

@@ -1,6 +1,8 @@
 // Server/client integration over real loopback TCP: session mapping,
 // pipelined scan streaming (multi-batch, early exit, connection reuse),
-// failure degradation, and concurrent clients. Contract-level behavior is
+// failure degradation, concurrent clients, the version handshake, the
+// blocking waits a session costs, and where a lazily begun snapshot falls
+// against other sessions' commits. Contract-level behavior is
 // covered by the conformance suite's RemoteLiveGraph backend; these tests
 // pin the network-specific mechanics.
 #include <gtest/gtest.h>
@@ -22,6 +24,8 @@
 #include "server/net.h"
 #include "server/remote_store.h"
 #include "server/wire.h"
+#include "shard/sharded_store.h"
+#include "util/metrics.h"
 
 namespace livegraph {
 namespace {
@@ -78,6 +82,35 @@ TEST(RemoteStore, ConnectFailsAgainstClosedPort) {
     ASSERT_TRUE(listener.valid());
   }
   EXPECT_EQ(RemoteStore::Connect("127.0.0.1", dead_port), nullptr);
+}
+
+// A fake server that accepts one connection, reads its Hello, and answers
+// kOk with `version` and plausible name/traits.
+TEST(RemoteStore, ConnectRejectsAHelloReplyOfAnotherVersion) {
+  uint16_t port = 0;
+  Socket listener = ListenTcp("127.0.0.1", 0, &port);
+  ASSERT_TRUE(listener.valid());
+  std::thread fake([&] {
+    Socket peer = AcceptTcp(listener);
+    if (!peer.valid()) return;
+    peer.SetRecvTimeout(5'000);
+    Frame hello;
+    if (!peer.ReadFrame(&hello)) return;
+    std::string body;
+    WireWriter writer(&body);
+    writer.PutU8(StatusToWire(Status::kOk));
+    writer.PutU32(3);  // a v3 server
+    writer.PutBytes("LiveGraph");
+    writer.PutU8(1);
+    writer.PutU8(1);
+    writer.PutU8(1);
+    std::string scratch;
+    peer.WriteFrame(MsgType::kReply, kFlagNone, body, &scratch);
+    char byte;
+    peer.ReadFull(&byte, 1);  // hold the connection until the client hangs up
+  });
+  EXPECT_EQ(RemoteStore::Connect("127.0.0.1", port), nullptr);
+  fake.join();
 }
 
 TEST(RemoteStore, WritesAreVisibleThroughTheEmbeddedEngine) {
@@ -259,13 +292,16 @@ TEST(RemoteStore, DroppedConnectionAbortsOpenTransactions) {
     Frame reply;
     ASSERT_TRUE(call(MsgType::kHello, body, &reply));
 
-    ASSERT_TRUE(call(MsgType::kBeginTxn, "", &reply));
+    const uint64_t txn_id = 1;  // v4: the client picks the id
+    body.clear();
+    WireWriter begin(&body);
+    begin.PutU64(txn_id);
+    ASSERT_TRUE(call(MsgType::kBeginTxn, body, &reply));
     WireReader reader(reply.body);
     uint8_t status;
-    uint64_t txn_id;
     ASSERT_TRUE(reader.GetU8(&status));
     ASSERT_EQ(StatusFromWire(status), Status::kOk);
-    ASSERT_TRUE(reader.GetU64(&txn_id));
+    ASSERT_TRUE(reader.Exhausted());
 
     body.clear();
     WireWriter add(&body);
@@ -283,6 +319,156 @@ TEST(RemoteStore, DroppedConnectionAbortsOpenTransactions) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(harness.engine->GetLink(id, 0, id).status(), Status::kNotFound);
+}
+
+// One blocking wait per request: the begin rides in the first request's
+// send and END_READ is never waited for.
+TEST(RemoteStore, OneOpReadSessionsCostOneWaitEach) {
+  Harness harness(/*scan_batch_edges=*/4);
+  RemoteStore& client = *harness.client;
+  vertex_t hub = client.AddNode("hub");
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(client.AddLink(hub, 0, client.AddNode("leaf"), "e").ok());
+  }
+  const uint64_t before = client.reply_waits();
+  for (int i = 0; i < 100; ++i) {
+    auto read = client.BeginReadTxn();
+    switch (i % 3) {
+      case 0:
+        ASSERT_EQ(read->GetNode(hub).value_or(""), "hub");
+        break;
+      case 1:
+        ASSERT_EQ(read->CountLinks(hub, 0), 3u);
+        break;
+      default: {
+        size_t edges = 0;
+        for (EdgeCursor c = read->ScanLinks(hub, 0); c.Valid(); c.Next()) {
+          ++edges;
+        }
+        ASSERT_EQ(edges, 3u);
+      }
+    }
+  }
+  EXPECT_EQ(client.reply_waits() - before, 100u);
+}
+
+TEST(RemoteStore, OneMutationWriteSessionCostsTwoWaits) {
+  Harness harness;
+  RemoteStore& client = *harness.client;
+  vertex_t a = client.AddNode("a");
+  vertex_t b = client.AddNode("b");
+  const uint64_t before = client.reply_waits();
+  auto txn = client.BeginTxn();
+  ASSERT_TRUE(txn->AddLink(a, 0, b, "edge").ok());
+  ASSERT_TRUE(txn->Commit().ok());
+  EXPECT_EQ(client.reply_waits() - before, 2u);
+}
+
+uint64_t ServerRequests(const char* op) {
+  return metrics::Registry::Instance().Collect().counter(
+      std::string("livegraph_server_requests_total{op=\"") + op + "\"}");
+}
+
+TEST(RemoteStore, ReadSessionWithoutRequestsSendsNothing) {
+  Harness harness;
+  RemoteStore& client = *harness.client;
+  ASSERT_NE(client.AddNode("warm"), kNullVertex);
+  const uint64_t begins = ServerRequests("BEGIN_READ_TXN");
+  const uint64_t writes = ServerRequests("BEGIN_TXN");
+  const uint64_t waits = client.reply_waits();
+  { auto read = client.BeginReadTxn(); }
+  EXPECT_EQ(client.reply_waits(), waits);
+  // A write on the same pooled connection: once the server has answered
+  // it, every frame sent before it has been handled too.
+  ASSERT_NE(client.AddNode("after"), kNullVertex);
+  EXPECT_EQ(ServerRequests("BEGIN_TXN") - writes, 1u);
+  EXPECT_EQ(ServerRequests("BEGIN_READ_TXN"), begins);
+}
+
+// END_READ is one-way and may be held back for the connection's next
+// request; on a connection that stays idle it still reaches the server
+// (the kernel's cork ceiling is about 200 ms), so no snapshot stays pinned.
+TEST(RemoteStore, EndReadReachesTheServerOnAnIdleConnection) {
+  Harness harness;
+  vertex_t v = harness.client->AddNode("v");
+  auto open_txns = [] {
+    return metrics::Registry::Instance().Collect().gauge(
+        "livegraph_server_open_txns");
+  };
+  const int64_t before = open_txns();
+  {
+    auto read = harness.client->BeginReadTxn();
+    ASSERT_EQ(read->GetNode(v).value_or(""), "v");
+    EXPECT_EQ(open_txns(), before + 1);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (open_txns() != before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(open_txns(), before);
+}
+
+ShardOptions SmallShardOptions() {
+  ShardOptions options;
+  options.shards = 4;
+  options.graph = SmallGraphOptions();
+  return options;
+}
+
+// A lazy begin still takes its snapshot before any commit the same
+// RemoteStore sends after Begin*() returned: thread A begins, thread B
+// then commits an update through the same store, and A's first read (sent
+// after that commit) must see the old value.
+void ExpectSnapshotPrecedesLaterCommits(std::unique_ptr<Store> engine) {
+  GraphServer::Options options;
+  if (const char* env = std::getenv("LG_TEST_REACTORS")) {
+    options.reactors = std::atoi(env);
+  }
+  std::unique_ptr<Store> store = MakeLoopbackStore(std::move(engine), options);
+  ASSERT_NE(store, nullptr);
+  vertex_t v = store->AddNode("value-0");
+  ASSERT_NE(v, kNullVertex);
+  constexpr int kRounds = 1000;
+  std::atomic<int> step{0};  // 2i+1: A began round i; 2i+2: B committed
+  auto await = [&](int value) {
+    while (step.load(std::memory_order_acquire) < value) {
+      std::this_thread::yield();
+    }
+  };
+  std::atomic<int> failures{0};
+  std::thread writer([&] {
+    for (int i = 1; i <= kRounds; ++i) {
+      await(2 * i - 1);
+      if (store->UpdateNode(v, "value-" + std::to_string(i)) != Status::kOk) {
+        failures.fetch_add(1);
+      }
+      step.store(2 * i, std::memory_order_release);
+    }
+  });
+  int stale_violations = 0;
+  for (int i = 1; i <= kRounds; ++i) {
+    auto read = store->BeginReadTxn();
+    step.store(2 * i - 1, std::memory_order_release);
+    await(2 * i);
+    if (read->GetNode(v).value_or("") != "value-" + std::to_string(i - 1)) {
+      ++stale_violations;
+    }
+  }
+  writer.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(stale_violations, 0);
+}
+
+TEST(RemoteStore, LazyBeginPrecedesLaterCommitsOnLiveGraph) {
+  ExpectSnapshotPrecedesLaterCommits(
+      std::make_unique<LiveGraphStore>(SmallGraphOptions()));
+}
+
+TEST(RemoteStore, LazyBeginPrecedesLaterCommitsOnShardedLiveGraph) {
+  ExpectSnapshotPrecedesLaterCommits(
+      std::make_unique<ShardedStore>(SmallShardOptions()));
 }
 
 TEST(RemoteStore, ConcurrentClientsCommitIndependently) {

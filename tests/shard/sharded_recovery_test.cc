@@ -296,7 +296,12 @@ TEST_F(ShardedRecoveryTest, RecoveredStoreServesConsistentSnapshots) {
   std::atomic<uint64_t> snapshots_checked{0};
   std::vector<std::thread> writers;
   for (int k = 0; k < kPairs; ++k) {
-    writers.emplace_back([&store, &pairs, k] {
+    writers.emplace_back([&store, &pairs, &snapshots_checked, k] {
+      // Start once a reader is running, so that on a loaded machine the
+      // writes cannot all finish before any snapshot is checked.
+      while (snapshots_checked.load(std::memory_order_relaxed) == 0) {
+        std::this_thread::yield();
+      }
       auto [a, b] = pairs[static_cast<size_t>(k)];
       for (int i = 1; i <= kWritesPerPair; ++i) {
         std::string value = std::to_string(i);

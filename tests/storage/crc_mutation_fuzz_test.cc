@@ -1,6 +1,7 @@
 // Deterministic mutation fuzz for the two CRC32C-guarded decoders: wire
 // frames read through Socket::ReadFrame (the blocking receive path
-// replication followers use) and WAL files read through WalReader
+// replication followers use) and through FrameReader (the buffered one
+// RemoteStore reads replies with), and WAL files read through WalReader
 // (recovery and replication catch-up). Every single-bit flip, every
 // truncation, a set of trailing extensions and a seeded stream of
 // multi-byte corruptions are applied to known-good encodings. The
@@ -25,6 +26,7 @@
 
 #include "server/net.h"
 #include "server/protocol.h"
+#include "server/wire.h"
 #include "storage/wal.h"
 #include "storage/wal_reader.h"
 
@@ -106,14 +108,18 @@ struct EncodedFrame {
   std::string body;
 };
 
-// The frames of tests/server/protocol_test.cc, plus a scan-sized body so
-// the checksum's 8-byte word loop and its tail both run.
+// The frames of tests/server/protocol_test.cc, plus a v4 begin (its
+// client-chosen txn id) and a scan-sized body so the checksum's 8-byte
+// word loop and its tail both run.
 std::vector<EncodedFrame> FrameFixtures() {
   std::string scan_body;
   for (int i = 0; i < 301; ++i) scan_body.push_back(static_cast<char>(i * 7));
+  std::string begin_body;
+  WireWriter(&begin_body).PutU64(1);
   return {
       {MsgType::kScanBatch, kFlagEndOfStream, "edge-bytes"},
-      {MsgType::kBeginTxn, kFlagNone, ""},
+      {MsgType::kStats, kFlagNone, ""},
+      {MsgType::kBeginTxn, kFlagNone, begin_body},
       {MsgType::kScanBatch, kFlagNone, "first"},
       {MsgType::kScanBatch, kFlagEndOfStream, "second"},
       {MsgType::kHello, kFlagNone, "hi"},
@@ -125,9 +131,10 @@ std::vector<EncodedFrame> FrameFixtures() {
   };
 }
 
-// Feeds `bytes` through a socket pair and reads frames with the real
-// receive path until it refuses one (or the stream ends).
-std::vector<Frame> ReadAllFrames(const std::string& bytes) {
+// Feeds `bytes` through a socket pair and reads frames with a real
+// receive path (Socket::ReadFrame, or FrameReader when `buffered`) until
+// it refuses one (or the stream ends).
+std::vector<Frame> ReadAllFrames(const std::string& bytes, bool buffered) {
   int fds[2];
   EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   Socket writer(fds[0]);
@@ -136,7 +143,11 @@ std::vector<Frame> ReadAllFrames(const std::string& bytes) {
   writer.Shutdown();
   std::vector<Frame> frames;
   Frame frame;
-  while (reader.ReadFrame(&frame)) frames.push_back(frame);
+  FrameReader frame_reader;
+  while (buffered ? frame_reader.Read(&reader, &frame)
+                  : reader.ReadFrame(&frame)) {
+    frames.push_back(frame);
+  }
   return frames;
 }
 
@@ -160,15 +171,21 @@ void FuzzFrameStream(const std::vector<EncodedFrame>& frames) {
     EncodeFrame(f.type, f.flags, f.body, &encoded);
     ends.push_back(encoded.size());
   }
-  ExpectFramePrefix(ReadAllFrames(encoded), frames, frames.size(), "clean");
-  for (const Mutation& m : Mutations(encoded, ends[0], /*random_trials=*/200)) {
-    size_t intact = 0;
-    while (intact < ends.size() && ends[intact] <= m.first_change) ++intact;
-    const std::string context = "mutation at byte " +
-                                std::to_string(m.first_change) + ", " +
-                                std::to_string(m.bytes.size()) + " bytes";
-    ExpectFramePrefix(ReadAllFrames(m.bytes), frames, intact, context);
-    if (::testing::Test::HasFailure()) return;
+  for (bool buffered : {false, true}) {
+    const std::string path = buffered ? "FrameReader" : "Socket::ReadFrame";
+    ExpectFramePrefix(ReadAllFrames(encoded, buffered), frames, frames.size(),
+                      path + ", clean");
+    for (const Mutation& m :
+         Mutations(encoded, ends[0], /*random_trials=*/200)) {
+      size_t intact = 0;
+      while (intact < ends.size() && ends[intact] <= m.first_change) ++intact;
+      const std::string context = path + ", mutation at byte " +
+                                  std::to_string(m.first_change) + ", " +
+                                  std::to_string(m.bytes.size()) + " bytes";
+      ExpectFramePrefix(ReadAllFrames(m.bytes, buffered), frames, intact,
+                        context);
+      if (::testing::Test::HasFailure()) return;
+    }
   }
 }
 
