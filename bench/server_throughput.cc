@@ -13,6 +13,9 @@
 //   LG_OPS      requests per client                     (default 20000)
 //   LG_SCALE    log2 vertices of the base graph         (default 15)
 //   LG_MIX      dflt | tao | ro                         (default dflt)
+//   LG_FSYNC_WAL  1 serves LiveGraph with a WAL that fdatasyncs every
+//               commit group, so the server commits on its commit lane
+//               (docs/SERVER.md "Event loop"); default 0: no WAL
 //   LG_CONNECT  host:port of an already-running livegraph_server; when
 //               unset the bench starts an in-process loopback server.
 //
@@ -54,6 +57,10 @@ const char* EnvString(const char* name, const char* fallback) {
   const char* value = std::getenv(name);
   return value != nullptr ? value : fallback;
 }
+
+/// LG_FSYNC_WAL=1: the served engine logs to a WAL with fsync on
+/// (BenchGraphOptions), the one configuration whose commits sync.
+bool FsyncWal() { return EnvInt("LG_FSYNC_WAL", 0) != 0; }
 
 void PrintJsonResult(const char* key, const DriverResult& result,
                      const char* trailer) {
@@ -106,7 +113,7 @@ int Run(bool json, bool dump_metrics) {
   // process and this engine is unused for serving (still used to report
   // the embedded baseline).
   std::unique_ptr<Store> store = MakeStore(engine, nullptr,
-                                           /*wal=*/false, shards);
+                                           /*wal=*/FsyncWal(), shards);
   vertex_t n = LoadLinkBenchGraph(store.get(), config);
 
   // Embedded baseline: same harness, in-process store. The gap to the
@@ -162,10 +169,13 @@ int Run(bool json, bool dump_metrics) {
                         : 0.0;
   if (json) {
     std::printf("{\n  \"bench\": \"server_throughput\",\n");
+    // commit_workers: the server's commit lane (0: commits on the loops;
+    // -1: an external server, not known here).
     std::printf("  \"engine\": \"%s\",\n  \"clients\": %d,\n"
-                "  \"ops_per_client\": %llu,\n",
+                "  \"ops_per_client\": %llu,\n  \"commit_workers\": %d,\n",
                 engine.c_str(), config.clients,
-                static_cast<unsigned long long>(config.ops_per_client));
+                static_cast<unsigned long long>(config.ops_per_client),
+                server != nullptr ? server->resolved_workers() : -1);
     PrintJsonResult("embedded", embedded, ",");
     PrintJsonResult("remote", result, ",");
     std::printf("  \"retained_pct\": %.1f%s\n", retained,
@@ -347,7 +357,7 @@ int RunModes(bool json, bool dump_metrics, size_t idle_conns) {
   }
 
   std::unique_ptr<Store> store = MakeStore(engine, nullptr,
-                                           /*wal=*/false, shards);
+                                           /*wal=*/FsyncWal(), shards);
   vertex_t n = LoadLinkBenchGraph(store.get(), config);
 
   if (!json) {

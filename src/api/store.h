@@ -138,9 +138,10 @@ class StoreTxn : public StoreReadTxn {
 
   // --- Cross-thread hand-off ---
   /// True if the session may migrate between threads mid-life (work phase
-  /// on one thread, Commit/Abort on another, one thread at a time). The
-  /// reactor server keys on this to run group-commit waits on its commit
-  /// workers instead of stalling an event loop. Engines whose
+  /// on one thread, Commit/Abort on another, one thread at a time). When
+  /// the store's commits sync a device (Store::CommitsSync), the reactor
+  /// server keys on this to run the commit on its commit lane instead of
+  /// stalling an event loop in the flush. Engines whose
   /// sessions hold thread-affine state (pthread latches held for the
   /// session's lifetime, thread-local caches) must leave this false; the
   /// server then commits them inline on the owning thread.
@@ -171,6 +172,14 @@ class Store {
   /// GraphServer multiplexes many sessions on each event-loop thread, so
   /// it refuses to serve such engines.
   virtual bool SupportsInterleavedSessions() const { return true; }
+
+  /// True if a write session's Commit() waits on a device flush (an
+  /// fdatasync of the WAL). GraphServer commits on the connection's event
+  /// loop unless this is true: only then is a commit slow enough that a
+  /// loop blocked in it would stall every other connection, and only then
+  /// does the server run commits on a commit lane (docs/SERVER.md
+  /// "Event loop").
+  virtual bool CommitsSync() const { return false; }
 
   // --- Auto-commit convenience wrappers ---
   // One-operation sessions with bounded conflict retry, for loaders and

@@ -47,6 +47,11 @@ class LiveGraphStore : public Store {
   std::unique_ptr<StoreTxn> BeginTxn() override;
   std::unique_ptr<StoreReadTxn> BeginReadTxn() override;
 
+  /// A commit syncs only when it logs to a WAL with fsync on.
+  bool CommitsSync() const override {
+    return !graph_->options().wal_path.empty() && graph_->options().fsync_wal;
+  }
+
   Graph& graph() { return *graph_; }
 
  private:

@@ -4,9 +4,14 @@
 // An accept thread hands every connection to the epoll reactor
 // (server/reactor.h): `reactors` event-loop threads own the accepted
 // connections, pipeline buffered requests, batch replies into single
-// writev calls, hand group-commit waits to a small worker pool, and park
-// connections whose request waits on a vertex lock or the replication
-// frontier, retrying them on the loop. Each connection
+// writev calls, commit on the loop, and park connections whose request
+// waits on a vertex lock or the replication frontier, retrying them on the
+// loop. Only an engine whose commit waits on a device flush
+// (Store::CommitsSync: a WAL with fsync on) gets a commit lane, a small
+// worker pool that keeps the flush off the loops: measured on LinkBench
+// DFLT, the lane costs a 26 us thread hop per commit without fsync, and
+// committing on the loop with fsync on let one fdatasync stall every
+// connection on it (docs/SERVER.md "Event loop"). Each connection
 // is a protocol session (server/session.h): it owns a table of open
 // transactions (ids handed out by Begin{,Read}Txn) mapped onto real
 // StoreTxn/StoreReadTxn sessions, so remote sessions keep exactly the
@@ -73,8 +78,10 @@ class GraphServer {
     /// Event-loop threads (docs/SERVER.md "Event loop"). 0 resolves to
     /// the hardware concurrency at Start().
     int reactors = 0;
-    /// Commit worker threads shared by the reactors: the one lane that
-    /// waits for group durability. 0 resolves to max(2, reactors).
+    /// Commit-lane threads shared by the reactors. The lane exists only
+    /// when the store's commits sync a device (Store::CommitsSync); then
+    /// 0 resolves to max(2, reactors). Otherwise every commit runs inline
+    /// on its event loop and this is ignored.
     int workers = 0;
     /// Reactor per-connection output-queue watermarks, in bytes: above
     /// high the reactor stops reading from the connection (and parks
@@ -115,6 +122,9 @@ class GraphServer {
 
   /// Reactor threads actually running. Valid after Start().
   int resolved_reactors() const { return resolved_reactors_; }
+  /// Commit-lane threads running: 0 when commits run on the event loops.
+  /// Valid after Start().
+  int resolved_workers() const { return resolved_workers_; }
 
  private:
   class PushStream;
@@ -133,6 +143,7 @@ class GraphServer {
   /// Adopted push streams still running (the reactors count their own).
   std::atomic<size_t> active_streams_{0};
   int resolved_reactors_ = 0;
+  int resolved_workers_ = 0;
 
   /// The event-loop front end (null before Start()).
   std::unique_ptr<ReactorGroup> reactor_group_;

@@ -80,7 +80,7 @@ struct Flags {
   size_t page_cache_pages = size_t{1} << 16;  // PagedLiveGraph: 256 MiB
   size_t scan_batch_edges = 512;
   int reactors = 0;  // event-loop threads; 0 = hw concurrency
-  int workers = 0;   // commit workers; 0 = max(2, reactors)
+  int workers = 0;   // commit-lane threads; 0 = max(2, reactors)
   int64_t idle_timeout_ms = 0;  // close silent connections; 0 = never
   std::string replica_of;   // "host:port" of the primary (follower mode)
   std::string replica_dir;  // follower durable dir (empty = in-memory)
@@ -127,9 +127,12 @@ int Usage(const char* argv0) {
       "          [--drain-deadline-ms=N] [--faults=SPEC]\n"
       "          [--metrics-port=N] [--slow-op-ms=N]\n"
       "  --reactors picks the epoll event-loop thread count (docs/SERVER.md\n"
-      "  \"Event loop\"; 0, the default, = hardware concurrency). --workers\n"
-      "  sizes the shared commit worker pool (0 = max(2, reactors));\n"
-      "  --idle-timeout-ms closes connections silent that long (0 = never).\n"
+      "  \"Event loop\"; 0, the default, = hardware concurrency). Commits\n"
+      "  run on the event loops unless they fsync (--durability=wal-fsync);\n"
+      "  then --workers sizes the commit lane that keeps the flush off the\n"
+      "  loops (0 = max(2, reactors)); the server.start line reports it as\n"
+      "  commit_workers (0: no lane). --idle-timeout-ms closes connections\n"
+      "  silent that long (0 = never).\n"
       "  --shards=N (N > 1) serves a hash-partitioned ShardedLiveGraph;\n"
       "  LiveGraph engine only. With durability the server recovers its\n"
       "  durable state on start; a sharded server uses --wal-path as its\n"
@@ -346,6 +349,7 @@ int main(int argc, char** argv) {
           .Str("host", flags.host)
           .U64("port", server.port())
           .I64("reactors", server.resolved_reactors())
+        .I64("commit_workers", server.resolved_workers())
           .Str("sha", livegraph::kBuildGitSha)
           .Str("build", livegraph::kBuildType)
           .Str("build_flags", livegraph::kBuildFlags)
@@ -412,6 +416,7 @@ int main(int argc, char** argv) {
         .Str("host", flags.host)
         .U64("port", server.port())
         .I64("reactors", server.resolved_reactors())
+        .I64("commit_workers", server.resolved_workers())
         .Str("sha", livegraph::kBuildGitSha)
         .Str("build", livegraph::kBuildType)
         .Str("build_flags", livegraph::kBuildFlags)

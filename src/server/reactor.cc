@@ -67,7 +67,7 @@ metrics::Counter& IdleClosedTotal() {
 
 }  // namespace
 
-/// A commit handed to the worker pool, and its result on the way back to
+/// A commit handed to the commit lane, and its result on the way back to
 /// the owning reactor.
 struct CommitTask {
   Reactor* reactor = nullptr;
@@ -80,25 +80,49 @@ struct CommitDone {
   StatusOr<timestamp_t> committed{Status::kUnavailable};
 };
 
-/// The shared commit pool: one queue, `workers` threads. A commit's wait
-/// for group durability is the one wait an event loop cannot finish by
-/// retrying — lock and frontier waits park their connection on its own
-/// loop instead (ServerSession::Outcome::kParked). A commit releases its
-/// transaction's vertex locks, so after each one the pool rings every
-/// reactor holding a parked connection; the atomic parked count keeps
-/// that to one load while nothing is parked.
+/// Parked connections across every reactor, and the rings that wake
+/// them. A commit releases its transaction's vertex locks, so after each
+/// one — inline on a loop or on the commit lane — the committer rings
+/// every other reactor holding a parked connection; the atomic count
+/// keeps that to one load while nothing is parked. A ring lost to a race
+/// costs one re-check tick, never correctness.
+class ParkedRing {
+ public:
+  /// The loops to ring; they outlive every committer.
+  void SetReactors(std::vector<Reactor*> reactors) {
+    reactors_ = std::move(reactors);
+  }
+
+  /// Loops add and subtract as connections park and unpark.
+  void AddParked(int64_t delta) { parked_.fetch_add(delta); }
+
+  /// Wakes every reactor other than `committer` that has parked
+  /// connections (the committer's own loop retries its parked ones
+  /// anyway).
+  void RingOthers(const Reactor* committer);
+
+ private:
+  std::vector<Reactor*> reactors_;
+  std::atomic<int64_t> parked_{0};
+};
+
+/// The commit lane, present only when the engine's commits sync a device
+/// (Store::CommitsSync): one queue, `workers` threads. A commit that waits
+/// on fdatasync is the one wait an event loop cannot finish by retrying —
+/// lock and frontier waits park their connection on its own loop instead
+/// (ServerSession::Outcome::kParked) — and a loop blocked in the flush
+/// would stall every other connection on it.
 ///
 /// Stop() drains the queue before joining: every handed-off transaction
 /// commits (its client may be gone, but its locks and epoch must not
 /// leak).
 class ReactorWorkerPool {
  public:
-  explicit ReactorWorkerPool(int workers) : workers_(workers) {}
+  ReactorWorkerPool(int workers, ParkedRing* ring)
+      : workers_(workers), ring_(ring) {}
   ~ReactorWorkerPool() { Stop(); }
 
-  /// `reactors` are the loops to ring; they outlive the pool's threads.
-  void Start(std::vector<Reactor*> reactors) {
-    reactors_ = std::move(reactors);
+  void Start() {
     for (int i = 0; i < workers_; ++i) {
       threads_.emplace_back([this] { Run(); });
     }
@@ -125,17 +149,11 @@ class ReactorWorkerPool {
     threads_.clear();
   }
 
-  /// Parked connections across every reactor (loops add and subtract;
-  /// a ring lost to a race costs one re-check tick, never correctness).
-  void AddParked(int64_t delta) { parked_.fetch_add(delta); }
-
  private:
   void Run();
-  void RingParked(const Reactor* committer);
 
   int workers_;
-  std::vector<Reactor*> reactors_;
-  std::atomic<int64_t> parked_{0};
+  ParkedRing* ring_;
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<CommitTask> queue_;
@@ -150,11 +168,13 @@ class ReactorWorkerPool {
 /// hand-off queues or the bare eventfd.
 class Reactor {
  public:
+  /// `workers` is null when there is no commit lane.
   Reactor(const ReactorGroup::Options& options,
-          const ReactorGroup::AdoptFn* adopt, ReactorWorkerPool* workers,
-          int index)
+          const ReactorGroup::AdoptFn* adopt, ParkedRing* ring,
+          ReactorWorkerPool* workers, int index)
       : options_(options),
         adopt_(adopt),
+        ring_(ring),
         workers_(workers),
         conn_gauge_(metrics::Registry::Instance().GetGauge(
             "livegraph_server_reactor_connections{reactor=\"" +
@@ -188,7 +208,7 @@ class Reactor {
     wake_.Signal();
   }
 
-  /// Worker-pool hand-back (any thread).
+  /// Commit-lane hand-back (any thread).
   void PostCompletion(CommitDone done) {
     {
       std::lock_guard<std::mutex> lock(completions_mu_);
@@ -197,8 +217,9 @@ class Reactor {
     wake_.Signal();
   }
 
-  /// Commit hand-back to a loop with parked connections (any thread):
-  /// they retry at this wakeup instead of the next re-check tick.
+  /// A commit elsewhere rings a loop with parked connections (any
+  /// thread): they retry at this wakeup instead of the next re-check
+  /// tick.
   void Ring() { wake_.Signal(); }
   bool has_parked() const { return parked_count_.load() > 0; }
 
@@ -217,8 +238,8 @@ class Reactor {
     ServerSession::Sink out;
     /// Currently registered epoll interest bits.
     uint32_t interest = Epoll::kRead;
-    /// kCommit: a worker runs the commit. kParked: `frame` waits to be
-    /// handled again (ServerSession::Outcome::kParked).
+    /// kCommit: the commit lane runs the commit. kParked: `frame` waits
+    /// to be handled again (ServerSession::Outcome::kParked).
     enum class Wait : uint8_t { kNone, kCommit, kParked };
     Wait wait = Wait::kNone;
     bool eof = false;
@@ -266,6 +287,12 @@ class Reactor {
         DrainCompletions(&frames);
       }
       if (!parked_.empty()) RetryParked(&frames);
+      if (committed_) {
+        // Inline commits this round released their locks: waiters parked
+        // on other loops retry now, not at their next re-check tick.
+        committed_ = false;
+        ring_->RingOthers(this);
+      }
       if (!events.empty()) FramesPerWakeup().Record(frames);
       Sweep();
     }
@@ -346,7 +373,13 @@ class Reactor {
       }
       conn->in_off += kFrameHeaderSize + body_size;
       ++*frames;
-      Dispatch(conn, conn->session.Handle(conn->frame, &conn->out));
+      ServerSession::Outcome outcome =
+          conn->session.Handle(conn->frame, &conn->out);
+      if (conn->frame.type == MsgType::kCommit &&
+          outcome != ServerSession::Outcome::kCommitAsync) {
+        committed_ = true;
+      }
+      Dispatch(conn, outcome);
     }
     // Reclaim the consumed prefix once it is worth a memmove.
     if (conn->in_off == conn->in_len) {
@@ -472,7 +505,7 @@ class Reactor {
 
   void CountParked(int64_t delta) {
     parked_count_.fetch_add(delta);
-    workers_->AddParked(delta);
+    ring_->AddParked(delta);
   }
 
   /// Handles every parked connection's frame again. Those still waiting
@@ -614,6 +647,7 @@ class Reactor {
 
   const ReactorGroup::Options& options_;
   const ReactorGroup::AdoptFn* adopt_;
+  ParkedRing* ring_;
   ReactorWorkerPool* workers_;
   metrics::Gauge& conn_gauge_;
 
@@ -622,8 +656,10 @@ class Reactor {
   std::thread thread_;
   std::atomic<bool> running_{false};
   std::atomic<size_t> active_{0};
-  /// parked_.size(), for the worker pool's rings.
+  /// parked_.size(), for other committers' rings.
   std::atomic<int64_t> parked_count_{0};
+  /// A commit ran inline on this loop since the last ring.
+  bool committed_ = false;
 
   uint64_t next_id_ = 1;
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
@@ -655,15 +691,14 @@ void ReactorWorkerPool::Run() {
     task.txn->AttachToThread();
     done.committed = task.txn->Commit();
     task.txn.reset();
-    RingParked(task.reactor);
+    ring_->RingOthers(task.reactor);
     task.reactor->PostCompletion(std::move(done));
   }
 }
 
-void ReactorWorkerPool::RingParked(const Reactor* committer) {
+void ParkedRing::RingOthers(const Reactor* committer) {
   if (parked_.load() == 0) return;
   for (Reactor* reactor : reactors_) {
-    // The committer's own loop wakes for the completion anyway.
     if (reactor != committer && reactor->has_parked()) reactor->Ring();
   }
 }
@@ -676,15 +711,20 @@ ReactorGroup::~ReactorGroup() { Stop(); }
 bool ReactorGroup::Start() {
   if (running_) return true;
   int reactors = options_.reactors < 1 ? 1 : options_.reactors;
-  int workers = options_.workers < 1 ? 1 : options_.workers;
-  workers_ = std::make_unique<ReactorWorkerPool>(workers);
+  ring_ = std::make_unique<ParkedRing>();
+  if (options_.workers > 0) {
+    workers_ = std::make_unique<ReactorWorkerPool>(options_.workers,
+                                                   ring_.get());
+  }
+  options_.session.commit_lane = workers_ != nullptr;
   std::vector<Reactor*> loops;
   for (int i = 0; i < reactors; ++i) {
-    reactors_.push_back(
-        std::make_unique<Reactor>(options_, &adopt_, workers_.get(), i));
+    reactors_.push_back(std::make_unique<Reactor>(
+        options_, &adopt_, ring_.get(), workers_.get(), i));
     loops.push_back(reactors_.back().get());
   }
-  workers_->Start(std::move(loops));
+  ring_->SetReactors(std::move(loops));
+  if (workers_ != nullptr) workers_->Start();
   for (auto& reactor : reactors_) {
     if (!reactor->Start()) {
       Stop();
@@ -697,7 +737,7 @@ bool ReactorGroup::Start() {
 
 void ReactorGroup::Stop() {
   // Loops first: they stop submitting new work, close their connections,
-  // and exit. The pool then drains — completions posted to stopped
+  // and exit. The commit lane then drains — completions posted to stopped
   // reactors are left harmlessly until destruction. The Reactor objects
   // themselves stay alive (threads joined, zero connections) so that
   // concurrent active_connections() readers never race their teardown.

@@ -3,8 +3,8 @@
 // A ReactorGroup owns N event-loop threads ("reactors"), each with its own
 // epoll instance and an exclusive share of the accepted connections (the
 // acceptor hands sockets over round-robin, so a connection lives on one
-// reactor for its whole life and needs no locking), plus one small shared
-// worker pool for group commits.
+// reactor for its whole life and needs no locking), plus — only when the
+// engine's commits sync a device — one small shared commit lane.
 //
 // Per connection the reactor keeps a non-blocking read/decode state
 // machine and a bounded output queue:
@@ -19,20 +19,24 @@
 //     when EPOLLOUT drains the queue below the low water mark, reading
 //     and the scan resume. Memory per connection stays bounded no matter
 //     how asymmetric the peer.
-//   - Commits: a commit's wait for group durability runs on the worker
-//     pool (the transaction migrates threads — api/store.h "Cross-thread
-//     hand-off"); the completion is posted back to the owning reactor
-//     through an eventfd and the reply is sent from the loop, preserving
-//     reply order.
+//   - Commits: run inline on the owning loop. Without fsync a commit
+//     waits only on its group's writev and on other running committers,
+//     and a worker hop would cost more than the commit itself. When the
+//     engine's commit waits on fdatasync (Store::CommitsSync), the commit
+//     goes to the commit lane instead (the transaction migrates threads —
+//     api/store.h "Cross-thread hand-off"), so one flush does not stall
+//     every connection on the loop; the completion is posted back to the
+//     owning reactor through an eventfd and the reply is sent from the
+//     loop, preserving reply order.
 //   - Parked waits: a mutation whose vertex lock another transaction
 //     holds, or an epoch-gated read ahead of the frontier, parks its
 //     connection with the decoded frame (ServerSession::Outcome::kParked).
 //     The holder is often another connection on the SAME loop, so the
 //     loop must never block on the lock. The loop handles a parked frame
-//     again after every commit (the pool rings each reactor with parked
-//     connections) and at least every millisecond, until it succeeds or
-//     its deadline — the engine's lock timeout, or the read's own
-//     timeout — passes.
+//     again after every commit (the committer rings each reactor with
+//     parked connections) and at least every millisecond, until it
+//     succeeds or its deadline — the engine's lock timeout, or the read's
+//     own timeout — passes.
 //
 // Replication subscriptions (kSubscribe) do not fit an event loop — they
 // are infinite write-mostly streams — so the reactor detaches the socket
@@ -51,6 +55,7 @@
 
 namespace livegraph {
 
+class ParkedRing;
 class Reactor;
 class ReactorWorkerPool;
 
@@ -59,8 +64,10 @@ class ReactorGroup {
   struct Options {
     /// Event-loop thread count (resolved by the caller; >= 1).
     int reactors = 1;
-    /// Commit worker threads shared by all reactors.
-    int workers = 2;
+    /// Commit-lane threads shared by all reactors. 0 starts no lane: every
+    /// commit runs inline on its loop. Set it only for engines whose
+    /// commits sync a device (Store::CommitsSync).
+    int workers = 0;
     /// Output-queue watermarks, bytes per connection. Above high: stop
     /// reading and park scans. Below low: resume.
     size_t write_high_water = 1u << 20;
@@ -72,7 +79,8 @@ class ReactorGroup {
     /// is dead weight (peer stopped draining) and is closed. Also the send
     /// timeout an adopted subscription socket leaves with. 0 disables.
     int64_t write_stall_timeout_ms = 30'000;
-    /// Session template: store, scan budgets, frontier.
+    /// Session template: store, scan budgets, frontier. Start() sets its
+    /// commit_lane from `workers`.
     ServerSession::Config session;
   };
 
@@ -89,7 +97,7 @@ class ReactorGroup {
 
   bool Start();
   /// Stops the loops (closing every connection; sessions abort their open
-  /// transactions), then drains and joins the worker pool. Idempotent.
+  /// transactions), then drains and joins the commit lane. Idempotent.
   void Stop();
 
   /// Hands an accepted socket to the next reactor (round-robin).
@@ -101,6 +109,10 @@ class ReactorGroup {
  private:
   Options options_;
   AdoptFn adopt_;
+  /// Declared first: the loops and the lane ring through it until they
+  /// are destroyed.
+  std::unique_ptr<ParkedRing> ring_;
+  /// Null when there is no commit lane.
   std::unique_ptr<ReactorWorkerPool> workers_;
   std::vector<std::unique_ptr<Reactor>> reactors_;
   size_t next_reactor_ = 0;

@@ -319,11 +319,11 @@ ServerSession::Outcome ServerSession::HandleCommit(WireReader& reader,
   std::unique_ptr<StoreTxn> txn = std::move(it->second.write);
   txns_.erase(it);
   OpenTxnsGauge().Sub(1);
-  if (txn->SupportsThreadHandoff()) {
-    // The commit would futex-wait on group durability; hand it to a
-    // worker so the event loop keeps serving other connections. Detach
-    // here — still on the transport thread — so the worker may release
-    // the transaction's locks (api/store.h "Cross-thread hand-off").
+  if (config_.commit_lane && txn->SupportsThreadHandoff()) {
+    // The commit would wait on a device flush; hand it to the lane so
+    // the event loop keeps serving other connections. Detach here — still
+    // on the transport thread — so the worker may release the
+    // transaction's locks (api/store.h "Cross-thread hand-off").
     txn->DetachFromThread();
     pending_commit_.txn = std::move(txn);
     pending_commit_.start_nanos = request_start_ns_;

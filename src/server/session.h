@@ -9,11 +9,15 @@
 //   kScanPaused   a streaming scan hit output backpressure mid-list; the
 //                 cursor (and the engine read session it borrows from)
 //                 stays parked in the session until ResumeScan().
-//   kCommitAsync  a write commit would futex-wait on group durability;
-//                 TakePendingCommit() hands the StoreTxn to a commit
+//   kCommitAsync  a write commit would wait on a device flush: the
+//                 server has a commit lane (Config::commit_lane, set only
+//                 when Store::CommitsSync) and the session supports
+//                 cross-thread hand-off (api/store.h).
+//                 TakePendingCommit() hands the StoreTxn to a lane
 //                 worker, whose result comes back through FinishCommit().
-//                 Engines without cross-thread hand-off (api/store.h)
-//                 commit inline instead.
+//                 Every other commit runs inline: without fsync it waits
+//                 only on a writev and on other running committers, less
+//                 than a worker hop costs.
 //   kParked       the request would wait on something another session
 //                 or thread resolves: a vertex lock held by another
 //                 transaction (StoreTxn::TryLockVertex), or a frontier
@@ -97,7 +101,7 @@ class ServerSession {
     kDone,         // request handled, replies queued
     kClose,        // protocol violation or dead sink: close the connection
     kScanPaused,   // scan parked on backpressure; ResumeScan() when clear
-    kCommitAsync,  // TakePendingCommit() -> worker -> FinishCommit()
+    kCommitAsync,  // TakePendingCommit() -> lane -> FinishCommit()
     kParked,       // would wait; Handle() the same frame again later
     kSubscribe,    // hand the socket to a blocking replication thread
   };
@@ -109,6 +113,9 @@ class ServerSession {
     size_t scan_batch_bytes = 60 * 1024;
     /// Epoch-gated reads (kBeginReadTxnAt); null rejects positive bounds.
     EpochFrontier* frontier = nullptr;
+    /// A commit lane exists: hand-off-capable commits leave the transport
+    /// thread (Outcome::kCommitAsync). False commits every session inline.
+    bool commit_lane = false;
   };
 
   explicit ServerSession(const Config& config);

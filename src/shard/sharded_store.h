@@ -148,6 +148,12 @@ class ShardedStore : public Store {
   std::unique_ptr<StoreTxn> BeginTxn() override;
   std::unique_ptr<StoreReadTxn> BeginReadTxn() override;
 
+  /// A commit syncs only when the store is durable (per-shard WALs) with
+  /// fsync on.
+  bool CommitsSync() const override {
+    return !options_.dir.empty() && options_.graph.fsync_wal;
+  }
+
   /// Typed BeginReadTxn, for callers that want fan-in scans or the read
   /// epoch without a downcast.
   std::unique_ptr<ShardedReadTxn> BeginShardedReadTxn();

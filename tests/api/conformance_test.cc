@@ -70,6 +70,7 @@ class ScopedDirStore : public Store {
   std::unique_ptr<StoreReadTxn> BeginReadTxn() override {
     return inner_->BeginReadTxn();
   }
+  bool CommitsSync() const override { return inner_->CommitsSync(); }
 
  private:
   std::unique_ptr<Store> inner_;
@@ -419,6 +420,50 @@ INSTANTIATE_TEST_SUITE_P(
                              root));
                        }))),
     [](const auto& info) { return info.param.first; });
+
+// Store::CommitsSync decides where GraphServer runs commits (on the event
+// loop, or on its commit lane), so each engine must report exactly whether
+// its Commit() waits on an fdatasync: only a WAL with fsync on does.
+TEST(CommitsSync, TrueOnlyForAWalWithFsync) {
+  const std::string root = "/tmp/lg_conformance_sync_" +
+                           std::to_string(::getpid());
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  auto graph = [&](const char* wal, bool fsync) {
+    GraphOptions options = SmallGraphOptions();
+    if (wal != nullptr) options.wal_path = root + "/" + wal;
+    options.fsync_wal = fsync;
+    return options;
+  };
+  auto sharded = [&](const char* dir, bool fsync) {
+    ShardOptions options = SmallShardOptions();
+    if (dir != nullptr) options.dir = root + "/" + dir;
+    options.graph.fsync_wal = fsync;
+    return options;
+  };
+
+  // fsync_wal defaults to true: without a WAL there is nothing to sync.
+  EXPECT_FALSE(LiveGraphStore(graph(nullptr, true)).CommitsSync());
+  EXPECT_FALSE(LiveGraphStore(graph("nosync.wal", false)).CommitsSync());
+  EXPECT_TRUE(LiveGraphStore(graph("sync.wal", true)).CommitsSync());
+
+  EXPECT_FALSE(ShardedStore(sharded(nullptr, true)).CommitsSync());
+  EXPECT_FALSE(ShardedStore(sharded("nosync", false)).CommitsSync());
+  EXPECT_TRUE(ShardedStore(sharded("sync", true)).CommitsSync());
+  // A graph WAL path stands in for the directory (ShardOptions::dir).
+  ShardOptions via_wal = sharded(nullptr, true);
+  via_wal.graph.wal_path = root + "/via_wal";
+  EXPECT_TRUE(ShardedStore(via_wal).CommitsSync());
+
+  EXPECT_FALSE(LsmtStore().CommitsSync());
+  EXPECT_FALSE(BTreeStore().CommitsSync());
+  EXPECT_FALSE(LinkedListStore().CommitsSync());
+  // The client side of a served engine never syncs itself.
+  EXPECT_FALSE(MakeLoopbackStore(std::make_unique<LiveGraphStore>(
+                                     graph("served.wal", true)))
+                   ->CommitsSync());
+  std::filesystem::remove_all(root);
+}
 
 // StoreTxn::TryLockVertex on the engines that hold per-vertex write locks:
 // the non-blocking acquisition the reactor server parks connections on.

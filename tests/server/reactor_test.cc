@@ -3,16 +3,20 @@
 // idle-connection reaping, output backpressure on streaming scans,
 // graceful drain, and parked waits — a contended vertex lock or an
 // epoch-gated read parks its connection on the event loop, so it neither
-// rides to the engine's deadlock timeout nor stalls other clients.
+// rides to the engine's deadlock timeout nor stalls other clients. The
+// lock-wait cases run on both commit paths: inline on the loop (no WAL)
+// and on the commit lane (a WAL with fsync on).
 // Protocol semantics live in remote_store_test.cc.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -45,11 +49,29 @@ int ResolveReactors(int requested) {
   return requested;
 }
 
-// Engine + server + connected client.
+// Where the server runs commits: on the event loop (an engine whose
+// commits never sync a device), or on the commit lane (a WAL with fsync
+// on, Store::CommitsSync).
+enum class CommitPath { kInline, kLane };
+
+// Engine + server + connected client. kLane gives the engine a WAL with
+// fsync on, in a fresh directory removed at teardown.
 struct Harness {
   explicit Harness(GraphServer::Options options = {},
-                   GraphOptions graph = SmallGraphOptions()) {
+                   GraphOptions graph = SmallGraphOptions(),
+                   CommitPath path = CommitPath::kInline) {
     options.reactors = ResolveReactors(options.reactors);
+    if (path == CommitPath::kLane) {
+      static int counter = 0;
+      wal_dir = (std::filesystem::temp_directory_path() /
+                 ("lg_reactor_test_" + std::to_string(::getpid()) + "_" +
+                  std::to_string(counter++)))
+                    .string();
+      std::filesystem::remove_all(wal_dir);
+      std::filesystem::create_directories(wal_dir);
+      graph.wal_path = wal_dir + "/wal.log";
+      graph.fsync_wal = true;
+    }
     engine = std::make_unique<LiveGraphStore>(graph);
     server = std::make_unique<GraphServer>(*engine, options);
     EXPECT_TRUE(server->Start());
@@ -59,8 +81,22 @@ struct Harness {
   ~Harness() {
     client.reset();
     server->Stop();
+    server.reset();
+    engine.reset();
+    if (!wal_dir.empty()) std::filesystem::remove_all(wal_dir);
   }
 
+  /// The commit path the server chose: no lane threads exactly when
+  /// commits run on the loop.
+  void ExpectCommitPath(CommitPath path) const {
+    if (path == CommitPath::kInline) {
+      EXPECT_EQ(server->resolved_workers(), 0);
+    } else {
+      EXPECT_GE(server->resolved_workers(), 1);
+    }
+  }
+
+  std::string wal_dir;
   std::unique_ptr<Store> engine;
   std::unique_ptr<GraphServer> server;
   std::unique_ptr<RemoteStore> client;
@@ -253,11 +289,12 @@ TEST(Reactor, BackpressuredScanStreamsCompletely) {
 // deadlock timeout and fail with kTimeout (which RunWrite does not
 // retry); parking the waiter keeps the loop serving the release, so all
 // ops succeed.
-TEST(Reactor, ContendedWritesOnOneLoopDoNotTimeout) {
+void ContendedWritesOnOneLoop(CommitPath path) {
   GraphServer::Options options;
   options.reactors = 1;
-  Harness harness(options);
+  Harness harness(options, SmallGraphOptions(), path);
   ASSERT_EQ(harness.server->resolved_reactors(), 1);
+  harness.ExpectCommitPath(path);
 
   vertex_t hot = harness.client->AddNode("hot");
   vertex_t other = harness.client->AddNode("other");
@@ -279,6 +316,14 @@ TEST(Reactor, ContendedWritesOnOneLoopDoNotTimeout) {
   t1.join();
   t2.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(Reactor, ContendedWritesOnOneLoopDoNotTimeout) {
+  ContendedWritesOnOneLoop(CommitPath::kInline);
+}
+
+TEST(Reactor, ContendedWritesOnOneLoopDoNotTimeoutOnCommitLane) {
+  ContendedWritesOnOneLoop(CommitPath::kLane);
 }
 
 // Opens write transaction 1 on a raw connection; returns its id.
@@ -309,6 +354,23 @@ bool SendAddLink(Socket* sock, uint64_t txn, vertex_t src, vertex_t dst) {
   return sock->WriteFrame(MsgType::kAddLink, kFlagNone, body, &scratch);
 }
 
+bool SendUpdateNode(Socket* sock, uint64_t txn, vertex_t v) {
+  std::string body;
+  WireWriter writer(&body);
+  writer.PutU64(txn);
+  writer.PutI64(v);
+  writer.PutBytes("held");
+  std::string scratch;
+  return sock->WriteFrame(MsgType::kUpdateNode, kFlagNone, body, &scratch);
+}
+
+bool SendCommit(Socket* sock, uint64_t txn) {
+  std::string body;
+  WireWriter(&body).PutU64(txn);
+  std::string scratch;
+  return sock->WriteFrame(MsgType::kCommit, kFlagNone, body, &scratch);
+}
+
 // True when a reply is already waiting on the socket.
 bool ReplyPending(const Socket& sock) {
   char byte;
@@ -330,12 +392,13 @@ uint64_t LockTimeouts() {
 // A writer blocked on a vertex lock parks its connection, not the loop:
 // with ONE reactor, a reader's 100 round trips complete while the writer
 // waits, and the writer goes through once the holder commits.
-TEST(Reactor, ParkedWriterLetsOtherClientsRun) {
+void ParkedWriterLetsOtherClientsRun(CommitPath path) {
   GraphServer::Options options;
   options.reactors = 1;
   GraphOptions graph = SmallGraphOptions();
   graph.lock_timeout_ns = int64_t{30} * 1'000'000'000;  // never the limit
-  Harness harness(options, graph);
+  Harness harness(options, graph, path);
+  harness.ExpectCommitPath(path);
   vertex_t v = harness.client->AddNode("v");
   vertex_t other = harness.client->AddNode("other");
   const uint64_t samples_before = LockWaitSamples();
@@ -362,6 +425,56 @@ TEST(Reactor, ParkedWriterLetsOtherClientsRun) {
   ASSERT_TRUE(holder->Commit().ok());
   Frame reply;
   ASSERT_TRUE(b.ReadFrame(&reply));
+  EXPECT_EQ(ReplyStatus(reply), Status::kOk);
+  EXPECT_EQ(LockWaitSamples(), samples_before + 1);
+}
+
+TEST(Reactor, ParkedWriterLetsOtherClientsRun) {
+  ParkedWriterLetsOtherClientsRun(CommitPath::kInline);
+}
+
+TEST(Reactor, ParkedWriterLetsOtherClientsRunOnCommitLane) {
+  ParkedWriterLetsOtherClientsRun(CommitPath::kLane);
+}
+
+// Two loops, commits inline: the holder commits on one loop and the
+// writer parked on the other gets its reply — the holder's loop rings the
+// other one, as the commit lane does after each of its commits.
+TEST(Reactor, InlineCommitWakesWriterParkedOnAnotherLoop) {
+  GraphServer::Options options;
+  options.reactors = 2;
+  GraphOptions graph = SmallGraphOptions();
+  graph.lock_timeout_ns = int64_t{30} * 1'000'000'000;  // never the limit
+  Harness harness(options, graph);
+  ASSERT_EQ(harness.server->resolved_reactors(), 2);
+  harness.ExpectCommitPath(CommitPath::kInline);
+  vertex_t v = harness.client->AddNode("v");
+  vertex_t other = harness.client->AddNode("other");
+  const uint64_t samples_before = LockWaitSamples();
+
+  // The acceptor deals connections round-robin, so two connections dialed
+  // back to back land on different loops.
+  Socket holder = RawHello(harness.server->port());
+  Socket writer = RawHello(harness.server->port());
+  uint64_t holder_txn = RawBeginTxn(&holder);
+  ASSERT_TRUE(SendUpdateNode(&holder, holder_txn, v));
+  Frame reply;
+  ASSERT_TRUE(holder.ReadFrame(&reply));
+  ASSERT_EQ(ReplyStatus(reply), Status::kOk);
+
+  uint64_t writer_txn = RawBeginTxn(&writer);
+  ASSERT_TRUE(SendAddLink(&writer, writer_txn, v, other));
+  // Give the writer's loop time to try the AddLink and park it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(ReplyPending(writer)) << "writer answered while v is held";
+
+  ASSERT_TRUE(SendCommit(&holder, holder_txn));
+  ASSERT_TRUE(holder.ReadFrame(&reply));
+  EXPECT_EQ(ReplyStatus(reply), Status::kOk);
+  ASSERT_TRUE(writer.ReadFrame(&reply));
+  EXPECT_EQ(ReplyStatus(reply), Status::kOk);
+  ASSERT_TRUE(SendCommit(&writer, writer_txn));
+  ASSERT_TRUE(writer.ReadFrame(&reply));
   EXPECT_EQ(ReplyStatus(reply), Status::kOk);
   EXPECT_EQ(LockWaitSamples(), samples_before + 1);
 }
@@ -418,14 +531,13 @@ TEST(Reactor, ParkedWriterTimesOutAndAborts) {
 }
 
 // Epoch-gated reads for an epoch the frontier never reaches park on the
-// loop instead of holding worker threads: with ONE worker, two of them
-// waiting out 5 s timeouts leave the contended-write hammer unaffected.
+// loop instead of holding a thread: on ONE loop, two of them waiting out
+// 5 s timeouts leave the contended-write hammer unaffected.
 TEST(Reactor, ParkedEpochWaitsDoNotStallWriters) {
   auto engine = std::make_unique<LiveGraphStore>(SmallGraphOptions());
   DomainFrontier frontier(engine->graph().epoch_domain());
   GraphServer::Options options;
   options.reactors = 1;
-  options.workers = 1;
   options.frontier = &frontier;
   GraphServer server(*engine, options);
   ASSERT_TRUE(server.Start());
