@@ -2,8 +2,8 @@
 // against a graph server over localhost TCP, through the same
 // workload/driver.h harness the embedded benches use — the only change is
 // that the Store handed to RunLinkBench is a RemoteStore. Reports
-// throughput, p50/p99 (plus mean/p999) and the failed-request count, for
-// the server stack against the embedded baseline it wraps.
+// throughput, p50/p99 (plus mean/p999) and the failed requests counted by
+// status, for the server stack against the embedded baseline it wraps.
 //
 // Env knobs:
 //   LG_ENGINE   LiveGraph | LSMT                       (default LiveGraph;
@@ -23,7 +23,7 @@
 // (docs/REPLICATION.md): a durable sharded primary with WAL shipping
 // attached and one follower, then the TAO-style read-only mix against
 // ONE read target (primary) vs TWO read targets (primary + follower,
-// driven concurrently). Emit with --json as BENCH_replication.json.
+// driven concurrently).
 //
 // --idle-conns=K runs the connection-scale check instead (docs/SERVER.md
 // "Event loop"): the same LinkBench mix against the reactor server while K
@@ -62,16 +62,29 @@ const char* EnvString(const char* name, const char* fallback) {
 /// (BenchGraphOptions), the one configuration whose commits sync.
 bool FsyncWal() { return EnvInt("LG_FSYNC_WAL", 0) != 0; }
 
+/// The failed requests by status: `{"Timeout": 2}` as JSON, or
+/// `Timeout=2` as text.
+std::string FailuresByStatus(const DriverResult& result, bool json) {
+  std::string out;
+  for (const auto& [status, count] : result.failures_by_status) {
+    if (!out.empty()) out += json ? ", " : " ";
+    const std::string name = StatusName(status);
+    out += (json ? "\"" + name + "\": " : name + "=") + std::to_string(count);
+  }
+  return json ? "{" + out + "}" : out;
+}
+
 void PrintJsonResult(const char* key, const DriverResult& result,
                      const char* trailer) {
   std::printf("  \"%s\": {\"throughput\": %.0f, \"mean_ms\": %.4f, "
               "\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"p999_ms\": %.4f, "
-              "\"failures\": %llu}%s\n",
+              "\"failures\": %llu, \"failures_by_status\": %s}%s\n",
               key, result.throughput(), result.overall.MeanMillis(),
               result.overall.PercentileMillis(0.50),
               result.overall.PercentileMillis(0.99),
               result.overall.PercentileMillis(0.999),
-              static_cast<unsigned long long>(result.failures), trailer);
+              static_cast<unsigned long long>(result.failures),
+              FailuresByStatus(result, /*json=*/true).c_str(), trailer);
 }
 
 void PrintRemoteRow(const char* label, const DriverResult& result) {
@@ -81,8 +94,9 @@ void PrintRemoteRow(const char* label, const DriverResult& result) {
               result.overall.PercentileMillis(0.99),
               result.overall.PercentileMillis(0.999));
   if (result.failures > 0) {
-    std::printf("  (%llu failed)",
-                static_cast<unsigned long long>(result.failures));
+    std::printf("  (%llu failed: %s)",
+                static_cast<unsigned long long>(result.failures),
+                FailuresByStatus(result, /*json=*/false).c_str());
   }
   std::printf("\n");
 }
@@ -328,7 +342,7 @@ void PrintModeJson(const char* key, const ModeResult& mode, const char* trailer)
   std::printf("  \"%s\": {\"idle_requested\": %zu, \"idle_ok\": %zu, "
               "\"throughput\": %.0f, \"mean_ms\": %.4f, \"p50_ms\": %.4f, "
               "\"p99_ms\": %.4f, \"p999_ms\": %.4f, \"failures\": %llu, "
-              "\"sequential_write_ops_s\": %.0f, "
+              "\"failures_by_status\": %s, \"sequential_write_ops_s\": %.0f, "
               "\"pipelined_write_ops_s\": %.0f, \"pipeline_speedup\": %.2f}%s\n",
               key, mode.idle_requested, mode.idle_ok, mode.mix.throughput(),
               mode.mix.overall.MeanMillis(),
@@ -336,6 +350,7 @@ void PrintModeJson(const char* key, const ModeResult& mode, const char* trailer)
               mode.mix.overall.PercentileMillis(0.99),
               mode.mix.overall.PercentileMillis(0.999),
               static_cast<unsigned long long>(mode.mix.failures),
+              FailuresByStatus(mode.mix, /*json=*/true).c_str(),
               mode.sequential_ops_s, mode.pipelined_ops_s,
               mode.sequential_ops_s > 0
                   ? mode.pipelined_ops_s / mode.sequential_ops_s
@@ -401,9 +416,10 @@ int RunModes(bool json, bool dump_metrics, size_t idle_conns) {
   // connection accepted and zero failed requests in the live mix.
   if (reactor.idle_ok != idle_conns || reactor.mix.failures != 0) {
     std::fprintf(stderr, "server_modes: FAILED gate (idle %zu/%zu, "
-                 "failures %llu)\n",
+                 "failures %llu: %s)\n",
                  reactor.idle_ok, idle_conns,
-                 static_cast<unsigned long long>(reactor.mix.failures));
+                 static_cast<unsigned long long>(reactor.mix.failures),
+                 FailuresByStatus(reactor.mix, /*json=*/false).c_str());
     return 1;
   }
   return 0;

@@ -50,6 +50,8 @@ class Graph {
 
   /// Opens a graph from durable state: loads the newest checkpoint under
   /// `checkpoint_dir` (if any) and replays the WAL tail (§6 "Recovery").
+  /// Null, after one log line naming the file, when the checkpoint is
+  /// damaged or a record holds ids beyond `options.max_vertices`.
   static std::unique_ptr<Graph> Recover(GraphOptions options,
                                         const std::string& checkpoint_dir);
 
@@ -119,15 +121,15 @@ class Graph {
     if (wal_ != nullptr) wal_->SetDurableSink(sink);
   }
 
-  /// Streams `snapshot`'s full state as synthetic WAL-record payloads
-  /// (kOpPutVertex + kOpAddEdge, edges oldest-first), chunked so each call
-  /// to `emit` carries at most ~chunk_bytes. Replaying every emitted
-  /// payload through the WAL apply path on an empty engine reconstructs the
-  /// snapshot exactly — the replication bootstrap for followers too far
-  /// behind the primary's log (docs/REPLICATION.md).
-  void ExportSnapshot(const ReadTransaction& snapshot,
-                      const std::function<void(std::string_view)>& emit,
-                      size_t chunk_bytes = 256 * 1024) const;
+  /// Streams `snapshot`'s vertices in [lo, hi) as synthetic WAL-record
+  /// payloads (kOpPutVertex + kOpAddEdge, edges oldest-first), in ~256 KiB
+  /// chunks. Replaying every emitted payload through the WAL apply path on
+  /// an empty engine reconstructs that part of the snapshot exactly — the
+  /// replication bootstrap for followers too far behind the primary's log
+  /// (docs/REPLICATION.md), and the content of checkpoint shard files.
+  void ExportSnapshot(const ReadTransaction& snapshot, vertex_t lo,
+                      vertex_t hi,
+                      const std::function<void(std::string_view)>& emit) const;
 
   /// Runs one synchronous compaction pass over all dirty vertices (§6
   /// "Compaction"). Also invoked automatically every
@@ -224,8 +226,12 @@ class Graph {
   void MaybeScheduleCompaction();
 
   /// Recovery internals (core/checkpoint.cc).
-  void ApplyWalRecord(std::string_view payload);
-  void LoadCheckpoint(const std::string& checkpoint_dir);
+  /// Replays one WAL payload as one replay-mode transaction; false, with
+  /// nothing applied, when the decoder rejects it or the commit fails.
+  bool ApplyWalRecord(std::string_view payload);
+  /// False, after one log line naming the file, for a missing or damaged
+  /// checkpoint.
+  bool LoadCheckpoint(const std::string& checkpoint_dir);
 
   GraphOptions options_;
   /// Visibility domain (owns GWE/GRE; see epoch_domain.h). Private unless

@@ -13,28 +13,6 @@
 
 namespace livegraph {
 
-namespace {
-
-// WAL logical-record opcodes.
-constexpr uint8_t kOpAddVertex = 1;
-constexpr uint8_t kOpPutVertex = 2;
-constexpr uint8_t kOpDeleteVertex = 3;
-constexpr uint8_t kOpAddEdge = 4;
-constexpr uint8_t kOpDeleteEdge = 5;
-
-template <typename T>
-void PutRaw(std::string* out, const T& value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-void PutBytes(std::string* out, std::string_view bytes) {
-  auto len = static_cast<uint32_t>(bytes.size());
-  PutRaw(out, len);
-  out->append(bytes.data(), bytes.size());
-}
-
-}  // namespace
-
 Transaction::Transaction(Graph* graph, Graph::WorkerSlot* slot,
                          timestamp_t tre, int64_t tid)
     : graph_(graph),
@@ -161,7 +139,7 @@ vertex_t Transaction::AddVertex(std::string_view properties) {
                 properties.size());
   }
   scratch_->vertex_writes.push_back(VertexWrite{id, block, true});
-  LogAddVertex(id, properties);
+  Log({wal_ops::kOpAddVertex, id, 0, 0, properties});
   return id;
 }
 
@@ -202,12 +180,12 @@ Status Transaction::PutVertex(vertex_t v, std::string_view properties) {
     if (w.v == v) {
       graph_->block_manager_->Free(w.new_block);  // never published
       w.new_block = block;
-      LogPutVertex(v, properties);
+      Log({wal_ops::kOpPutVertex, v, 0, 0, properties});
       return Status::kOk;
     }
   }
   scratch_->vertex_writes.push_back(VertexWrite{v, block, false});
-  LogPutVertex(v, properties);
+  Log({wal_ops::kOpPutVertex, v, 0, 0, properties});
   return Status::kOk;
 }
 
@@ -242,12 +220,12 @@ Status Transaction::DeleteVertex(vertex_t v) {
     if (w.v == v) {
       graph_->block_manager_->Free(w.new_block);
       w.new_block = block;
-      LogDeleteVertex(v);
+      Log({wal_ops::kOpDeleteVertex, v, 0, 0, {}});
       return Status::kOk;
     }
   }
   scratch_->vertex_writes.push_back(VertexWrite{v, block, false});
-  LogDeleteVertex(v);
+  Log({wal_ops::kOpDeleteVertex, v, 0, 0, {}});
   return Status::kOk;
 }
 
@@ -411,7 +389,9 @@ Status Transaction::WriteEdge(vertex_t v, label_t label, vertex_t dst,
   }
   if (invalidated != nullptr) *invalidated = invalidated_previous;
   if (is_delete) {
-    if (invalidated_previous) LogDeleteEdge(v, label, dst);
+    if (invalidated_previous) {
+      Log({wal_ops::kOpDeleteEdge, v, label, dst, {}});
+    }
     return invalidated_previous ? Status::kOk : Status::kNotFound;
   }
 
@@ -442,7 +422,7 @@ Status Transaction::WriteEdge(vertex_t v, label_t label, vertex_t dst,
     BloomFilter::Insert(block.bloom_bits(), block.bloom_bytes(),
                         static_cast<uint64_t>(dst));
   }
-  LogAddEdge(v, label, dst, properties);
+  Log({wal_ops::kOpAddEdge, v, label, dst, properties});
   return Status::kOk;
 }
 
@@ -787,46 +767,6 @@ void Transaction::MarkDirty() {
   for (const VertexWrite& w : scratch_->vertex_writes) {
     slot_->dirty_vertices.push_back(w.v);
   }
-}
-
-// --- WAL logical records ---
-
-void Transaction::LogAddVertex(vertex_t v, std::string_view props) {
-  if (replay_mode_ || graph_->wal_ == nullptr) return;
-  PutRaw(&scratch_->wal_payload, kOpAddVertex);
-  PutRaw(&scratch_->wal_payload, v);
-  PutBytes(&scratch_->wal_payload, props);
-}
-
-void Transaction::LogPutVertex(vertex_t v, std::string_view props) {
-  if (replay_mode_ || graph_->wal_ == nullptr) return;
-  PutRaw(&scratch_->wal_payload, kOpPutVertex);
-  PutRaw(&scratch_->wal_payload, v);
-  PutBytes(&scratch_->wal_payload, props);
-}
-
-void Transaction::LogDeleteVertex(vertex_t v) {
-  if (replay_mode_ || graph_->wal_ == nullptr) return;
-  PutRaw(&scratch_->wal_payload, kOpDeleteVertex);
-  PutRaw(&scratch_->wal_payload, v);
-}
-
-void Transaction::LogAddEdge(vertex_t v, label_t label, vertex_t dst,
-                             std::string_view props) {
-  if (replay_mode_ || graph_->wal_ == nullptr) return;
-  PutRaw(&scratch_->wal_payload, kOpAddEdge);
-  PutRaw(&scratch_->wal_payload, v);
-  PutRaw(&scratch_->wal_payload, label);
-  PutRaw(&scratch_->wal_payload, dst);
-  PutBytes(&scratch_->wal_payload, props);
-}
-
-void Transaction::LogDeleteEdge(vertex_t v, label_t label, vertex_t dst) {
-  if (replay_mode_ || graph_->wal_ == nullptr) return;
-  PutRaw(&scratch_->wal_payload, kOpDeleteEdge);
-  PutRaw(&scratch_->wal_payload, v);
-  PutRaw(&scratch_->wal_payload, label);
-  PutRaw(&scratch_->wal_payload, dst);
 }
 
 }  // namespace livegraph

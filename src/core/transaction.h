@@ -11,6 +11,7 @@
 #include "core/blocks.h"
 #include "core/graph.h"
 #include "core/txn_scratch.h"
+#include "core/wal_ops.h"
 #include "util/types.h"
 
 namespace livegraph {
@@ -245,13 +246,13 @@ class Transaction {
   void ReleaseLocksAndSlot();
   void MarkDirty();
 
-  // WAL logical-record staging (storage format documented in wal.h users).
-  void LogAddVertex(vertex_t v, std::string_view props);
-  void LogPutVertex(vertex_t v, std::string_view props);
-  void LogDeleteVertex(vertex_t v);
-  void LogAddEdge(vertex_t v, label_t label, vertex_t dst,
-                  std::string_view props);
-  void LogDeleteEdge(vertex_t v, label_t label, vertex_t dst);
+  /// Stages `op` into the WAL payload (core/wal_ops.h); a no-op in replay
+  /// mode or without a WAL.
+  void Log(const wal_ops::Op& op) {
+    if (!replay_mode_ && graph_->wal_ != nullptr) {
+      wal_ops::Encode(&scratch_->wal_payload, op);
+    }
+  }
 
   Graph* graph_;
   Graph::WorkerSlot* slot_;

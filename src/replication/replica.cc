@@ -1,7 +1,5 @@
 #include "replication/replica.h"
 
-#include <unistd.h>
-
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -15,17 +13,8 @@
 #include "storage/wal.h"
 #include "util/fault_injection.h"
 #include "util/metrics.h"
-#include "util/raw_io.h"
 
 namespace livegraph {
-
-namespace {
-
-// "LGREPST1" little-endian.
-constexpr uint64_t kReplicaStateMagic = 0x31545350'45524C47ull;
-constexpr uint32_t kReplicaStateVersion = 1;
-
-}  // namespace
 
 Replica::Replica(Options options) : options_(std::move(options)) {
   // Follower-side gauges, sampled at metrics-collection time from the
@@ -62,12 +51,16 @@ void Replica::Start() {
       shard_options.dir = StorePath();
       shard_options.graph = options_.graph;
       store_ = ShardedStore::Recover(std::move(shard_options));
-      serving_.SetInner(store_);
-      // The state frontier was written after its checkpoint, so the
-      // recovered store covers at least this many primary epochs.
-      frontier_.Advance(state_frontier);
-      durable_frontier_ = state_frontier;
-      last_persisted_frontier_ = state_frontier;
+      if (store_ != nullptr) {
+        serving_.SetInner(store_);
+        // The state frontier was written after its checkpoint, so the
+        // recovered store covers at least this many primary epochs.
+        frontier_.Advance(state_frontier);
+        durable_frontier_ = state_frontier;
+        last_persisted_frontier_ = state_frontier;
+      }
+      // A refused store (damaged checkpoint) is like no saved state: the
+      // first session bootstraps from the primary.
     }
   }
   thread_ = std::thread([this] { ThreadMain(); });
@@ -198,8 +191,9 @@ void Replica::RunSession() {
       uint32_t shard;
       std::string_view payload;
       if (!reader.GetU32(&shard) || !reader.GetBytes(&payload)) return;
-      if (!payload.empty()) {
-        store_->ApplyReplicated(static_cast<int>(shard), payload);
+      if (!payload.empty() &&
+          !store_->ApplyReplicated(static_cast<int>(shard), payload)) {
+        return;  // rejected payload: end the session, frontier unmoved
       }
       if ((frame.flags & kFlagEndOfStream) != 0) break;
     }
@@ -245,7 +239,9 @@ void Replica::RunSession() {
     auto it = pending.begin();
     while (it != pending.end() && it->first <= batch_frontier) {
       for (const auto& [shard, payload] : it->second) {
-        store_->ApplyReplicated(static_cast<int>(shard), payload);
+        if (!store_->ApplyReplicated(static_cast<int>(shard), payload)) {
+          return;  // rejected payload: end the session, frontier unmoved
+        }
       }
       it = pending.erase(it);
     }
@@ -299,54 +295,33 @@ void Replica::PersistState() {
   // State after checkpoint: at rest, state <= checkpointed coverage. A
   // crash between the two resubscribes low and re-applies the overlap
   // (upsert-safe, order-convergent — see header).
-  const std::string tmp = StatePath() + ".tmp";
-  std::FILE* f = nullptr;
+  // One record: the frontier as its epoch, the shard count as payload.
+  const auto shards = static_cast<uint32_t>(store_->num_shards());
   int err = 0;
   if (faults::Action fault = LIVEGRAPH_FAULT("replica.state")) {
     err = fault.err != 0 ? fault.err : EIO;
   } else {
-    f = std::fopen(tmp.c_str(), "wb");
-    if (f == nullptr) err = errno != 0 ? errno : EIO;
-  }
-  if (err == 0) {
-    WriteRaw(f, kReplicaStateMagic);
-    WriteRaw(f, kReplicaStateVersion);
-    WriteRaw(f, static_cast<uint32_t>(store_->num_shards()));
-    WriteRaw(f, covered);
-    if (std::ferror(f) != 0 || std::fflush(f) != 0) {
-      err = errno != 0 ? errno : EIO;
-    }
-    if (err == 0 && ::fsync(::fileno(f)) != 0) err = errno;
-    std::fclose(f);
+    err = Wal::PublishRecord(StatePath(), covered, &shards, sizeof(shards));
   }
   if (err != 0) {
     std::fprintf(stderr,
                  "livegraph: replica state write failed: %s (errno %d, "
                  "path %s) — previous state stays authoritative\n",
-                 std::strerror(err), err, tmp.c_str());
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
+                 std::strerror(err), err, StatePath().c_str());
     return;
   }
-  if (!Wal::CommitRename(tmp, StatePath())) return;
   durable_frontier_ = covered;
   last_persisted_frontier_ = covered;
 }
 
 bool Replica::LoadState(uint32_t* shards, timestamp_t* out_frontier) {
-  std::FILE* f = std::fopen(StatePath().c_str(), "rb");
-  if (f == nullptr) return false;
-  uint64_t magic = 0;
-  uint32_t version = 0;
-  uint32_t state_shards = 0;
   timestamp_t state_frontier = 0;
-  const bool ok = ReadRaw(f, &magic) && ReadRaw(f, &version) &&
-                  ReadRaw(f, &state_shards) && ReadRaw(f, &state_frontier) &&
-                  magic == kReplicaStateMagic &&
-                  version == kReplicaStateVersion && state_shards > 0 &&
-                  state_frontier >= 0;
-  std::fclose(f);
-  if (!ok) return false;
+  uint32_t state_shards = 0;
+  if (Wal::ReadRecord(StatePath(), &state_frontier, &state_shards,
+                      sizeof(state_shards)) != Status::kOk ||
+      state_shards == 0 || state_frontier < 0) {
+    return false;
+  }
   *shards = state_shards;
   *out_frontier = state_frontier;
   return true;

@@ -28,6 +28,8 @@
 // A broken connection (primary restart, network, kLapped eviction) drops
 // back to connect-with-backoff and resubscribes from the durable frontier;
 // buffered-but-unapplied epochs are discarded (the primary re-ships them).
+// A payload the apply path rejects (ids beyond this follower's
+// max_vertices) ends the session the same way, with the frontier unmoved.
 #ifndef LIVEGRAPH_REPLICATION_REPLICA_H_
 #define LIVEGRAPH_REPLICATION_REPLICA_H_
 
@@ -71,7 +73,9 @@ class Replica {
   Replica& operator=(const Replica&) = delete;
 
   /// Loads durable local state if present, then starts the subscription
-  /// thread. Always succeeds (the thread retries the primary forever).
+  /// thread. Always succeeds (the thread retries the primary forever); a
+  /// local store that recovery refuses counts as no state, so the first
+  /// session bootstraps from the primary.
   void Start();
   void Stop();
 

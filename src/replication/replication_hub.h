@@ -10,7 +10,7 @@
 //                      is still buffered; filter = from_epoch.
 //   tier B (disk):     from_epoch >= WAL floor — records in
 //                      (from_epoch, F0] are shipped straight from the
-//                      shard WAL files (the tail-reader path); the live
+//                      shard WAL files (WalReader); the live
 //                      filter starts at F0.
 //   tier C (snapshot): anything older (or a shard-layout mismatch) —
 //                      per-shard snapshots pinned at one epoch F0 are

@@ -127,8 +127,9 @@ class GraphServer::PushStream {
                       ReplicationHub::Subscription* sub) {
     for (int s = 0; s < hub->num_shards(); ++s) {
       bool ok = true;
-      hub->shard_graph(s)->ExportSnapshot(
-          sub->snapshots[static_cast<size_t>(s)],
+      Graph* graph = hub->shard_graph(s);
+      graph->ExportSnapshot(
+          sub->snapshots[static_cast<size_t>(s)], 0, graph->VertexCount(),
           [&](std::string_view payload) {
             if (!ok) return;
             batch_body_.clear();

@@ -151,6 +151,15 @@ int Usage(const char* argv0) {
   return 2;
 }
 
+/// A restart whose recovery refused the durable state (the engine logged
+/// the file) exits 1 rather than serve an empty store in its place.
+template <typename T>
+std::unique_ptr<T> RecoveredOrExit(std::unique_ptr<T> recovered) {
+  if (recovered != nullptr) return recovered;
+  livegraph::logging::LogLine("server.recover_failed");
+  std::exit(1);
+}
+
 std::unique_ptr<livegraph::Store> MakeEngine(const Flags& flags) {
   using namespace livegraph;
   if (flags.engine == "LiveGraph" || flags.engine == "PagedLiveGraph") {
@@ -168,7 +177,7 @@ std::unique_ptr<livegraph::Store> MakeEngine(const Flags& flags) {
       // Durable restarts recover exactly like the plain engine.
       if (durable) {
         return std::make_unique<LiveGraphStore>(
-            Graph::Recover(options, flags.checkpoint_dir),
+            RecoveredOrExit(Graph::Recover(options, flags.checkpoint_dir)),
             PageCacheSim::Optane(flags.page_cache_pages));
       }
       return std::make_unique<LiveGraphStore>(
@@ -183,14 +192,14 @@ std::unique_ptr<livegraph::Store> MakeEngine(const Flags& flags) {
         // --wal-path is the sharded durable DIRECTORY; restart == recover
         // (a fresh directory recovers to an empty store).
         sharded.dir = flags.wal_path;
-        return ShardedStore::Recover(std::move(sharded));
+        return RecoveredOrExit(ShardedStore::Recover(std::move(sharded)));
       }
       return std::make_unique<ShardedStore>(sharded);
     }
     if (durable) {
       // Restart path (§6): checkpoint (if any) + WAL tail replay.
       return std::make_unique<LiveGraphStore>(
-          Graph::Recover(options, flags.checkpoint_dir));
+          RecoveredOrExit(Graph::Recover(options, flags.checkpoint_dir)));
     }
     return std::make_unique<LiveGraphStore>(options);
   }

@@ -1,9 +1,6 @@
 #include "shard/sharded_store.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <optional>
@@ -12,7 +9,6 @@
 
 #include "storage/wal.h"
 #include "util/lock_rank.h"
-#include "util/raw_io.h"
 
 namespace livegraph {
 
@@ -26,9 +22,6 @@ struct ShardedStoreAccess {
 };
 
 namespace {
-
-constexpr uint64_t kManifestMagic = 0x4C4753484D414E31ull;  // "LGSHMAN1"
-constexpr uint32_t kManifestVersion = 1;
 
 /// The effective durable directory: ShardOptions::dir, with the template's
 /// wal_path accepted as a fallback spelling of the same thing.
@@ -504,23 +497,18 @@ std::string ShardedStore::ManifestPath() const {
   return options_.dir + "/MANIFEST";
 }
 
-bool ShardedStore::ReadManifest(const std::string& dir, int* shards,
-                                timestamp_t* epoch) {
-  std::FILE* f = std::fopen((dir + "/MANIFEST").c_str(), "rb");
-  if (f == nullptr) return false;
-  uint64_t magic = 0;
-  uint32_t version = 0;
-  uint32_t shard_count = 0;
+Status ShardedStore::ReadManifest(const std::string& dir, int* shards,
+                                  timestamp_t* epoch) {
+  // One record: the checkpoint epoch, and the shard count as payload.
   timestamp_t manifest_epoch = 0;
-  bool ok = ReadRaw(f, &magic) && magic == kManifestMagic &&
-            ReadRaw(f, &version) && version == kManifestVersion &&
-            ReadRaw(f, &shard_count) && shard_count > 0 &&
-            ReadRaw(f, &manifest_epoch);
-  std::fclose(f);
-  if (!ok) return false;
-  *shards = static_cast<int>(shard_count);
+  uint32_t count = 0;
+  Status status = Wal::ReadRecord(dir + "/MANIFEST", &manifest_epoch,
+                                  &count, sizeof(count));
+  if (status != Status::kOk) return status;
+  if (count == 0 || manifest_epoch < 0) return Status::kIOError;
+  *shards = static_cast<int>(count);
   *epoch = manifest_epoch;
-  return true;
+  return Status::kOk;
 }
 
 vertex_t ShardedStore::VertexCount() const {
@@ -534,9 +522,9 @@ vertex_t ShardedStore::VertexCount() const {
   return bound;
 }
 
-void ShardedStore::ApplyReplicated(int s, std::string_view payload) {
-  if (s < 0 || s >= num_shards()) return;
-  shards_[static_cast<size_t>(s)]->ApplyWalRecord(payload);
+bool ShardedStore::ApplyReplicated(int s, std::string_view payload) {
+  if (s < 0 || s >= num_shards()) return false;
+  return shards_[static_cast<size_t>(s)]->ApplyWalRecord(payload);
 }
 
 std::vector<ReadTransaction> ShardedStore::PinShardSnapshots() {
@@ -594,7 +582,8 @@ timestamp_t ShardedStore::Checkpoint(int threads) {
   {
     int manifest_shards = 0;
     timestamp_t manifest_epoch = -1;
-    if (ReadManifest(options_.dir, &manifest_shards, &manifest_epoch) &&
+    if (ReadManifest(options_.dir, &manifest_shards, &manifest_epoch) ==
+            Status::kOk &&
         manifest_shards == num_shards() && manifest_epoch == epoch) {
       return epoch;
     }
@@ -624,22 +613,10 @@ timestamp_t ShardedStore::Checkpoint(int threads) {
   // (if any) stays authoritative — per-shard files are written into
   // per-epoch directories precisely so an interrupted checkpoint can
   // never clobber the one the manifest still points at.
-  const std::string tmp = ManifestPath() + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return -1;
-  WriteRaw(f, kManifestMagic);
-  WriteRaw(f, kManifestVersion);
-  WriteRaw(f, static_cast<uint32_t>(num_shards()));
-  WriteRaw(f, epoch);
-  int err = 0;
-  if (std::ferror(f) != 0 || std::fflush(f) != 0) err = errno != 0 ? errno : EIO;
-  if (err == 0 && ::fsync(::fileno(f)) != 0) err = errno;
-  std::fclose(f);
-  if (err != 0) {
-    fs::remove(tmp, ec);
+  const auto count = static_cast<uint32_t>(num_shards());
+  if (Wal::PublishRecord(ManifestPath(), epoch, &count, sizeof(count)) != 0) {
     return -1;
   }
-  if (!Wal::CommitRename(tmp, ManifestPath())) return -1;
 
   // GC superseded per-epoch checkpoint directories.
   for (int s = 0; s < num_shards(); ++s) {
@@ -658,15 +635,20 @@ std::unique_ptr<ShardedStore> ShardedStore::Recover(ShardOptions options) {
   timestamp_t checkpoint_epoch = 0;
   if (!options.dir.empty()) {
     int manifest_shards = 0;
-    if (ReadManifest(options.dir, &manifest_shards, &checkpoint_epoch)) {
-      if (manifest_shards != options.shards) {
-        std::fprintf(stderr,
-                     "ShardedStore::Recover: manifest has %d shards, "
-                     "options asked for %d — using the manifest (the data "
-                     "layout is keyed on it)\n",
-                     manifest_shards, options.shards);
-        options.shards = manifest_shards;
-      }
+    Status manifest =
+        ReadManifest(options.dir, &manifest_shards, &checkpoint_epoch);
+    if (manifest == Status::kIOError) {
+      std::fprintf(stderr, "ShardedStore::Recover: %s/MANIFEST is damaged "
+                   "— refusing to recover\n", options.dir.c_str());
+      return nullptr;
+    }
+    if (manifest == Status::kOk && manifest_shards != options.shards) {
+      std::fprintf(stderr,
+                   "ShardedStore::Recover: manifest has %d shards, "
+                   "options asked for %d — using the manifest (the data "
+                   "layout is keyed on it)\n",
+                   manifest_shards, options.shards);
+      options.shards = manifest_shards;
     }
   }
 
@@ -718,8 +700,10 @@ std::unique_ptr<ShardedStore> ShardedStore::Recover(ShardOptions options) {
   // Load the manifest checkpoint (every shard at the same pinned epoch).
   if (checkpoint_epoch > 0) {
     for (int s = 0; s < n; ++s) {
-      store->shards_[static_cast<size_t>(s)]->LoadCheckpoint(
-          store->ShardCheckpointPath(s, checkpoint_epoch));
+      if (!store->shards_[static_cast<size_t>(s)]->LoadCheckpoint(
+              store->ShardCheckpointPath(s, checkpoint_epoch))) {
+        return nullptr;
+      }
     }
   }
 
@@ -740,7 +724,12 @@ std::unique_ptr<ShardedStore> ShardedStore::Recover(ShardOptions options) {
           continue;  // half-durable cross-shard transaction: drop atomically
         }
       }
-      graph.ApplyWalRecord(payload);
+      if (!graph.ApplyWalRecord(payload)) {
+        std::fprintf(stderr, "ShardedStore::Recover: %s has a record the "
+                     "decoder rejects — refusing to recover\n",
+                     store->ShardWalPath(s).c_str());
+        return nullptr;
+      }
     }
   }
 

@@ -136,7 +136,9 @@ class ShardedStore : public Store {
   /// past every durable epoch, then re-checkpoints and truncates the WALs.
   /// A missing/empty directory recovers to an empty store. If the manifest
   /// disagrees with `options.shards`, the manifest wins (the data layout
-  /// is keyed on it).
+  /// is keyed on it). Returns null, after one log line naming the file,
+  /// when the manifest's checkpoint is damaged or a record holds ids
+  /// beyond `options.graph.max_vertices` (Graph::Recover).
   static std::unique_ptr<ShardedStore> Recover(ShardOptions options);
 
   std::string Name() const override { return "ShardedLiveGraph"; }
@@ -218,8 +220,9 @@ class ShardedStore : public Store {
   /// apply path (replay-mode transaction: upsert semantics, no local WAL
   /// record). Follower-side only — the payload commits at a fresh LOCAL
   /// epoch; the primary's epoch is tracked separately by the replica's
-  /// frontier. Out-of-range shards are ignored.
-  void ApplyReplicated(int s, std::string_view payload);
+  /// frontier. False, with nothing applied, for an out-of-range shard or
+  /// a payload the decoder rejects (core/wal_ops.h).
+  bool ApplyReplicated(int s, std::string_view payload);
 
   /// Shard `s`'s WAL file path (empty when the store is not durable) —
   /// the replication hub's disk catch-up phase reads these directly.
@@ -254,9 +257,9 @@ class ShardedStore : public Store {
   std::string ShardWalPath(int s) const;
   std::string ShardCheckpointPath(int s, timestamp_t epoch) const;
   std::string ManifestPath() const;
-  /// Reads <dir>/MANIFEST; returns false when absent/corrupt.
-  static bool ReadManifest(const std::string& dir, int* shards,
-                           timestamp_t* epoch);
+  /// Reads <dir>/MANIFEST: kNotFound when absent, kIOError when damaged.
+  static Status ReadManifest(const std::string& dir, int* shards,
+                             timestamp_t* epoch);
 
   ShardOptions options_;
   std::shared_ptr<EpochDomain> domain_;

@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "util/crc32.h"
 #include "util/fault_injection.h"
 #include "util/invariant.h"
 #include "util/lock_rank.h"
@@ -54,6 +53,45 @@ bool Wal::CommitRename(const std::string& tmp,
     return false;
   }
   return FsyncParentDir(final_path);
+}
+
+int Wal::PublishRecord(const std::string& path, timestamp_t epoch,
+                       const void* payload, size_t size) {
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (f == nullptr) return errno != 0 ? errno : EIO;
+  const WalRecordHeader header = MakeWalRecordHeader(
+      epoch, 1, std::string_view(static_cast<const char*>(payload), size));
+  std::fwrite(&header, sizeof(header), 1, f);
+  std::fwrite(payload, 1, size, f);
+  int err = 0;
+  if (std::ferror(f) != 0 || std::fflush(f) != 0) {
+    err = errno != 0 ? errno : EIO;
+  }
+  if (err == 0 && ::fsync(::fileno(f)) != 0) err = errno;
+  std::fclose(f);
+  if (err == 0 && !CommitRename(tmp, path)) err = EIO;
+  if (err != 0) std::remove(tmp.c_str());
+  return err;
+}
+
+Status Wal::ReadRecord(const std::string& path, timestamp_t* epoch,
+                       void* payload, size_t size) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return Status::kNotFound;
+  // One byte of room past the record: a longer file is damaged too.
+  std::vector<uint8_t> bytes(sizeof(WalRecordHeader) + size + 1);
+  const size_t got = std::fread(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+  WalRecordView view;
+  if (got != bytes.size() - 1 ||
+      !ParseWalRecord(bytes.data(), got, 0, &view) ||
+      view.payload_len != size) {
+    return Status::kIOError;
+  }
+  *epoch = view.epoch;
+  std::memcpy(payload, view.payload, size);
+  return Status::kOk;
 }
 
 Status Wal::Poison(const char* what, int err) {
@@ -117,17 +155,8 @@ Status Wal::AppendBatch(const std::vector<Record>& records) {
   iov_.reserve(records.size() * 2);
   size_t total = 0;
   for (const Record& record : records) {
-    RecordHeader header;
-    header.len = static_cast<uint32_t>(record.payload.size());
-    header.epoch = record.epoch;
-    header.participants = record.participants;
-    header.reserved = 0;
-    header.crc = Crc32c(&header.epoch, sizeof(header.epoch));
-    header.crc =
-        Crc32c(&header.participants, sizeof(header.participants), header.crc);
-    header.crc =
-        Crc32c(record.payload.data(), record.payload.size(), header.crc);
-    headers_.push_back(header);
+    headers_.push_back(MakeWalRecordHeader(record.epoch, record.participants,
+                                           record.payload));
     total += sizeof(RecordHeader) + record.payload.size();
   }
   for (size_t i = 0; i < records.size(); ++i) {

@@ -128,17 +128,31 @@ class Wal {
   /// failed (the entry may not survive a crash).
   static bool FsyncParentDir(const std::string& path);
 
-  /// The atomic-publish tail shared by every manifest writer: rename
-  /// `tmp` over `final_path`, then fsync the directory so the rename
-  /// itself survives a crash. The caller fsynced the file contents.
+  /// The atomic-publish tail of every durable file swap: rename `tmp` over
+  /// `final_path`, then fsync the directory so the rename itself survives
+  /// a crash. The caller fsynced the file contents.
   /// Returns false when the publish is not durable; the previous
   /// `final_path` content (if any) stays authoritative.
   static bool CommitRename(const std::string& tmp,
                            const std::string& final_path);
 
+  /// Durably replaces `path` with one record in the log's framing (so a
+  /// torn or damaged file fails its CRC): `epoch`, then `size` payload
+  /// bytes. Writes and fsyncs `path`.tmp, then CommitRename. Returns 0, or
+  /// the errno of the failed step; the previous `path` then stays
+  /// authoritative. Every manifest and state file is written this way.
+  static int PublishRecord(const std::string& path, timestamp_t epoch,
+                           const void* payload, size_t size);
+
+  /// Reads a file PublishRecord wrote: kNotFound when it is missing,
+  /// kIOError unless it holds exactly one intact record of a `size`-byte
+  /// payload.
+  static Status ReadRecord(const std::string& path, timestamp_t* epoch,
+                           void* payload, size_t size);
+
   /// Replays records from a WAL file in order. Stops at EOF or the first
   /// corrupt/torn record. The parse loop itself lives in
-  /// storage/wal_reader.h, shared with the replication tail-reader.
+  /// storage/wal_reader.h, shared with the replication disk catch-up.
   using Reader = WalReader;
 
  private:

@@ -29,42 +29,50 @@ bool ParseWalRecord(const uint8_t* data, size_t size, size_t pos,
   expect = Crc32c(body, len, expect);
   // The reserved bytes sit outside the CRC and the writer always zeroes
   // them, so a nonzero value is damage the CRC cannot see.
-  if (expect != crc || reserved != 0) {
-    // Corrupt record terminates replay. Failing on the very FIRST record
-    // of a non-empty log is indistinguishable from "empty log" to the
-    // caller, and the usual cause is a file written with a different
-    // record framing — say so instead of silently replaying nothing.
-    if (pos == 0) {
-      std::fprintf(stderr,
-                   "Wal: first record fails its CRC or header check (%zu "
-                   "bytes on disk) — corrupt log or incompatible record "
-                   "framing; replaying nothing\n",
-                   size);
-    }
-    return false;
-  }
+  if (expect != crc || reserved != 0) return false;
   out->payload = body;
   out->payload_len = len;
   return true;
 }
 
-WalReader::WalReader(const std::string& path) {
-  fd_ = open(path.c_str(), O_RDONLY);
-  if (fd_ < 0) return;  // missing WAL == empty WAL
-  off_t size = lseek(fd_, 0, SEEK_END);
-  if (size > 0) {
-    buffer_.resize(static_cast<size_t>(size));
-    ssize_t got = pread(fd_, buffer_.data(), buffer_.size(), 0);
-    if (got != size) buffer_.clear();
-  }
+WalRecordHeader MakeWalRecordHeader(timestamp_t epoch, uint32_t participants,
+                                    std::string_view payload) {
+  WalRecordHeader header;
+  header.len = static_cast<uint32_t>(payload.size());
+  header.epoch = epoch;
+  header.participants = participants;
+  header.reserved = 0;
+  header.crc = Crc32c(&header.epoch, sizeof(header.epoch));
+  header.crc =
+      Crc32c(&header.participants, sizeof(header.participants), header.crc);
+  header.crc = Crc32c(payload.data(), payload.size(), header.crc);
+  return header;
 }
 
-WalReader::~WalReader() {
-  if (fd_ >= 0) close(fd_);
+WalReader::WalReader(const std::string& path) {
+  int fd = open(path.c_str(), O_RDONLY);
+  if (fd < 0) return;  // missing WAL == empty WAL
+  off_t size = lseek(fd, 0, SEEK_END);
+  if (size > 0) {
+    buffer_.resize(static_cast<size_t>(size));
+    ssize_t got = pread(fd, buffer_.data(), buffer_.size(), 0);
+    if (got != size) buffer_.clear();
+  }
+  close(fd);
 }
 
 bool WalReader::Next(WalRecordView* view) {
   if (!ParseWalRecord(buffer_.data(), buffer_.size(), pos_, view)) {
+    // Failing on the first record makes a non-empty log look empty to the
+    // caller, and the usual cause is a file written with a different
+    // record framing — say so instead of silently replaying nothing.
+    if (pos_ == 0 && !buffer_.empty()) {
+      std::fprintf(stderr,
+                   "Wal: first record fails its CRC or header check (%zu "
+                   "bytes on disk) — corrupt log or incompatible record "
+                   "framing; replaying nothing\n",
+                   buffer_.size());
+    }
     return false;
   }
   pos_ += sizeof(WalRecordHeader) + view->payload_len;
@@ -80,24 +88,6 @@ bool WalReader::Next(timestamp_t* epoch, uint32_t* participants,
   payload->assign(reinterpret_cast<const char*>(view.payload),
                   view.payload_len);
   return true;
-}
-
-bool WalReader::ReadMore() {
-  if (fd_ < 0) return false;
-  off_t size = lseek(fd_, 0, SEEK_END);
-  if (size <= 0 || static_cast<size_t>(size) <= buffer_.size()) {
-    return false;
-  }
-  size_t old_size = buffer_.size();
-  buffer_.resize(static_cast<size_t>(size));
-  ssize_t got = pread(fd_, buffer_.data() + old_size,
-                      buffer_.size() - old_size,
-                      static_cast<off_t>(old_size));
-  if (got < 0) got = 0;
-  // A short read (file still growing, or I/O error) keeps what arrived;
-  // the next ReadMore picks up from the new end.
-  buffer_.resize(old_size + static_cast<size_t>(got));
-  return buffer_.size() > old_size;
 }
 
 void WalReader::TruncateTornTail(const std::string& path) const {

@@ -9,19 +9,16 @@
 // tail record (crash mid-append) fails its bounds or CRC check and
 // terminates iteration; everything before it is the valid prefix.
 //
-// Two reading modes:
-//   * One-shot: the constructor loads the whole file; Next() walks it.
-//     Recovery scans the log twice (epoch bounds, then replay) over the
-//     same buffer via Rewind().
-//   * Tail-reading: ReadMore() re-checks the on-disk file for bytes
-//     appended past the loaded buffer and extends it, so a reader can
-//     follow a live log (the replication catch-up path) without
-//     re-reading from offset zero.
+// The constructor loads the whole file; Next() walks it. Recovery scans
+// the log twice (epoch bounds, then replay) over the same buffer via
+// Rewind(). Checkpoint shard files use the same framing and are read
+// record by record through ParseWalRecord (core/checkpoint.cc).
 #ifndef LIVEGRAPH_STORAGE_WAL_READER_H_
 #define LIVEGRAPH_STORAGE_WAL_READER_H_
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/types.h"
@@ -41,7 +38,7 @@ struct WalRecordHeader {
 static_assert(sizeof(WalRecordHeader) == 24, "framing layout");
 
 /// A parsed record, viewing the reader's buffer (valid until the buffer is
-/// extended or destroyed).
+/// destroyed).
 struct WalRecordView {
   timestamp_t epoch = 0;
   uint32_t participants = 0;
@@ -57,11 +54,17 @@ struct WalRecordView {
 bool ParseWalRecord(const uint8_t* data, size_t size, size_t pos,
                     WalRecordView* out);
 
+/// The header that frames `payload` as a record: length, epoch,
+/// participants, zeroed reserved bytes, and the CRC32C ParseWalRecord
+/// checks. Every record writer (the WAL's batch append, checkpoint shard
+/// files, Wal::PublishRecord) frames through this.
+WalRecordHeader MakeWalRecordHeader(timestamp_t epoch, uint32_t participants,
+                                    std::string_view payload);
+
 class WalReader {
  public:
   /// Loads the whole file at `path`; a missing file reads as empty.
   explicit WalReader(const std::string& path);
-  ~WalReader();
 
   WalReader(const WalReader&) = delete;
   WalReader& operator=(const WalReader&) = delete;
@@ -73,8 +76,7 @@ class WalReader {
     uint32_t participants = 0;
     return Next(epoch, &participants, payload);
   }
-  /// Copy-free variant: `view` aliases the buffer until ReadMore() or
-  /// destruction.
+  /// Copy-free variant: `view` aliases the buffer until destruction.
   bool Next(WalRecordView* view);
 
   /// Byte length of the valid record prefix consumed so far. After a scan
@@ -87,19 +89,12 @@ class WalReader {
   /// Restarts iteration over the already-loaded buffer.
   void Rewind() { pos_ = 0; }
 
-  /// Tail mode: extends the buffer with bytes appended to the on-disk
-  /// file since the last load. True when new bytes arrived — a Next()
-  /// that previously returned false (apparent torn tail that was really a
-  /// record mid-append) may now succeed. The iteration position is kept.
-  bool ReadMore();
-
   /// After a scan to the end: truncates the on-disk file at `path` to the
   /// valid record prefix, cutting off a torn/corrupt tail left by a crash
   /// mid-append. No-op when the whole file parsed.
   void TruncateTornTail(const std::string& path) const;
 
  private:
-  int fd_ = -1;
   std::vector<uint8_t> buffer_;
   size_t pos_ = 0;
 };

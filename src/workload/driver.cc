@@ -10,7 +10,7 @@ DriverResult RunClients(const DriverOptions& options, const ClientOp& op) {
   struct ClientState {
     LatencyHistogram overall;
     std::map<std::string, LatencyHistogram> per_class;
-    uint64_t failures = 0;
+    std::map<Status, uint64_t> failures;
   };
   std::vector<ClientState> states(static_cast<size_t>(options.clients));
   std::vector<std::thread> threads;
@@ -27,7 +27,7 @@ DriverResult RunClients(const DriverOptions& options, const ClientOp& op) {
                 .count());
         state.overall.Record(nanos);
         state.per_class[outcome.op_class].Record(nanos);
-        if (!outcome.ok) state.failures++;
+        if (!outcome.ok()) state.failures[outcome.status]++;
         if (options.think_time_ns > 0) {
           std::this_thread::sleep_for(
               std::chrono::nanoseconds(options.think_time_ns));
@@ -43,7 +43,10 @@ DriverResult RunClients(const DriverOptions& options, const ClientOp& op) {
       std::chrono::duration<double>(wall_end - wall_start).count();
   for (ClientState& state : states) {
     result.overall.Merge(state.overall);
-    result.failures += state.failures;
+    for (const auto& [status, count] : state.failures) {
+      result.failures += count;
+      result.failures_by_status[status] += count;
+    }
     for (auto& [name, histogram] : state.per_class) {
       result.per_class[name].Merge(histogram);
     }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "util/histogram.h"
+#include "util/types.h"
 
 namespace livegraph {
 
@@ -26,6 +27,8 @@ struct DriverResult {
   /// recorded in the histograms (the client paid them), but they are
   /// excluded from throughput.
   uint64_t failures = 0;
+  /// `failures` split by the Status each failed operation reported.
+  std::map<Status, uint64_t> failures_by_status;
   double throughput() const {
     return seconds > 0 ? double(operations) / seconds : 0.0;
   }
@@ -38,20 +41,24 @@ struct DriverResult {
 };
 
 /// Outcome of one client operation: its class name (histogram bucket) and
-/// whether it succeeded. Implicitly constructible from a bare class name
-/// so read-only ops that cannot fail stay one `return "GET_NODE";`.
+/// kOk, or the Status it failed with. Implicitly constructible from a bare
+/// class name so read-only ops that cannot fail stay one
+/// `return "GET_NODE";`.
 struct OpResult {
   // NOLINTNEXTLINE(google-explicit-constructor)
-  OpResult(const char* op_class) : op_class(op_class), ok(true) {}
-  OpResult(const char* op_class, bool ok) : op_class(op_class), ok(ok) {}
+  OpResult(const char* op_class) : op_class(op_class) {}
+
+  bool ok() const { return status == Status::kOk; }
 
   const char* op_class;
-  bool ok;
+  Status status = Status::kOk;
 };
 
-/// Marks an operation failed while keeping its class label.
-inline OpResult FailedOp(const char* op_class) {
-  return OpResult(op_class, false);
+/// Marks an operation failed with `status` while keeping its class label.
+inline OpResult FailedOp(const char* op_class, Status status) {
+  OpResult result(op_class);
+  result.status = status;
+  return result;
 }
 
 /// One client's operation: executes op #i and reports its outcome.

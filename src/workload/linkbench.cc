@@ -171,7 +171,8 @@ DriverResult RunLinkBench(Store* store, const LinkBenchConfig& config,
     // exhausted conflict retries, lock timeouts, an unreachable remote
     // store — is a failed request and must not count as served load.
     auto outcome = [name](Status st) {
-      return OpResult(name, st == Status::kOk || st == Status::kNotFound);
+      return st == Status::kOk || st == Status::kNotFound ? OpResult(name)
+                                                          : FailedOp(name, st);
     };
     vertex_t id1 = static_cast<vertex_t>(zipf.Sample(rng));
     vertex_t id2 = static_cast<vertex_t>(zipf.Sample(rng));
@@ -184,7 +185,7 @@ DriverResult RunLinkBench(Store* store, const LinkBenchConfig& config,
           v = *added;
           return Status::kOk;
         });
-        if (st != Status::kOk) return FailedOp(name);
+        if (st != Status::kOk) return FailedOp(name, st);
         // relaxed monotone-max CAS: max_vertex only seeds the ID picker —
         // a stale bound just re-targets recent vertices; no data rides on
         // it.

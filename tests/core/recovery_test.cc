@@ -32,7 +32,36 @@ class RecoveryTest : public ::testing::Test {
     return options;
   }
 
+  // A 2-thread checkpoint of 100 committed vertices, each with an edge to
+  // the next; the WAL holds nothing newer.
+  void WriteCheckpoint() {
+    Graph graph(DurableOptions());
+    auto txn = graph.BeginTransaction();
+    for (int i = 0; i < 100; ++i) txn.AddVertex("v" + std::to_string(i));
+    for (vertex_t v = 0; v + 1 < 100; ++v) {
+      ASSERT_EQ(txn.AddEdge(v, 0, v + 1, "next"), Status::kOk);
+    }
+    ASSERT_EQ(txn.Commit(), Status::kOk);
+    epoch_ = graph.Checkpoint(dir_.string(), /*threads=*/2);
+    ASSERT_GT(epoch_, 0);
+  }
+
+  std::filesystem::path ShardFile(int s) const {
+    return dir_ / ("shard_" + std::to_string(s) + "." +
+                   std::to_string(epoch_) + ".ckpt");
+  }
+
+  // Recovery of a damaged checkpoint must refuse, naming the file.
+  void ExpectRefused() {
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(Graph::Recover(DurableOptions(), dir_.string()), nullptr);
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                  ShardFile(1).string()),
+              std::string::npos);
+  }
+
   std::filesystem::path dir_;
+  timestamp_t epoch_ = 0;
 };
 
 TEST_F(RecoveryTest, WalOnlyReplayRestoresGraph) {
@@ -106,6 +135,46 @@ TEST_F(RecoveryTest, CheckpointPlusWalTail) {
   EXPECT_EQ(read.GetVertex(b).value(), "b-post");
   EXPECT_EQ(read.GetEdge(a, 0, b).value(), "pre-ckpt");
   EXPECT_EQ(read.GetEdge(b, 0, a).value(), "post-ckpt");
+}
+
+TEST_F(RecoveryTest, IntactCheckpointRecoversEveryVertex) {
+  WriteCheckpoint();
+  auto graph = Graph::Recover(DurableOptions(), dir_.string());
+  ASSERT_NE(graph, nullptr);
+  EXPECT_EQ(graph->VertexCount(), 100);
+  auto read = graph->BeginReadOnlyTransaction();
+  for (vertex_t v = 0; v < 100; ++v) {
+    EXPECT_EQ(read.GetVertex(v).value(), "v" + std::to_string(v));
+    EXPECT_EQ(read.CountEdges(v, 0), v + 1 < 100 ? 1u : 0u);
+  }
+}
+
+TEST_F(RecoveryTest, MissingShardFileIsRefused) {
+  WriteCheckpoint();
+  std::filesystem::remove(ShardFile(1));
+  ExpectRefused();
+}
+
+TEST_F(RecoveryTest, TruncatedShardFileIsRefused) {
+  WriteCheckpoint();
+  std::filesystem::resize_file(ShardFile(1),
+                               std::filesystem::file_size(ShardFile(1)) / 2);
+  ExpectRefused();
+}
+
+TEST_F(RecoveryTest, FlippedByteInShardFileIsRefused) {
+  WriteCheckpoint();
+  std::fstream file(ShardFile(1),
+                    std::ios::binary | std::ios::in | std::ios::out);
+  const auto middle =
+      static_cast<std::streamoff>(std::filesystem::file_size(ShardFile(1)) / 2);
+  file.seekg(middle);
+  char byte = 0;
+  file.get(byte);
+  file.seekp(middle);
+  file.put(static_cast<char>(byte ^ 0x10));
+  file.close();
+  ExpectRefused();
 }
 
 TEST_F(RecoveryTest, TornTailTruncatedSoPostRecoveryCommitsSurvive) {

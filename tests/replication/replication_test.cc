@@ -334,6 +334,89 @@ TEST(ReplicationEndToEnd, RestartedFollowerResubscribesFromDurableState) {
   std::filesystem::remove_all(root);
 }
 
+TEST(ReplicationEndToEnd, FollowerWithDamagedStoreBootstrapsFromPrimary) {
+  std::string root = TempDir("damaged");
+  Primary primary(root + "/primary");
+  ASSERT_TRUE(primary.ok);
+  vertex_t hub_vertex = primary.store->AddNode("hub");
+  timestamp_t last = 0;
+  for (int i = 0; i < 20; ++i) {
+    last = WriteOne(*primary.store, "a" + std::to_string(i), hub_vertex, 0,
+                    "e" + std::to_string(i));
+  }
+
+  Replica::Options replica_options;
+  replica_options.primary_port = primary.server->port();
+  replica_options.dir = root + "/replica";
+  replica_options.graph = PrimaryOptions("").graph;
+  replica_options.checkpoint_every_epochs = 4;
+  {
+    Replica replica(replica_options);
+    replica.Start();
+    ASSERT_TRUE(replica.WaitReady(10000));
+    ASSERT_TRUE(replica.frontier().WaitCovered(last, 10000));
+    replica.Stop();
+  }
+  // Cut every checkpoint shard file of the follower's store in half.
+  int damaged = 0;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(root + "/replica")) {
+    if (entry.path().extension() == ".ckpt") {
+      std::filesystem::resize_file(entry.path(), entry.file_size() / 2);
+      ++damaged;
+    }
+  }
+  ASSERT_GT(damaged, 0);
+
+  // Recovery refuses the damaged store; the follower starts as if it had
+  // no saved state and bootstraps from the primary.
+  Replica replica(replica_options);
+  ::testing::internal::CaptureStderr();
+  replica.Start();
+  EXPECT_EQ(replica.frontier().Frontier(), 0);
+  ASSERT_TRUE(replica.WaitReady(10000));
+  ::testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(replica.frontier().WaitCovered(last, 10000));
+  ExpectConverged(*primary.store, replica.store());
+  replica.Stop();
+  std::filesystem::remove_all(root);
+}
+
+TEST(ReplicationEndToEnd, FollowerRejectsIdsPastItsMaxVertices) {
+  std::string root = TempDir("small");
+  Primary primary(root + "/primary");
+  ASSERT_TRUE(primary.ok);
+  // 40 nodes over 2 shards reach local id 19; this follower's shards hold
+  // 8 vertices each, so the first payload past them is rejected: each
+  // session ends with the frontier short of that commit, and the follower
+  // keeps retrying.
+  timestamp_t first_rejected = 0;
+  for (int i = 0; i < 40; ++i) {
+    auto txn = primary.store->BeginTxn();
+    StatusOr<vertex_t> node = txn->AddNode("n" + std::to_string(i));
+    ASSERT_TRUE(node.ok());
+    StatusOr<timestamp_t> epoch = txn->Commit();
+    ASSERT_TRUE(epoch.ok());
+    if (first_rejected == 0 && primary.store->LocalId(*node) >= 8) {
+      first_rejected = *epoch;
+    }
+  }
+  ASSERT_GT(first_rejected, 0);
+  Replica::Options replica_options;
+  replica_options.primary_port = primary.server->port();
+  replica_options.graph = PrimaryOptions("").graph;
+  replica_options.graph.max_vertices = 8;
+  Replica replica(replica_options);
+  replica.Start();
+  for (int i = 0; i < 200 && replica.resubscribes() < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_GE(replica.resubscribes(), 2u);
+  EXPECT_LT(replica.frontier().Frontier(), first_rejected);
+  replica.Stop();
+  std::filesystem::remove_all(root);
+}
+
 TEST(ReplicationEndToEnd, ReadSessionsFailOverWhenFollowerDies) {
   std::string root = TempDir("failover");
   Primary primary(root + "/primary");
@@ -485,7 +568,10 @@ TEST(ReplicationEndToEnd, FollowerRejectsWritesOverTheWire) {
   std::string root = TempDir("readonly");
   Primary primary(root + "/primary");
   ASSERT_TRUE(primary.ok);
-  primary.store->AddNode("seed");
+  auto seed = primary.store->BeginTxn();
+  ASSERT_TRUE(seed->AddNode("seed").ok());
+  StatusOr<timestamp_t> seed_epoch = seed->Commit();
+  ASSERT_TRUE(seed_epoch.ok());
 
   Replica::Options replica_options;
   replica_options.primary_port = primary.server->port();
@@ -493,6 +579,9 @@ TEST(ReplicationEndToEnd, FollowerRejectsWritesOverTheWire) {
   Replica replica(replica_options);
   replica.Start();
   ASSERT_TRUE(replica.WaitReady(10000));
+  // A fresh follower caught up from the log is ready before its first
+  // batch applies; the read below needs the seed node.
+  ASSERT_TRUE(replica.frontier().WaitCovered(*seed_epoch, 10000));
 
   // In process: the serving facade refuses every mutation.
   {

@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -100,6 +101,32 @@ class ShardedRecoveryTest : public ::testing::Test {
       ++i;
     }
     return found;
+  }
+
+  /// Commits 100 nodes, each linked to the next, and checkpoints them
+  /// with 2 threads per shard; returns the checkpoint's file of thread 1
+  /// on shard 1.
+  std::string WriteCheckpoint() {
+    ShardedStore store(DurableOptions());
+    std::vector<vertex_t> nodes;
+    for (int i = 0; i < 100; ++i) {
+      nodes.push_back(store.AddNode("n" + std::to_string(i)));
+    }
+    for (size_t i = 0; i + 1 < nodes.size(); ++i) {
+      EXPECT_TRUE(store.AddLink(nodes[i], 0, nodes[i + 1], "next").ok());
+    }
+    const timestamp_t epoch = store.Checkpoint(/*threads=*/2);
+    EXPECT_GT(epoch, 0);
+    return dir_ + "/shard1/checkpoint/" + std::to_string(epoch) +
+           "/shard_1." + std::to_string(epoch) + ".ckpt";
+  }
+
+  /// Recovery of a damaged checkpoint must refuse, naming the file.
+  void ExpectRefused(const std::string& file) {
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(ShardedStore::Recover(DurableOptions()), nullptr);
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find(file),
+              std::string::npos);
   }
 
   std::string dir_;
@@ -232,6 +259,46 @@ TEST_F(ShardedRecoveryTest, CheckpointPlusWalTail) {
   EXPECT_EQ(*read->GetNode(b), "b-post");
   EXPECT_EQ(*read->GetLink(b, 0, a), "tail");
   EXPECT_GT(read->read_epoch(), checkpoint_epoch);
+}
+
+// A checkpoint the manifest names must load whole. A shard file that is
+// gone, cut short or bit-flipped refuses recovery instead of silently
+// losing the vertices it held (the WAL records at or below the checkpoint
+// epoch are never replayed).
+TEST_F(ShardedRecoveryTest, IntactCheckpointRecoversEveryNode) {
+  ASSERT_TRUE(fs::exists(WriteCheckpoint()));
+  auto store = ShardedStore::Recover(DurableOptions());
+  ASSERT_NE(store, nullptr);
+  EXPECT_EQ(store->VertexCount(), 100);
+  auto read = store->BeginShardedReadTxn();
+  for (vertex_t v = 0; v < 100; ++v) {
+    EXPECT_EQ(*read->GetNode(v), "n" + std::to_string(v));
+  }
+}
+
+TEST_F(ShardedRecoveryTest, MissingCheckpointFileIsRefused) {
+  const std::string file = WriteCheckpoint();
+  fs::remove(file);
+  ExpectRefused(file);
+}
+
+TEST_F(ShardedRecoveryTest, TruncatedCheckpointFileIsRefused) {
+  const std::string file = WriteCheckpoint();
+  fs::resize_file(file, fs::file_size(file) / 2);
+  ExpectRefused(file);
+}
+
+TEST_F(ShardedRecoveryTest, FlippedByteInCheckpointFileIsRefused) {
+  const std::string file = WriteCheckpoint();
+  std::fstream stream(file, std::ios::binary | std::ios::in | std::ios::out);
+  const auto middle = static_cast<std::streamoff>(fs::file_size(file) / 2);
+  stream.seekg(middle);
+  char byte = 0;
+  stream.get(byte);
+  stream.seekp(middle);
+  stream.put(static_cast<char>(byte ^ 0x10));
+  stream.close();
+  ExpectRefused(file);
 }
 
 // Recovery seals its result: the WALs are truncated to the fresh manifest

@@ -295,6 +295,26 @@ TEST_F(FaultMatrixTest, CheckpointFailuresLeavePreviousAuthoritative) {
   ExpectPresent(*recovered, second, "second");
 }
 
+// A multi-thread checkpoint that fails after renaming some of its shard
+// files must not touch the files the current manifest names: shard files
+// are named for their epoch, so the previous checkpoint still loads
+// (recovery checks every record's epoch against the manifest and would
+// refuse a mix of the two).
+TEST_F(FaultMatrixTest, PartlyRenamedCheckpointLeavesPreviousLoadable) {
+  auto graph = std::make_unique<Graph>(DurableOptions());
+  std::vector<vertex_t> first = CommitSome(*graph, 4, "first");
+  ASSERT_GT(graph->Checkpoint(CheckpointDir(), /*threads=*/2), 0);
+  std::vector<vertex_t> second = CommitSome(*graph, 4, "second");
+  ASSERT_TRUE(faults::Configure("wal.rename=error:EIO@after=1"));
+  EXPECT_EQ(graph->Checkpoint(CheckpointDir(), /*threads=*/2), -1);
+  faults::Clear();
+  graph.reset();
+  auto recovered = Graph::Recover(DurableOptions(), CheckpointDir());
+  ASSERT_NE(recovered, nullptr);
+  ExpectPresent(*recovered, first, "first");
+  ExpectPresent(*recovered, second, "second");
+}
+
 // The WAL-open failpoint: an engine whose log cannot even be created
 // starts degraded instead of aborting, and still serves (empty) reads.
 TEST_F(FaultMatrixTest, WalOpenFailureStartsDegraded) {

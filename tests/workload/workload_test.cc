@@ -124,9 +124,15 @@ TEST(Driver, CountsFailuresSeparatelyFromThroughput) {
   options.ops_per_client = 100;
   DriverResult result =
       RunClients(options, [](int /*client*/, uint64_t i) -> OpResult {
-        return i % 4 == 0 ? FailedOp("flaky") : OpResult("flaky");
+        if (i % 4 != 0) return OpResult("flaky");
+        return FailedOp("flaky",
+                        i % 8 == 0 ? Status::kTimeout : Status::kConflict);
       });
   EXPECT_EQ(result.failures, 100u);
+  // Each failure is counted under the status it reported.
+  EXPECT_EQ(result.failures_by_status,
+            (std::map<Status, uint64_t>{{Status::kTimeout, 52},
+                                        {Status::kConflict, 48}}));
   EXPECT_EQ(result.operations, 300u);
   EXPECT_NEAR(result.failure_rate(), 0.25, 1e-9);
   // Latency is recorded for failed attempts too — the client paid it.
