@@ -66,7 +66,9 @@ void Run() {
   const auto samples = static_cast<uint64_t>(EnvInt("LG_SAMPLES", 200'000));
 
   std::printf("Figure 1: adjacency list scan micro-benchmark\n");
-  std::printf("(paper: scales 2^20..2^26; see EXPERIMENTS.md for mapping)\n");
+  std::printf("(paper: |V| 2^20..2^26; here 2^%d..2^%d, set by "
+              "LG_MIN_SCALE/LG_MAX_SCALE)\n",
+              min_scale, max_scale);
   std::printf("%-12s %-5s %14s %14s\n", "structure", "|V|", "seek(us/vtx)",
               "scan(ns/edge)");
 

@@ -105,13 +105,24 @@ void Graph::RunCompactionPass() {
   pass_latency.Record(metrics::MonotonicNanos() - pass_start);
 }
 
+void Graph::RequeueDirty(vertex_t v) {
+  LIVEGRAPH_SCOPED_LOCK_RANK(LockRank::kDirtySet);
+  std::lock_guard<std::mutex> guard(slots_[0]->dirty_mu);
+  slots_[0]->dirty_vertices.push_back(v);
+}
+
 void Graph::CompactVertex(vertex_t v, timestamp_t safe) {
+  static metrics::Counter& requeued_lock_busy =
+      metrics::Registry::Instance().GetCounter(
+          "livegraph_compaction_requeued_total{reason=\"lock_busy\"}");
+  static metrics::Counter& requeued_applying =
+      metrics::Registry::Instance().GetCounter(
+          "livegraph_compaction_requeued_total{reason=\"applying\"}");
   FutexLock* lock = LockFor(v);
   if (!lock->TryLockFor(kCompactionLockTimeoutNs)) {
     // Contended: requeue for the next pass.
-    LIVEGRAPH_SCOPED_LOCK_RANK(LockRank::kDirtySet);
-    std::lock_guard<std::mutex> guard(slots_[0]->dirty_mu);
-    slots_[0]->dirty_vertices.push_back(v);
+    requeued_lock_busy.Add();
+    RequeueDirty(v);
     return;
   }
   LIVEGRAPH_LOCK_RANK_ACQUIRE(LockRank::kVertexLock);
@@ -162,15 +173,24 @@ void Graph::CompactVertex(vertex_t v, timestamp_t safe) {
     TelBlock tel = Tel(tel_ptr);
     TelHeader* header = tel.header();
 
-    // A TEL whose CT is above the safe epoch may belong to a transaction
-    // still converting its -TID timestamps (apply phase runs after lock
-    // release, §5); requeue and skip.
-    if (header->commit_ts.load(std::memory_order_acquire) > safe) {
+    // The rewrite must not copy a -TID stamp that a committer is still
+    // converting: ApplyCommit converts after it releases its locks (§5),
+    // so holding the vertex lock does not exclude it. Only the writer
+    // whose epoch is CT can still be converting. Every earlier writer of
+    // this TEL was followed by a later one that passed the CT check, so
+    // its epoch is at or below that writer's read epoch, which was at or
+    // below the visible frontier. And every epoch at or below visible()
+    // has finished its apply phase (FinishApply runs after conversion).
+    // So CT <= visible() means no conversion is pending here, even for a
+    // TEL written after the oldest snapshot; a CT above it is a commit
+    // caught between releasing its lock and FinishApply — requeue. Which
+    // entries are dead is still decided by `safe`.
+    if (header->commit_ts.load(std::memory_order_acquire) >
+        domain_->visible()) {
       // Taken with the vertex lock held — kDirtySet ranks above
       // kVertexLock, so this nesting is legal by the table.
-      LIVEGRAPH_SCOPED_LOCK_RANK(LockRank::kDirtySet);
-      std::lock_guard<std::mutex> guard(slots_[0]->dirty_mu);
-      slots_[0]->dirty_vertices.push_back(v);
+      requeued_applying.Add();
+      RequeueDirty(v);
       continue;
     }
 

@@ -223,6 +223,8 @@ class Graph {
   /// Compaction internals (core/compaction.cc).
   void CompactionThreadMain();
   void CompactVertex(vertex_t v, timestamp_t safe_epoch);
+  /// Queues v for the next pass (a vertex this pass had to skip).
+  void RequeueDirty(vertex_t v);
   void MaybeScheduleCompaction();
 
   /// Recovery internals (core/checkpoint.cc).

@@ -61,16 +61,6 @@ EdgeIterator::EdgeIterator(TelBlock block, uint32_t total_entries,
   SkipInvisible();
 }
 
-void EdgeIterator::SkipInvisible() {
-  while (entry_ != end_ && !entry_->VisibleTo(tre_, tid_)) ++entry_;
-  if (entry_ == end_) entry_ = nullptr;
-}
-
-void EdgeIterator::Next() {
-  ++entry_;
-  SkipInvisible();
-}
-
 std::string_view EdgeIterator::Properties() const {
   return std::string_view(
       reinterpret_cast<const char*>(props_base_ + entry_->prop_offset),

@@ -40,8 +40,12 @@ class EdgeIterator {
     return entry_->creation_ts.load(std::memory_order_relaxed);
   }
 
-  /// Advances to the next visible (older) edge entry.
-  void Next();
+  /// Advances to the next visible (older) edge entry. Defined here so the
+  /// per-edge step inlines into every scan loop.
+  void Next() {
+    ++entry_;
+    SkipInvisible();
+  }
 
   /// Address range of the edge-log strip this scan walks, for out-of-core
   /// page-touch accounting by store adapters. {nullptr, 0} when empty.
@@ -58,7 +62,10 @@ class EdgeIterator {
   EdgeIterator(TelBlock block, uint32_t total_entries, timestamp_t tre,
                int64_t tid);
 
-  void SkipInvisible();
+  void SkipInvisible() {
+    while (entry_ != end_ && !entry_->VisibleTo(tre_, tid_)) ++entry_;
+    if (entry_ == end_) entry_ = nullptr;
+  }
 
   TelBlock block_{};
   EdgeEntry* entry_ = nullptr;  // current position

@@ -165,7 +165,9 @@ void Replica::RunSession() {
   if (!read_frame() || frame.type != MsgType::kReply) return;
   uint32_t shards = 0;
   uint8_t snapshot_follows = 0;
-  int64_t snapshot_epoch = 0;
+  // The snapshot's epoch, or the primary's frontier when it answered: the
+  // follower is ready once its own frontier covers it.
+  int64_t ready_epoch = 0;
   {
     WireReader reader(frame.body);
     uint8_t status;
@@ -174,10 +176,15 @@ void Replica::RunSession() {
       return;
     }
     if (!reader.GetU32(&shards) || !reader.GetU8(&snapshot_follows) ||
-        !reader.GetI64(&snapshot_epoch) || shards == 0) {
+        !reader.GetI64(&ready_epoch) || shards == 0) {
       return;
     }
   }
+  auto note_ready = [&] {
+    if (frontier_.Frontier() >= ready_epoch) {
+      ready_.store(true, std::memory_order_release);
+    }
+  };
 
   if (snapshot_follows != 0) {
     // Snapshot bootstrap: discard local state, rebuild from the stream.
@@ -197,7 +204,7 @@ void Replica::RunSession() {
       }
       if ((frame.flags & kFlagEndOfStream) != 0) break;
     }
-    frontier_.Advance(snapshot_epoch);
+    frontier_.Advance(ready_epoch);
     serving_.SetInner(store_);
     PersistState();  // a crash right after bootstrap must not re-stream it
   } else if (store_ == nullptr ||
@@ -209,7 +216,7 @@ void Replica::RunSession() {
     if (store_ == nullptr) return;
     serving_.SetInner(store_);
   }
-  ready_.store(true, std::memory_order_release);
+  note_ready();
 
   // Apply loop. Entries buffer per primary epoch; a batch's `frontier`
   // promises every piece of every epoch <= it has been shipped, so those
@@ -247,6 +254,7 @@ void Replica::RunSession() {
     }
     if (batch_frontier > frontier_.Frontier()) {
       frontier_.Advance(batch_frontier);
+      note_ready();
       // Persist BEFORE the ack: Advance just woke WaitCovered waiters,
       // and one of them may Stop() us — the dying socket must not skip
       // a durability point the frontier already promised.

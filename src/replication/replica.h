@@ -84,9 +84,10 @@ class Replica {
   /// Applied-primary-epoch frontier; read sessions gate on it.
   ReplicaFrontier& frontier() { return frontier_; }
 
-  /// Blocks until the follower has a serving store AND has applied at
-  /// least one frontier advance (or bootstrap) since starting. False on
-  /// timeout.
+  /// Blocks until the follower has a serving store AND, in some session
+  /// since starting, has applied everything the primary had made visible
+  /// when it answered the subscription (the bootstrap snapshot, or the
+  /// log up to the primary's frontier then). False on timeout.
   bool WaitReady(int64_t timeout_ms);
 
   /// Times the subscription loop reconnected (observability, tests).

@@ -112,7 +112,10 @@ class GraphServer::PushStream {
     WireWriter writer = BeginReply(Status::kOk);
     writer.PutU32(static_cast<uint32_t>(hub->num_shards()));
     writer.PutU8(sub.need_snapshot ? 1 : 0);
-    writer.PutI64(sub.need_snapshot ? sub.filter : 0);
+    // The follower's readiness target: the snapshot's epoch, or else the
+    // frontier now. Every record up to it ships before the stream's first
+    // live batch or with it (the push loop's first sample is >= it).
+    writer.PutI64(sub.need_snapshot ? sub.filter : hub->domain()->visible());
     bool ok = SendReply();
     if (ok && sub.need_snapshot) ok = StreamSnapshot(hub, &sub);
     if (ok && sub.need_disk) ok = StreamWalRange(hub, sub);

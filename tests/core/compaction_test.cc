@@ -77,6 +77,46 @@ TEST(Compaction, PreservesActiveSnapshots) {
   EXPECT_FALSE(fresh.GetEdge(v, 0, d1).has_value());
 }
 
+// A hot list is written again after the oldest snapshot began, so its CT
+// is above the safe epoch. The write has finished applying, so one pass
+// still rewrites the list: the dead entries go, and the snapshot keeps
+// reading what it read before.
+TEST(Compaction, ReclaimsHotTelWrittenAfterOldestSnapshot) {
+  Graph graph(TestOptions());
+  vertex_t v, d, d2;
+  {
+    auto txn = graph.BeginTransaction();
+    v = txn.AddVertex();
+    d = txn.AddVertex();
+    d2 = txn.AddVertex();
+    ASSERT_EQ(txn.Commit(), Status::kOk);
+  }
+  for (int i = 0; i < 200; ++i) {
+    auto txn = graph.BeginTransaction();
+    ASSERT_EQ(txn.AddEdge(v, 0, d, "version-" + std::to_string(i)),
+              Status::kOk);
+    ASSERT_EQ(txn.Commit(), Status::kOk);
+  }
+  auto snapshot = graph.BeginReadOnlyTransaction();
+  {
+    auto txn = graph.BeginTransaction();
+    ASSERT_EQ(txn.AddEdge(v, 0, d2, "later"), Status::kOk);
+    ASSERT_EQ(txn.Commit(), Status::kOk);
+  }
+  graph.RunCompactionPass();
+
+  auto histogram = graph.CollectTelSizeHistogram();
+  ASSERT_EQ(histogram.size(), 1u);
+  EXPECT_LE(histogram.begin()->first, 256u)
+      << "the pass skipped a TEL whose last commit had finished applying";
+  EXPECT_EQ(snapshot.CountEdges(v, 0), 1u);
+  EXPECT_EQ(snapshot.GetEdge(v, 0, d).value(), "version-199");
+  EXPECT_FALSE(snapshot.GetEdge(v, 0, d2).has_value());
+  auto fresh = graph.BeginReadOnlyTransaction();
+  EXPECT_EQ(fresh.CountEdges(v, 0), 2u);
+  EXPECT_EQ(fresh.GetEdge(v, 0, d2).value(), "later");
+}
+
 TEST(Compaction, CollectsVertexVersionChains) {
   Graph graph(TestOptions());
   vertex_t v;

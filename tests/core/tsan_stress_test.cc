@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,7 +39,8 @@ constexpr int kTxnsPerWriter = 200;
 // Writers hammer a SMALL shared vertex set (maximum futex-lock contention
 // and TEL reuse) while snapshot readers scan concurrently and compaction
 // runs at an aggressive interval, so lock hand-off, epoch publication, and
-// block retire/reclaim all interleave with live traffic.
+// block retire/reclaim all interleave with live traffic. Afterwards each
+// list must hold exactly the edges the committed transactions left.
 TEST(TsanStress, CommitPipelineWithCompactionAndReaders) {
   GraphOptions options;
   options.region_reserve = size_t{1} << 30;
@@ -80,27 +82,37 @@ TEST(TsanStress, CommitPipelineWithCompactionAndReaders) {
     });
   }
 
+  // left[w][h]: the edges on hub h that writer w's committed
+  // transactions added and did not delete.
+  std::vector<std::vector<std::set<vertex_t>>> left(
+      kWriters, std::vector<std::set<vertex_t>>(kSharedVertices));
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
       for (int i = 1; i <= kTxnsPerWriter; ++i) {
+        const auto h = static_cast<size_t>((w + i) % kSharedVertices);
+        const vertex_t dst = 1000 + w * kTxnsPerWriter + i;
+        // The edge this writer added kSharedVertices transactions ago,
+        // on the same hub.
+        const vertex_t old_dst = dst - kSharedVertices;
         // Writers share hubs, so vertex-lock conflicts (the paper's
         // timeout-and-rollback, §5) are expected — abort and retry; the
         // interleaving, not the success rate, is what this test drives.
         while (true) {
           auto txn = graph.BeginTransaction();
-          vertex_t hub =
-              hubs[static_cast<size_t>((w + i) % kSharedVertices)];
           // Churn: add one edge, delete an older one, rewrite the vertex
           // — feeds compaction dead entries and version chains.
-          Status st = txn.AddEdge(hub, 0, 1000 + w * kTxnsPerWriter + i,
-                                  "e");
-          if (st == Status::kOk && i > 1) {
-            txn.DeleteEdge(hub, 0, 1000 + w * kTxnsPerWriter + i - 1);
-            if (!txn.active()) st = Status::kConflict;
+          Status st = txn.AddEdge(hubs[h], 0, dst, "e");
+          if (st == Status::kOk && i > kSharedVertices) {
+            Status deleted = txn.DeleteEdge(hubs[h], 0, old_dst);
+            if (!txn.active()) {
+              st = Status::kConflict;
+            } else {
+              EXPECT_EQ(deleted, Status::kOk) << "edge " << old_dst;
+            }
           }
           if (st == Status::kOk) {
-            st = txn.PutVertex(hub, std::to_string(i));
+            st = txn.PutVertex(hubs[h], std::to_string(i));
           }
           if (st != Status::kOk) {
             if (txn.active()) txn.Abort();
@@ -109,6 +121,8 @@ TEST(TsanStress, CommitPipelineWithCompactionAndReaders) {
           StatusOr<timestamp_t> committed = txn.Commit();
           if (!committed.ok()) continue;  // commit-time conflict
           EXPECT_GE(graph.ReadEpoch(), *committed);
+          left[static_cast<size_t>(w)][h].insert(dst);
+          left[static_cast<size_t>(w)][h].erase(old_dst);
           break;
         }
       }
@@ -118,6 +132,24 @@ TEST(TsanStress, CommitPipelineWithCompactionAndReaders) {
   stop.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
   EXPECT_EQ(torn.load(), 0);
+
+  // A pass that copied an entry whose -TID stamp was still being
+  // converted would leave that edge invisible (or its delete undone)
+  // forever; every list must hold exactly what the commits left.
+  graph.RunCompactionPass();
+  auto read = graph.BeginReadOnlyTransaction();
+  for (size_t h = 0; h < hubs.size(); ++h) {
+    std::set<vertex_t> expected;
+    for (const auto& per_writer : left) {
+      expected.insert(per_writer[h].begin(), per_writer[h].end());
+    }
+    std::set<vertex_t> actual;
+    for (auto it = read.GetEdges(hubs[h], 0); it.Valid(); it.Next()) {
+      EXPECT_TRUE(actual.insert(it.DstId()).second)
+          << "hub " << h << " lists edge " << it.DstId() << " twice";
+    }
+    EXPECT_EQ(actual, expected) << "hub " << h;
+  }
 }
 
 // Multi-shard transactions write a value pair spanning two shards while

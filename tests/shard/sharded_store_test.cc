@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <latch>
 #include <set>
 #include <string>
 #include <thread>
@@ -151,30 +152,19 @@ TEST(ShardedStoreTest, NoTornCrossShardSnapshotsUnderConcurrentWriters) {
     pairs.emplace_back(a, b);
   }
 
+  constexpr int kReaders = 2;
   std::atomic<bool> done{false};
   std::atomic<uint64_t> torn{0};
   std::atomic<uint64_t> snapshots_checked{0};
-
-  std::vector<std::thread> writers;
-  writers.reserve(kPairs);
-  for (int k = 0; k < kPairs; ++k) {
-    writers.emplace_back([&store, &pairs, k] {
-      auto [a, b] = pairs[static_cast<size_t>(k)];
-      for (int i = 1; i <= kWritesPerPair; ++i) {
-        std::string value = std::to_string(i);
-        Status st = RunWrite(store, [&](StoreTxn& txn) {
-          Status sa = txn.UpdateNode(a, value);
-          if (sa != Status::kOk) return sa;
-          return txn.UpdateNode(b, value);
-        });
-        ASSERT_EQ(st, Status::kOk);
-      }
-    });
-  }
+  // The writers wait until every reader has checked one snapshot, so the
+  // readers always overlap the writes (a writer pool can otherwise finish
+  // before a reader thread has been scheduled).
+  std::latch readers_checked(kReaders);
 
   std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
+  for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
+      bool first = true;
       while (!done.load(std::memory_order_acquire)) {
         auto read = store.BeginReadTxn();
         for (auto [a, b] : pairs) {
@@ -185,6 +175,26 @@ TEST(ShardedStoreTest, NoTornCrossShardSnapshotsUnderConcurrentWriters) {
           }
         }
         snapshots_checked.fetch_add(1, std::memory_order_relaxed);
+        if (first) readers_checked.count_down();
+        first = false;
+      }
+    });
+  }
+
+  std::vector<std::thread> writers;
+  writers.reserve(kPairs);
+  for (int k = 0; k < kPairs; ++k) {
+    writers.emplace_back([&store, &pairs, &readers_checked, k] {
+      readers_checked.wait();
+      auto [a, b] = pairs[static_cast<size_t>(k)];
+      for (int i = 1; i <= kWritesPerPair; ++i) {
+        std::string value = std::to_string(i);
+        Status st = RunWrite(store, [&](StoreTxn& txn) {
+          Status sa = txn.UpdateNode(a, value);
+          if (sa != Status::kOk) return sa;
+          return txn.UpdateNode(b, value);
+        });
+        ASSERT_EQ(st, Status::kOk);
       }
     });
   }
