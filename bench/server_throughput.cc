@@ -14,8 +14,10 @@
 //   LG_SCALE    log2 vertices of the base graph         (default 15)
 //   LG_MIX      dflt | tao | ro                         (default dflt)
 //   LG_FSYNC_WAL  1 serves LiveGraph with a WAL that fdatasyncs every
-//               commit group, so the server commits on its commit lane
-//               (docs/SERVER.md "Event loop"); default 0: no WAL
+//               commit group, so server commits park on their event loop
+//               while the engine's flusher syncs (docs/SERVER.md "Event
+//               loop"); default 0: no WAL. Both phases report their mean
+//               commit group size.
 //   LG_CONNECT  host:port of an already-running livegraph_server; when
 //               unset the bench starts an in-process loopback server.
 //
@@ -36,6 +38,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -72,6 +75,19 @@ std::string FailuresByStatus(const DriverResult& result, bool json) {
     out += (json ? "\"" + name + "\": " : name + "=") + std::to_string(count);
   }
   return json ? "{" + out + "}" : out;
+}
+
+/// Mean livegraph_commit_group_size over the groups led since `before`
+/// was collected: one phase's mean commit group size (0: none led).
+double GroupSizeMeanSince(const metrics::Snapshot& before) {
+  constexpr std::string_view kName = "livegraph_commit_group_size";
+  const metrics::Snapshot now = metrics::Registry::Instance().Collect();
+  const metrics::HistogramSample* start = before.histogram(kName);
+  const metrics::HistogramSample* end = now.histogram(kName);
+  if (end == nullptr) return 0.0;
+  const uint64_t groups = end->count - (start != nullptr ? start->count : 0);
+  const double members = end->sum - (start != nullptr ? start->sum : 0.0);
+  return groups == 0 ? 0.0 : members / static_cast<double>(groups);
 }
 
 void PrintJsonResult(const char* key, const DriverResult& result,
@@ -132,7 +148,9 @@ int Run(bool json, bool dump_metrics) {
 
   // Embedded baseline: same harness, in-process store. The gap to the
   // remote rows is the cost of the network layer.
+  metrics::Snapshot phase_start = metrics::Registry::Instance().Collect();
   DriverResult embedded = RunLinkBench(store.get(), config, n);
+  const double embedded_group = GroupSizeMeanSince(phase_start);
   if (!json) PrintRemoteRow(("embedded/" + engine).c_str(), embedded);
 
   std::unique_ptr<GraphServer> server;
@@ -177,19 +195,22 @@ int Run(bool json, bool dump_metrics) {
     }
   }
 
+  // With LG_CONNECT the groups form in the other process: this reads 0.
+  phase_start = metrics::Registry::Instance().Collect();
   DriverResult result = RunLinkBench(remote.get(), config, n);
+  const double remote_group = GroupSizeMeanSince(phase_start);
   double retained = embedded.throughput() > 0
                         ? 100.0 * result.throughput() / embedded.throughput()
                         : 0.0;
   if (json) {
     std::printf("{\n  \"bench\": \"server_throughput\",\n");
-    // commit_workers: the server's commit lane (0: commits on the loops;
-    // -1: an external server, not known here).
     std::printf("  \"engine\": \"%s\",\n  \"clients\": %d,\n"
-                "  \"ops_per_client\": %llu,\n  \"commit_workers\": %d,\n",
+                "  \"ops_per_client\": %llu,\n",
                 engine.c_str(), config.clients,
-                static_cast<unsigned long long>(config.ops_per_client),
-                server != nullptr ? server->resolved_workers() : -1);
+                static_cast<unsigned long long>(config.ops_per_client));
+    std::printf("  \"group_size_mean\": {\"embedded\": %.2f, "
+                "\"remote\": %.2f},\n",
+                embedded_group, remote_group);
     PrintJsonResult("embedded", embedded, ",");
     PrintJsonResult("remote", result, ",");
     std::printf("  \"retained_pct\": %.1f%s\n", retained,
@@ -204,6 +225,8 @@ int Run(bool json, bool dump_metrics) {
     PrintRemoteRow(remote->Name().c_str(), result);
     std::printf("network overhead: %.1f%% of embedded throughput retained\n",
                 retained);
+    std::printf("mean commit group size: embedded %.2f, remote %.2f\n",
+                embedded_group, remote_group);
   }
 
   remote.reset();

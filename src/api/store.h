@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -136,20 +137,26 @@ class StoreTxn : public StoreReadTxn {
     return true;
   }
 
-  // --- Cross-thread hand-off ---
-  /// True if the session may migrate between threads mid-life (work phase
-  /// on one thread, Commit/Abort on another, one thread at a time). When
-  /// the store's commits sync a device (Store::CommitsSync), the reactor
-  /// server keys on this to run the commit on its commit lane instead of
-  /// stalling an event loop in the flush. Engines whose
-  /// sessions hold thread-affine state (pthread latches held for the
-  /// session's lifetime, thread-local caches) must leave this false; the
-  /// server then commits them inline on the owning thread.
+  // --- Non-blocking commit ---
+  /// Commit() for a caller that must not block (the reactor server):
+  /// true, with *epoch set, once committed; false while the commit waits
+  /// on a device flush (an fdatasync of the WAL) or on its epoch's
+  /// visibility — call again after the store's commit wake hook rings
+  /// (Store::SetCommitWake) or a short interval; otherwise Commit()'s
+  /// error. Once it returned false the commit is under way: destroying
+  /// the session completes it rather than aborting it. An engine whose
+  /// commits never sync a device finishes on the first call. The default
+  /// runs Commit().
+  virtual StatusOr<bool> TryCommit(timestamp_t* epoch) {
+    StatusOr<timestamp_t> committed = Commit();
+    if (!committed.ok()) return committed.status();
+    *epoch = *committed;
+    return true;
+  }
+
+  // Inert: no caller migrates sessions between threads any more. Kept so
+  // that decorators written against the earlier surface still compile.
   virtual bool SupportsThreadHandoff() const { return false; }
-  /// Hand-off notifications: DetachFromThread() on the old thread after
-  /// its last operation, AttachToThread() on the new thread before the
-  /// next. Default no-ops; engines returning SupportsThreadHandoff() use
-  /// them to migrate debug-ledger state (util/lock_rank.h).
   virtual void DetachFromThread() {}
   virtual void AttachToThread() {}
 };
@@ -173,13 +180,11 @@ class Store {
   /// it refuses to serve such engines.
   virtual bool SupportsInterleavedSessions() const { return true; }
 
-  /// True if a write session's Commit() waits on a device flush (an
-  /// fdatasync of the WAL). GraphServer commits on the connection's event
-  /// loop unless this is true: only then is a commit slow enough that a
-  /// loop blocked in it would stall every other connection, and only then
-  /// does the server run commits on a commit lane (docs/SERVER.md
-  /// "Event loop").
-  virtual bool CommitsSync() const { return false; }
+  /// Installs (an empty function clears) the hook the engine calls, from
+  /// its own thread, after making durable a commit that TryCommit left
+  /// waiting; GraphServer rings the event loops that hold one. Default:
+  /// engines whose TryCommit never waits ignore it.
+  virtual void SetCommitWake(std::function<void()> /*wake*/) {}
 
   // --- Auto-commit convenience wrappers ---
   // One-operation sessions with bounded conflict retry, for loaders and

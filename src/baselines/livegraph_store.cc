@@ -160,15 +160,13 @@ class LiveGraphWriteTxn : public StoreTxn {
 
   StatusOr<timestamp_t> Commit() override { return txn_.Commit(); }
 
+  StatusOr<bool> TryCommit(timestamp_t* epoch) override {
+    return txn_.TryCommit(epoch);
+  }
+
   void Abort() override {
     if (txn_.active()) txn_.Abort();
   }
-
-  // MVCC futex locks are not thread-affine; only the debug lock-rank
-  // ledger migrates (core/transaction.h "Cross-thread hand-off").
-  bool SupportsThreadHandoff() const override { return true; }
-  void DetachFromThread() override { txn_.DetachFromThread(); }
-  void AttachToThread() override { txn_.AttachToThread(); }
 
  private:
   Graph* graph_;

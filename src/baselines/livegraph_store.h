@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "api/store.h"
 #include "baselines/paged_store.h"
@@ -47,9 +48,8 @@ class LiveGraphStore : public Store {
   std::unique_ptr<StoreTxn> BeginTxn() override;
   std::unique_ptr<StoreReadTxn> BeginReadTxn() override;
 
-  /// A commit syncs only when it logs to a WAL with fsync on.
-  bool CommitsSync() const override {
-    return !graph_->options().wal_path.empty() && graph_->options().fsync_wal;
+  void SetCommitWake(std::function<void()> wake) override {
+    graph_->SetCommitWake(std::move(wake));
   }
 
   Graph& graph() { return *graph_; }

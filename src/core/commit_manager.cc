@@ -50,6 +50,24 @@ CommitManager::CommitManager(Graph* graph, Wal* wal, size_t max_batch)
   }
   batch_.reserve(max_batch_);
   records_.reserve(max_batch_);
+  if (wal_ != nullptr && graph->options().fsync_wal) {
+    flusher_ = std::thread([this] { FlusherMain(); });
+  }
+}
+
+CommitManager::~CommitManager() {
+  if (!flusher_.joinable()) return;
+  // Every transaction is gone by now, so nothing is queued or led; the
+  // flusher sleeps on flush_word_ or is about to.
+  stopping_.store(true, std::memory_order_seq_cst);
+  flush_word_.fetch_add(1, std::memory_order_seq_cst);
+  FutexWakeAll(&flush_word_);
+  flusher_.join();
+}
+
+void CommitManager::SetWake(std::function<void()> wake) {
+  std::lock_guard<std::mutex> lock(wake_mu_);
+  wake_ = std::move(wake);
 }
 
 void CommitManager::Enqueue(Request* req) {
@@ -80,11 +98,12 @@ void CommitManager::Enqueue(Request* req) {
   slot.seq.store(pos + 1, std::memory_order_release);
 }
 
-void CommitManager::DrainRing() {
+uint32_t CommitManager::DrainRing() {
   static metrics::Histogram& formation_latency =
       metrics::Registry::Instance().GetHistogram(
           "livegraph_commit_formation_latency", metrics::Unit::kNanos);
   bool sampled = false;
+  uint32_t parked = 0;
   while (batch_.size() < max_batch_) {
     RingSlot& slot = ring_[ring_head_ & ring_mask_];
     if (slot.seq.load(std::memory_order_acquire) != ring_head_ + 1) break;
@@ -94,14 +113,15 @@ void CommitManager::DrainRing() {
                      static_cast<unsigned long long>(ring_head_ & ring_mask_));
     batch_.push_back(slot.req);
     sampled |= slot.req->enqueued_nanos != 0;
-    // Null before recycling the slot: the Request lives on the producer's
-    // stack and dies when Persist returns; this also arms the
-    // two-producers DCHECK in Enqueue.
+    parked += slot.req->parked ? 1 : 0;
+    // Null before recycling the slot: this arms the two-producers DCHECK
+    // in Enqueue.
     slot.req = nullptr;
     slot.seq.store(ring_head_ + ring_.size(), std::memory_order_release);
     ++ring_head_;
   }
-  if (!sampled) return;
+  if (parked != 0) parked_queued_.fetch_sub(parked, std::memory_order_seq_cst);
+  if (!sampled) return parked;
   // Formation latency: how long a sampled request sat in the ring before
   // a leader drained it.
   const uint64_t now = metrics::MonotonicNanos();
@@ -110,6 +130,7 @@ void CommitManager::DrainRing() {
       formation_latency.Record(now - request->enqueued_nanos);
     }
   }
+  return parked;
 }
 
 void CommitManager::LeadGroup() {
@@ -122,7 +143,8 @@ void CommitManager::LeadGroup() {
       metrics::Registry::Instance().GetHistogram(
           "livegraph_commit_ring_occupancy", metrics::Unit::kCount);
   batch_.clear();
-  DrainRing();
+  // Parked members wait on their event loops, not on durable_word_.
+  const bool wake = DrainRing() != 0;
   const bool drained = !batch_.empty();
   if (drained) {
     groups.Add();
@@ -162,8 +184,9 @@ void CommitManager::LeadGroup() {
       if (wal_status != Status::kOk) graph_->EnterDegraded(wal_status);
     }
 
-    // Release the group into its apply phase. A member's Request dies the
-    // moment its durable flag flips, so nothing touches it afterwards.
+    // Release the group into its apply phase. A member's committer may
+    // reuse its Request the moment the durable flag flips, so nothing
+    // touches it afterwards.
     for (Request* request : batch_) {
       request->status = wal_status;
       request->durable.store(1, std::memory_order_release);
@@ -180,17 +203,21 @@ void CommitManager::LeadGroup() {
   if (waiters_.load(std::memory_order_seq_cst) != 0) {
     FutexWakeAll(&durable_word_);
   }
+  if (wake) {
+    std::lock_guard<std::mutex> lock(wake_mu_);
+    if (wake_) wake_();
+  }
   // Nothing drained: the head slot is claimed but not yet published, its
   // producer preempted between the two steps. Let it run.
   if (!drained) std::this_thread::yield();
 }
 
-void CommitManager::WaitForLeader(const Request& request) {
+void CommitManager::WaitForLeader(const Request* done) {
   uint32_t word = durable_word_.load(std::memory_order_acquire);
   waiters_.fetch_add(1, std::memory_order_seq_cst);
-  // Sleep only while a leader is active: with none, this committer must
-  // lead the next group itself (its request may be the only one queued).
-  if (request.durable.load(std::memory_order_acquire) == 0 &&
+  // Sleep only while a leader is active: with none, this thread must lead
+  // the next group itself (its request may be the only one queued).
+  if ((done == nullptr || !Durable(*done)) &&
       leading_.load(std::memory_order_seq_cst) != 0) {
     FutexWait(&durable_word_, word);
   }
@@ -198,52 +225,68 @@ void CommitManager::WaitForLeader(const Request& request) {
   waiters_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-timestamp_t CommitManager::Persist(std::string_view wal_payload,
-                                   timestamp_t external_epoch,
-                                   uint32_t participants, Status* error) {
-  Request request;
-  request.payload = wal_payload;
-  request.external_epoch = external_epoch;
-  request.participants = participants;
-  if (SampleFormation()) request.enqueued_nanos = metrics::MonotonicNanos();
-  Enqueue(&request);
+void CommitManager::FlusherMain() {
+  while (true) {
+    const uint32_t word = flush_word_.load(std::memory_order_seq_cst);
+    if (stopping_.load(std::memory_order_seq_cst)) return;
+    if (parked_queued_.load(std::memory_order_seq_cst) != 0) {
+      // Lead, or let the committer that leads release its group and look
+      // again: it may have left parked requests queued.
+      if (TryLead()) {
+        LeadGroup();
+      } else {
+        WaitForLeader(nullptr);
+      }
+      continue;
+    }
+    // Dekker pair with Publish: it counts the request and bumps
+    // flush_word_, then reads flusher_asleep_; this sets flusher_asleep_
+    // and then re-reads the count, so either it sees the request or the
+    // futex compare sees the new word (or Publish wakes it).
+    flusher_asleep_.store(true, std::memory_order_seq_cst);
+    if (parked_queued_.load(std::memory_order_seq_cst) == 0 &&
+        !stopping_.load(std::memory_order_seq_cst)) {
+      FutexWait(&flush_word_, word);
+    }
+    flusher_asleep_.store(false, std::memory_order_relaxed);
+  }
+}
 
+void CommitManager::Publish(Request* request, bool park) {
+  LIVEGRAPH_DCHECK(!park || has_flusher(),
+                   "parked commit without a flusher: nobody would lead it");
+  request->parked = park;
+  request->epoch = 0;
+  request->status = Status::kOk;
+  request->durable.store(0, std::memory_order_relaxed);
+  request->enqueued_nanos = SampleFormation() ? metrics::MonotonicNanos() : 0;
+  // Counted before it is queued, so a leader's drain never takes the
+  // count below zero.
+  if (park) parked_queued_.fetch_add(1, std::memory_order_seq_cst);
+  Enqueue(request);
+  if (!park) return;
+  flush_word_.fetch_add(1, std::memory_order_seq_cst);
+  if (flusher_asleep_.load(std::memory_order_seq_cst)) {
+    FutexWakeOne(&flush_word_);
+  }
+}
+
+void CommitManager::WaitDurable(const Request& request) {
   // Lead or wait until the request is durable. The request is usually in
   // the group its committer leads; when it is not (behind max_batch_
-  // others, or behind a claimed but unpublished slot) the loop leads the
-  // next group too. A follower spins briefly — groups turn around in a
-  // few µs without fsync — then sleeps until the leader releases.
-  for (int pass = 0; request.durable.load(std::memory_order_acquire) == 0;
-       ++pass) {
-    // relaxed pre-check: a contention hint; the exchange decides, and its
-    // acquire pairs with the previous leader's release of the leader-only
-    // state (ring_head_, batch_, records_).
-    if (leading_.load(std::memory_order_relaxed) == 0 &&
-        leading_.exchange(1, std::memory_order_seq_cst) == 0) {
+  // others, behind a claimed but unpublished slot, or led by the flusher)
+  // the loop leads the next group too. A follower spins briefly — groups
+  // turn around in a few µs without fsync — then sleeps until the leader
+  // releases.
+  for (int pass = 0; !Durable(request); ++pass) {
+    if (TryLead()) {
       LeadGroup();
     } else if (pass < spin_iters_) {
       CpuRelax();
     } else {
-      WaitForLeader(request);
+      WaitForLeader(&request);
     }
   }
-  if (error != nullptr) *error = request.status;
-  return request.epoch;
-}
-
-void CommitManager::FinishApply(timestamp_t epoch, bool wait_visible) {
-  EpochDomain* domain = graph_->epoch_domain();
-  // "After all transactions in the commit group make their updates
-  // visible, the transaction manager advances the global read timestamp"
-  // (§5) — here the domain's cascade advances the frontier the moment the
-  // last participant of each consecutive epoch reports in, while the next
-  // leader persists the next group.
-  domain->MarkApplied(epoch);
-  // Commit() must not return before the epoch becomes visible: otherwise
-  // this worker's next transaction could start at a read epoch below its
-  // own commit timestamp and spuriously conflict with itself. A
-  // multi-shard coordinator instead waits once, after its last piece.
-  if (wait_visible) domain->WaitVisible(epoch);
 }
 
 }  // namespace livegraph

@@ -27,12 +27,24 @@
 // spin and then sleep on a futex word while a leader is active, and each
 // member's apply phase overlaps the next leader's WAL write
 // (docs/DESIGN.md §2).
+//
+// When the WAL syncs, a committer may also publish without waiting — the
+// reactor server parks the connection instead of blocking its event loop
+// in fdatasync. Such a request needs a leader that is not its committer,
+// so a WAL with fsync on gets one flusher thread: it leads whenever
+// parked requests are queued and no committer leads, and after a group
+// with parked members the leader calls the wake hook (SetWake) so their
+// loops retry.
+// Without fsync there is no flusher: every committer leads or waits.
 #ifndef LIVEGRAPH_CORE_COMMIT_MANAGER_H_
 #define LIVEGRAPH_CORE_COMMIT_MANAGER_H_
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <mutex>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "storage/wal.h"
@@ -44,45 +56,16 @@ class Graph;
 
 class CommitManager {
  public:
-  /// `wal` may be null (durability disabled); epoch sequencing still runs.
-  CommitManager(Graph* graph, Wal* wal, size_t max_batch);
-
-  CommitManager(const CommitManager&) = delete;
-  CommitManager& operator=(const CommitManager&) = delete;
-
-  /// Persist phase entry point, called by the committing thread. Blocks
-  /// until the transaction's WAL record is durable — leading the group
-  /// that writes it, or waiting for the leader that does — and returns the
-  /// assigned write epoch TWE. With `external_epoch` != 0 the record is
-  /// stamped with that coordinator-acquired epoch (and `participants`
-  /// counts the shard WALs holding a piece of it); otherwise the group's
-  /// fresh epoch is assigned. The caller must then run its apply phase and
-  /// call FinishApply(TWE). The payload is borrowed until return.
-  ///
-  /// When the WAL append/sync fails, *error (if non-null) receives the
-  /// typed status (kIOError/kResourceExhausted) and the engine has entered
-  /// degraded mode. The returned epoch is still valid and the caller MUST
-  /// still account for it to the domain (undo its writes, then
-  /// FinishApply) — every acquired epoch needs exactly one MarkApplied per
-  /// participant on every path, or the visibility frontier wedges.
-  timestamp_t Persist(std::string_view wal_payload,
-                      timestamp_t external_epoch = 0,
-                      uint32_t participants = 1, Status* error = nullptr);
-
-  /// Signals the domain that the calling transaction completed its apply
-  /// phase. With `wait_visible` (every fresh commit) it then blocks until
-  /// the epoch is visible, so a worker's next transaction always reads its
-  /// own commit; a multi-shard coordinator passes false per piece and
-  /// waits once itself after the last shard.
-  void FinishApply(timestamp_t epoch, bool wait_visible = true);
-
- private:
-  /// One committer's hand-off cell; lives on the committer's stack for the
-  /// duration of Persist().
+  /// One committer's hand-off cell. It lives in the committing
+  /// transaction's worker slot (TxnScratch), so it stays at one address
+  /// from Publish until its committer has read the result, however long
+  /// the committer parks in between.
   struct Request {
     std::string_view payload;
     timestamp_t external_epoch = 0;
     uint32_t participants = 1;
+    /// Published without waiting: the group's leader calls the wake hook.
+    bool parked = false;
     /// Enqueue time for the formation-latency sample; 0 when unsampled.
     uint64_t enqueued_nanos = 0;
     timestamp_t epoch = 0;                // result, set by the leader
@@ -90,6 +73,47 @@ class CommitManager {
     std::atomic<uint32_t> durable{0};
   };
 
+  /// `wal` may be null (durability disabled); epoch sequencing still runs.
+  /// A WAL that syncs starts the flusher thread; the destructor joins it.
+  CommitManager(Graph* graph, Wal* wal, size_t max_batch);
+  ~CommitManager();
+
+  CommitManager(const CommitManager&) = delete;
+  CommitManager& operator=(const CommitManager&) = delete;
+
+  /// Persist phase, step 1: queues `request` (payload, external_epoch,
+  /// participants set; the payload is borrowed until durable). With
+  /// `external_epoch` != 0 the record is stamped with that
+  /// coordinator-acquired epoch (and `participants` counts the shard WALs
+  /// holding a piece of it); otherwise the group's fresh epoch is
+  /// assigned. `park`: the committer will not wait in WaitDurable, so the
+  /// flusher leads its group; only valid when has_flusher().
+  void Publish(Request* request, bool park);
+
+  /// True once `request`'s WAL record is durable, or failed to be: then
+  /// request.status holds the typed error (kIOError/kResourceExhausted)
+  /// and the engine has entered degraded mode. Either way request.epoch
+  /// is valid and the committer MUST account for it to the domain (apply
+  /// or undo, then MarkApplied) — every acquired epoch needs exactly one
+  /// MarkApplied per participant on every path, or the visibility
+  /// frontier wedges.
+  static bool Durable(const Request& request) {
+    return request.durable.load(std::memory_order_acquire) != 0;
+  }
+
+  /// Persist phase, step 2 for a blocking committer: returns once
+  /// Durable(*request), leading the group that writes it — or the next
+  /// ones — whenever no one leads, and otherwise waiting for the leader.
+  void WaitDurable(const Request& request);
+
+  /// True when the WAL syncs: commits may park (Publish with `park`).
+  bool has_flusher() const { return flusher_.joinable(); }
+
+  /// Installs (an empty function clears) the hook a leader calls after
+  /// releasing a group that holds parked requests.
+  void SetWake(std::function<void()> wake);
+
+ private:
   struct alignas(64) RingSlot {
     std::atomic<uint64_t> seq{0};
     Request* req = nullptr;
@@ -97,14 +121,24 @@ class CommitManager {
 
   void Enqueue(Request* req);
   /// Leader only: drains whatever is published (up to max_batch_) into
-  /// batch_, stopping at the first claimed-but-unpublished slot.
-  void DrainRing();
+  /// batch_, stopping at the first claimed-but-unpublished slot. Returns
+  /// how many of the drained requests are parked.
+  uint32_t DrainRing();
   /// Leader only (leading_ held): persists one group and releases it and
   /// the leadership.
   void LeadGroup();
-  /// Follower: sleeps on durable_word_ while a leader is active and
-  /// `request` is not yet durable.
-  void WaitForLeader(const Request& request);
+  /// Takes the leadership if nobody holds it.
+  bool TryLead() {
+    // relaxed pre-check: a contention hint; the exchange decides, and its
+    // acquire pairs with the previous leader's release of the leader-only
+    // state (ring_head_, batch_, records_).
+    return leading_.load(std::memory_order_relaxed) == 0 &&
+           leading_.exchange(1, std::memory_order_seq_cst) == 0;
+  }
+  /// Sleeps on durable_word_ while a leader is active and `done` (when
+  /// given) is not yet durable.
+  void WaitForLeader(const Request* done);
+  void FlusherMain();
 
   Graph* graph_;
   Wal* wal_;
@@ -118,8 +152,9 @@ class CommitManager {
   std::vector<RingSlot> ring_;
   alignas(64) std::atomic<uint64_t> ring_tail_{0};  // producers claim slots
 
-  /// 1 while a committer leads a group. Its exchange/store pair hands the
-  /// leader-only state below from one leader to the next.
+  /// 1 while a committer (or the flusher) leads a group. Its
+  /// exchange/store pair hands the leader-only state below from one
+  /// leader to the next.
   alignas(64) std::atomic<uint32_t> leading_{0};
   uint64_t ring_head_ = 0;              // leader only
   std::vector<Request*> batch_;         // leader only, reused per group
@@ -130,6 +165,23 @@ class CommitManager {
   /// Followers asleep (or about to sleep) on durable_word_; lets a leader
   /// skip the wake syscall when nobody sleeps.
   std::atomic<uint32_t> waiters_{0};
+
+  /// Parked requests published and not yet drained by a leader: the
+  /// flusher leads while there are any. Blocking committers lead their
+  /// own requests, so the flusher never competes with them for nothing.
+  alignas(64) std::atomic<uint32_t> parked_queued_{0};
+  /// The flusher's futex word: bumped by parked publishes and shutdown.
+  std::atomic<uint32_t> flush_word_{0};
+  std::atomic<bool> flusher_asleep_{false};
+  std::atomic<bool> stopping_{false};
+
+  /// Held across each call of wake_: clearing it returns only once no
+  /// call is running, so its target may be destroyed right after.
+  std::mutex wake_mu_;
+  std::function<void()> wake_;
+
+  /// Last: it uses every member above.
+  std::thread flusher_;
 };
 
 }  // namespace livegraph

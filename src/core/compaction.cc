@@ -180,10 +180,10 @@ void Graph::CompactVertex(vertex_t v, timestamp_t safe) {
     // this TEL was followed by a later one that passed the CT check, so
     // its epoch is at or below that writer's read epoch, which was at or
     // below the visible frontier. And every epoch at or below visible()
-    // has finished its apply phase (FinishApply runs after conversion).
+    // has finished its apply phase (MarkApplied follows conversion).
     // So CT <= visible() means no conversion is pending here, even for a
     // TEL written after the oldest snapshot; a CT above it is a commit
-    // caught between releasing its lock and FinishApply — requeue. Which
+    // caught between releasing its lock and MarkApplied — requeue. Which
     // entries are dead is still decided by `safe`.
     if (header->commit_ts.load(std::memory_order_acquire) >
         domain_->visible()) {

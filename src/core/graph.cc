@@ -64,7 +64,14 @@ Graph::~Graph() {
   }
   compaction_cv_.notify_all();
   if (compaction_thread_.joinable()) compaction_thread_.join();
+  commit_manager_.reset();  // joins the flusher, if the WAL syncs
 }
+
+void Graph::SetCommitWake(std::function<void()> wake) {
+  commit_manager_->SetWake(std::move(wake));
+}
+
+bool Graph::parks_commits() const { return commit_manager_->has_flusher(); }
 
 Graph::WorkerSlot* Graph::AcquireSlot() {
   static thread_local size_t hint = 0;

@@ -164,6 +164,15 @@ class Graph {
   /// pipeline when the WAL poisons itself; idempotent.
   void EnterDegraded(Status status);
 
+  /// Installs (an empty function clears) the hook the commit pipeline
+  /// calls, on the leader's thread, after it made parked commits durable
+  /// (Transaction::TryCommit): the reactor server rings the event loops
+  /// that hold them. Commits park only when the WAL syncs.
+  void SetCommitWake(std::function<void()> wake);
+  /// True when the WAL syncs, so a commit may park (it has a flusher to
+  /// lead its group).
+  bool parks_commits() const;
+
  private:
   friend class CommitManager;
   friend class ReadTransaction;

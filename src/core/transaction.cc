@@ -28,6 +28,9 @@ Transaction::Transaction(Transaction&& other) noexcept
       tid_(other.tid_),
       state_(other.state_),
       write_epoch_(other.write_epoch_),
+      commit_start_ns_(other.commit_start_ns_),
+      persist_ns_(other.persist_ns_),
+      applied_ns_(other.applied_ns_),
       scratch_(other.scratch_),  // the arenas travel with the slot
       replay_mode_(other.replay_mode_) {
   other.slot_ = nullptr;
@@ -37,18 +40,51 @@ Transaction::Transaction(Transaction&& other) noexcept
 Transaction::~Transaction() {
   if (slot_ == nullptr) return;
   if (state_ == State::kActive) Abort();
-  if (slot_ != nullptr) {
-    graph_->ReleaseSlot(slot_);
-    slot_ = nullptr;
+  // A published commit cannot be aborted: its WAL record replays at
+  // recovery. Finish it (durable, applied, epoch reported), but skip the
+  // visibility wait, which may depend on a commit parked on this thread.
+  if (state_ == State::kPublished) {
+    CommitDurable(/*wait=*/true);
+    FinishCommit(/*undo=*/false);
   }
+  if (state_ == State::kApplied) Settle();
+  graph_->ReleaseSlot(slot_);
+  slot_ = nullptr;
 }
 
 // --- Locking ---
 
+namespace {
+
+/// How long a write waited for a vertex lock that was not free at the
+/// first try, one sample when it acquires or times out — blocking waits
+/// and the reactor server's parked ones alike.
+metrics::Histogram& LockWait() {
+  static metrics::Histogram& histogram =
+      metrics::Registry::Instance().GetHistogram("livegraph_lock_wait",
+                                                 metrics::Unit::kNanos);
+  return histogram;
+}
+
+metrics::Counter& LockTimeouts() {
+  static metrics::Counter& counter =
+      metrics::Registry::Instance().GetCounter("livegraph_lock_timeouts_total");
+  return counter;
+}
+
+}  // namespace
+
 Status Transaction::LockVertex(vertex_t v) {
   if (scratch_->locked_set.count(v) > 0) return Status::kOk;
-  if (!graph_->LockFor(v)->TryLockFor(graph_->options_.lock_timeout_ns)) {
-    return Status::kTimeout;
+  FutexLock* lock = graph_->LockFor(v);
+  if (!lock->TryLockFor(0)) {
+    const uint64_t start = metrics::MonotonicNanos();
+    const bool locked = lock->TryLockFor(graph_->options_.lock_timeout_ns);
+    LockWait().Record(metrics::MonotonicNanos() - start);
+    if (!locked) {
+      LockTimeouts().Add();
+      return Status::kTimeout;
+    }
   }
   NoteLocked(v);
   return Status::kOk;
@@ -59,10 +95,13 @@ StatusOr<bool> Transaction::TryLockVertex(vertex_t v, int64_t waited_ns) {
   if (v < 0 || v >= graph_->VertexCount()) return true;
   if (scratch_->locked_set.count(v) > 0) return true;
   if (graph_->LockFor(v)->TryLockFor(0)) {
+    if (waited_ns > 0) LockWait().Record(static_cast<uint64_t>(waited_ns));
     NoteLocked(v);
     return true;
   }
   if (waited_ns < graph_->options_.lock_timeout_ns) return false;
+  LockWait().Record(static_cast<uint64_t>(waited_ns));
+  LockTimeouts().Add();
   Abort();
   return Status::kTimeout;
 }
@@ -74,24 +113,6 @@ void Transaction::NoteLocked(vertex_t v) {
   LIVEGRAPH_LOCK_RANK_ACQUIRE(LockRank::kVertexLock);
   scratch_->locked.push_back(v);
   scratch_->locked_set.insert(v);
-}
-
-void Transaction::DetachFromThread() {
-#ifdef LIVEGRAPH_DCHECK_ENABLED
-  if (state_ != State::kActive || slot_ == nullptr) return;
-  LIVEGRAPH_LOCK_RANK_DETACH(
-      LockRank::kVertexLock,
-      static_cast<uint32_t>(scratch_->locked.size()));
-#endif
-}
-
-void Transaction::AttachToThread() {
-#ifdef LIVEGRAPH_DCHECK_ENABLED
-  if (state_ != State::kActive || slot_ == nullptr) return;
-  LIVEGRAPH_LOCK_RANK_ATTACH(
-      LockRank::kVertexLock,
-      static_cast<uint32_t>(scratch_->locked.size()));
-#endif
 }
 
 void Transaction::ReleaseLocksAndSlot() {
@@ -491,165 +512,177 @@ size_t Transaction::CountEdges(vertex_t v, label_t label) const {
 // --- Commit / abort ---
 
 StatusOr<timestamp_t> Transaction::Commit() {
-  if (state_ != State::kActive) return Status::kNotActive;
+  if (Status st = PublishCommit(0, 1, /*park=*/false); st != Status::kOk) {
+    return st;
+  }
+  CommitDurable(/*wait=*/true);
+  if (Status st = FinishCommit(/*undo=*/false); st != Status::kOk) return st;
+  CommitVisible(/*wait=*/true);
+  return write_epoch_;
+}
+
+StatusOr<bool> Transaction::TryCommit(timestamp_t* epoch) {
+  // Only a WAL that syncs has a flusher to lead a parked commit's group.
+  // Without one, waiting costs a writev at most — and with no commit ever
+  // parked, the visibility wait cannot depend on one — so this finishes
+  // in one call, exactly as Commit() would.
+  const bool park = graph_->commit_manager_->has_flusher();
+  if (state_ == State::kActive) {
+    if (Status st = PublishCommit(0, 1, park); st != Status::kOk) return st;
+  } else if (state_ != State::kPublished && state_ != State::kApplied) {
+    return Status::kNotActive;
+  }
+  if (!CommitDurable(/*wait=*/!park)) return false;
+  if (Status st = FinishCommit(/*undo=*/false); st != Status::kOk) return st;
+  if (!CommitVisible(/*wait=*/!park)) return false;
+  *epoch = write_epoch_;
+  return true;
+}
+
+Status Transaction::PublishCommit(timestamp_t epoch, uint32_t participants,
+                                  bool park) {
+  // A coordinator that stamped `epoch` declared this shard a participant
+  // of it: exactly one MarkApplied must reach the domain on every path,
+  // or the visibility frontier (and with it every later commit) stalls.
+  if (state_ != State::kActive) {
+    if (epoch != 0) graph_->domain_->MarkApplied(epoch);
+    return Status::kNotActive;
+  }
   if (scratch_->tel_writes.empty() && scratch_->vertex_writes.empty()) {
-    // Nothing written: no persist phase needed; the snapshot epoch is the
-    // commit epoch.
+    // Nothing written: no persist phase; the snapshot epoch is the commit
+    // epoch. Coordinators only stamp shards that landed a mutation, so an
+    // empty piece is defensive; it needs no WAL record (one would make
+    // recovery's piece count miss forever).
+    if (epoch != 0) graph_->domain_->MarkApplied(epoch);
+    write_epoch_ = epoch != 0 ? epoch : tre_;
     state_ = State::kCommitted;
     ReleaseLocksAndSlot();
     scratch_->Reset();
-    return tre_;
+    return Status::kOk;
   }
   // Degraded engine: the WAL is poisoned, so this commit could never be
   // durable. Reject before the persist phase; the staged writes (still
   // private -TID entries) are undone like an abort.
   if (Status degraded = graph_->degraded_status(); degraded != Status::kOk) {
     Abort();
+    if (epoch != 0) graph_->domain_->MarkApplied(epoch);
     return degraded;
   }
   // Persist phase: leader-based group commit (§5; docs/DESIGN.md §2).
   // Stage timings feed the commit-pipeline histograms and, past the
   // configured threshold, the slow-op ring (docs/OBSERVABILITY.md).
+  commit_start_ns_ =
+      metrics::SampleStageTiming() ? metrics::MonotonicNanos() : 0;
+  CommitManager::Request& request = scratch_->commit_request;
+  request.payload =
+      replay_mode_ ? std::string_view{} : std::string_view(scratch_->wal_payload);
+  request.external_epoch = epoch;
+  request.participants = participants;
+  graph_->commit_manager_->Publish(&request, park);
+  state_ = State::kPublished;
+  return Status::kOk;
+}
+
+bool Transaction::CommitDurable(bool wait) {
+  if (state_ != State::kPublished) return true;
+  const CommitManager::Request& request = scratch_->commit_request;
+  if (wait) graph_->commit_manager_->WaitDurable(request);
+  return CommitManager::Durable(request);
+}
+
+Status Transaction::persist_status() const {
+  return state_ == State::kPublished ? scratch_->commit_request.status
+                                     : Status::kOk;
+}
+
+Status Transaction::FinishCommit(bool undo) {
+  if (state_ != State::kPublished) return Status::kOk;
   static metrics::Histogram& persist_latency =
       metrics::Registry::Instance().GetHistogram(
           "livegraph_commit_persist_latency", metrics::Unit::kNanos);
   static metrics::Histogram& apply_latency =
       metrics::Registry::Instance().GetHistogram(
           "livegraph_commit_apply_latency", metrics::Unit::kNanos);
-  static metrics::Histogram& visible_latency =
-      metrics::Registry::Instance().GetHistogram(
-          "livegraph_commit_visible_wait", metrics::Unit::kNanos);
   static metrics::Counter& commits =
       metrics::Registry::Instance().GetCounter("livegraph_commit_txns_total");
-  const bool timed = metrics::SampleStageTiming();
-  const uint64_t commit_start = timed ? metrics::MonotonicNanos() : 0;
-  std::string_view payload = replay_mode_ ? std::string_view{} : scratch_->wal_payload;
-  Status persist_error = Status::kOk;
-  write_epoch_ = graph_->commit_manager_->Persist(payload, 0, 1,
-                                                  &persist_error);
-  if (persist_error != Status::kOk) {
-    // The group's WAL batch never reached stable storage. Undo the staged
-    // writes (still private: ApplyCommit has not published anything), then
-    // report the epoch applied anyway — every acquired epoch needs exactly
-    // one MarkApplied per participant or the visibility frontier wedges.
-    // The epoch becomes an empty visible epoch.
+  const CommitManager::Request& request = scratch_->commit_request;
+  write_epoch_ = request.epoch;
+  const Status persist_error = request.status;
+  if (persist_error != Status::kOk || undo) {
+    // The WAL batch never reached stable storage (or a sibling piece's did
+    // not). Undo the staged writes (still private: nothing is published),
+    // then report the epoch applied anyway — every acquired epoch needs
+    // exactly one MarkApplied per participant or the visibility frontier
+    // wedges. The epoch becomes an empty visible epoch.
     UndoWrites();
     ReleaseLocksAndSlot();
     scratch_->Reset();
     state_ = State::kAborted;
-    graph_->commit_manager_->FinishApply(write_epoch_);
+    graph_->domain_->MarkApplied(write_epoch_);
     return persist_error;
   }
-  uint64_t persist_done = 0;
-  if (timed) {
-    persist_done = metrics::MonotonicNanos();
-    persist_latency.Record(persist_done - commit_start);
+  if (commit_start_ns_ != 0) {
+    persist_ns_ = metrics::MonotonicNanos() - commit_start_ns_;
+    persist_latency.Record(persist_ns_);
   }
   // Apply phase.
   ApplyCommit(write_epoch_);
-  uint64_t apply_done = 0;
-  if (timed) {
-    apply_done = metrics::MonotonicNanos();
-    apply_latency.Record(apply_done - persist_done);
+  if (commit_start_ns_ != 0) {
+    applied_ns_ = metrics::MonotonicNanos();
+    apply_latency.Record(applied_ns_ - commit_start_ns_ - persist_ns_);
   }
-  graph_->commit_manager_->FinishApply(write_epoch_);
+  // "After all transactions in the commit group make their updates
+  // visible, the transaction manager advances the global read timestamp"
+  // (§5) — here the domain's cascade advances the frontier the moment the
+  // last participant of each consecutive epoch reports in, while the next
+  // leader persists the next group.
+  graph_->domain_->MarkApplied(write_epoch_);
   commits.Add();
-  if (timed) {
-    const uint64_t visible_done = metrics::MonotonicNanos();
-    visible_latency.Record(visible_done - apply_done);
-    if (metrics::SlowOpRing::Instance().ShouldRecord(visible_done -
-                                                     commit_start)) {
-      metrics::SlowOp op;
-      op.name = "COMMIT";
-      op.epoch = write_epoch_;
-      op.total_nanos = visible_done - commit_start;
-      op.stage_nanos[0] = persist_done - commit_start;  // persist
-      op.stage_nanos[1] = apply_done - persist_done;    // apply
-      op.stage_nanos[2] = visible_done - apply_done;    // visible wait
-      metrics::SlowOpRing::Instance().Record(std::move(op));
-    }
-  }
+  state_ = State::kApplied;
+  return Status::kOk;
+}
+
+void Transaction::Settle() {
+  // Once visible: compaction rewrites a TEL only when its CT is at or
+  // below the frontier, so a vertex queued any earlier would be put back.
   MarkDirty();
-  state_ = State::kCommitted;
   scratch_->Reset();
   // relaxed: a statistics/trigger counter — MaybeScheduleCompaction's
   // threshold CAS tolerates any interleaving of these increments.
   graph_->committed_txns_.fetch_add(1, std::memory_order_relaxed);
   graph_->MaybeScheduleCompaction();
-  return write_epoch_;
 }
 
-StatusOr<timestamp_t> Transaction::CommitAt(timestamp_t epoch,
-                                            uint32_t participants) {
-  // Whatever happens below, the coordinator declared this shard a
-  // participant of `epoch` when it acquired the epoch — exactly one
-  // MarkApplied must reach the domain on every path or the visibility
-  // frontier (and with it every later commit) stalls forever.
-  if (state_ != State::kActive) {
-    graph_->epoch_domain()->MarkApplied(epoch);
-    return Status::kNotActive;
+bool Transaction::CommitVisible(bool wait) {
+  if (state_ != State::kApplied) return true;
+  // The commit must not be reported before its epoch is visible:
+  // otherwise this session's next transaction could start at a read epoch
+  // below its own commit and spuriously conflict with itself.
+  if (graph_->domain_->visible() < write_epoch_) {
+    if (!wait) return false;
+    graph_->domain_->WaitVisible(write_epoch_);
   }
-  if (scratch_->tel_writes.empty() && scratch_->vertex_writes.empty()) {
-    // Coordinators only stamp shards that landed a mutation, so this is
-    // defensive: an empty piece publishes nothing and needs no WAL record
-    // (a record here would make recovery's piece count miss forever).
-    graph_->epoch_domain()->MarkApplied(epoch);
-    state_ = State::kCommitted;
-    ReleaseLocksAndSlot();
-    scratch_->Reset();
-    return epoch;
-  }
-  // Degraded engine: reject the piece, but this shard is still a declared
-  // participant of `epoch` — report it applied so the frontier stays dense.
-  if (Status degraded = graph_->degraded_status(); degraded != Status::kOk) {
-    Abort();
-    graph_->epoch_domain()->MarkApplied(epoch);
-    return degraded;
-  }
-  // Same stage histograms as Commit(): the registry dedupes by name, so
-  // sharded pieces land in the same commit-pipeline series.
-  static metrics::Histogram& persist_latency =
-      metrics::Registry::Instance().GetHistogram(
-          "livegraph_commit_persist_latency", metrics::Unit::kNanos);
-  static metrics::Histogram& apply_latency =
-      metrics::Registry::Instance().GetHistogram(
-          "livegraph_commit_apply_latency", metrics::Unit::kNanos);
-  static metrics::Counter& commits =
-      metrics::Registry::Instance().GetCounter("livegraph_commit_txns_total");
-  const bool timed = metrics::SampleStageTiming();
-  const uint64_t commit_start = timed ? metrics::MonotonicNanos() : 0;
-  std::string_view payload =
-      replay_mode_ ? std::string_view{} : scratch_->wal_payload;
-  Status persist_error = Status::kOk;
-  write_epoch_ = graph_->commit_manager_->Persist(payload, epoch,
-                                                  participants,
-                                                  &persist_error);
-  if (persist_error != Status::kOk) {
-    // Same discipline as Commit(): undo the (still private) staged writes
-    // and settle this participant's MarkApplied so the epoch can pass.
-    UndoWrites();
-    ReleaseLocksAndSlot();
-    scratch_->Reset();
-    state_ = State::kAborted;
-    graph_->commit_manager_->FinishApply(write_epoch_,
-                                         /*wait_visible=*/false);
-    return persist_error;
-  }
-  uint64_t persist_done = 0;
-  if (timed) {
-    persist_done = metrics::MonotonicNanos();
-    persist_latency.Record(persist_done - commit_start);
-  }
-  ApplyCommit(write_epoch_);
-  if (timed) apply_latency.Record(metrics::MonotonicNanos() - persist_done);
-  commits.Add();
-  graph_->commit_manager_->FinishApply(write_epoch_, /*wait_visible=*/false);
-  MarkDirty();
   state_ = State::kCommitted;
-  scratch_->Reset();
-  graph_->committed_txns_.fetch_add(1, std::memory_order_relaxed);
-  graph_->MaybeScheduleCompaction();
-  return write_epoch_;
+  if (commit_start_ns_ != 0) {
+    static metrics::Histogram& visible_latency =
+        metrics::Registry::Instance().GetHistogram(
+            "livegraph_commit_visible_wait", metrics::Unit::kNanos);
+    const uint64_t visible_done = metrics::MonotonicNanos();
+    visible_latency.Record(visible_done - applied_ns_);
+    const uint64_t total = visible_done - commit_start_ns_;
+    if (metrics::SlowOpRing::Instance().ShouldRecord(total)) {
+      metrics::SlowOp op;
+      op.name = "COMMIT";
+      op.epoch = write_epoch_;
+      op.total_nanos = total;
+      op.stage_nanos[0] = persist_ns_;  // persist
+      op.stage_nanos[1] = applied_ns_ - commit_start_ns_ - persist_ns_;
+      op.stage_nanos[2] = visible_done - applied_ns_;  // visible wait
+      metrics::SlowOpRing::Instance().Record(std::move(op));
+    }
+  }
+  Settle();
+  return true;
 }
 
 void Transaction::ApplyCommit(timestamp_t twe) {

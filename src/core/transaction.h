@@ -172,41 +172,63 @@ class Transaction {
   // --- Lifecycle (§5: work / persist / apply phases) ---
 
   /// Runs the persist phase (leader-based group commit: this thread
-  /// writes its group's WAL batch or waits for the leader that does) and
-  /// the apply phase (publish LS/CT, convert -TID timestamps to the write
-  /// epoch). Returns the commit epoch: the write epoch (TWE) the group's
-  /// leader assigned, or the read epoch for a transaction that staged no
-  /// writes. On conflict/timeout the transaction was already aborted at
-  /// the failing operation and this returns kNotActive.
+  /// writes its group's WAL batch or waits for the leader that does), the
+  /// apply phase (publish LS/CT, convert -TID timestamps to the write
+  /// epoch), and waits until the epoch is visible, so this thread's next
+  /// transaction reads its own commit. Returns the commit epoch: the write
+  /// epoch (TWE) the group's leader assigned, or the read epoch for a
+  /// transaction that staged no writes. On conflict/timeout the
+  /// transaction was already aborted at the failing operation and this
+  /// returns kNotActive.
   StatusOr<timestamp_t> Commit();
 
-  /// Commit one piece of a multi-shard transaction at a coordinator-
-  /// acquired epoch from the shared EpochDomain. `participants` is the
-  /// number of shards committing a piece at `epoch` (recorded in the WAL
-  /// so recovery can detect a half-durable cross-shard transaction).
-  /// Unlike Commit(), CommitAt does NOT wait for the epoch to become
-  /// visible — the coordinator waits once after its last piece — and it
-  /// ALWAYS reports the piece's MarkApplied to the domain, even on the
-  /// failure paths, so the visibility frontier can never wedge on a dead
-  /// piece.
-  StatusOr<timestamp_t> CommitAt(timestamp_t epoch, uint32_t participants);
+  /// Commit() for a caller that must not block (the reactor server): true,
+  /// with *epoch set, once committed; false while the commit waits on a
+  /// device flush or on its epoch's visibility — call again later (the
+  /// group's leader calls the wake hook, Graph::SetCommitWake); otherwise
+  /// Commit()'s error. Without a WAL that syncs it finishes on the first
+  /// call, doing exactly what Commit() does. A published commit cannot be
+  /// aborted (its WAL record replays at recovery): destroying the
+  /// transaction between calls still completes durability and apply, and
+  /// skips only the visibility wait.
+  StatusOr<bool> TryCommit(timestamp_t* epoch);
+
+  // --- Commit stages ---
+  //
+  // Commit() and TryCommit() run these in order; a multi-shard coordinator
+  // runs them on each shard's piece, so that no piece applies before
+  // every piece is durable.
+
+  /// Stage 1: publishes the WAL request, at the group's fresh epoch or —
+  /// for one piece of a multi-shard transaction — at the coordinator's
+  /// `epoch`, with `participants` pieces recorded in the WAL so recovery
+  /// can detect a half-durable transaction. `park`: the caller will not
+  /// wait in CommitDurable, so the engine's flusher leads the group (a WAL
+  /// with fsync on only). A transaction with no writes commits right here.
+  /// On failure (kNotActive, degraded engine) the transaction is rolled
+  /// back; a piece reports its MarkApplied on every path, so the
+  /// visibility frontier never wedges on it.
+  Status PublishCommit(timestamp_t epoch, uint32_t participants, bool park);
+  /// Stage 2 gate: true once the published request is durable (or failed
+  /// to be). `wait` blocks, leading the group when no one leads.
+  bool CommitDurable(bool wait);
+  /// The WAL write's outcome once CommitDurable; kOk in any other stage.
+  Status persist_status() const;
+  /// Stage 2, once CommitDurable: applies the writes and reports the
+  /// epoch applied. When the WAL write failed, or with `undo` (a sibling
+  /// piece's failed), rolls the writes back instead — the epoch is still
+  /// reported applied — and returns the WAL's error.
+  Status FinishCommit(bool undo);
+  /// Stage 3: true once the commit epoch is visible; `wait` blocks. A
+  /// multi-shard coordinator calls it on each piece once its own epoch
+  /// is visible.
+  bool CommitVisible(bool wait);
+  /// The commit epoch, valid after FinishCommit.
+  timestamp_t commit_epoch() const { return write_epoch_; }
 
   /// Reverts all staged changes (§5: restore invalidation timestamps,
   /// release locks, return new blocks to the memory manager).
   void Abort();
-
-  // --- Cross-thread hand-off ---
-  //
-  // A transaction may be moved between threads mid-life (the reactor
-  // server runs the work phase on an event-loop thread and Commit() on a
-  // commit-worker thread). The futex vertex locks themselves are not
-  // thread-affine, but the debug lock-rank ledger (util/lock_rank.h) is
-  // per-thread: call DetachFromThread() on the old thread after the last
-  // operation there and AttachToThread() on the new thread before the
-  // next one. No-ops outside LIVEGRAPH_DCHECK builds; exactly one thread
-  // may operate on the transaction at a time either way.
-  void DetachFromThread();
-  void AttachToThread();
 
   /// Non-blocking LockVertex for callers that wait elsewhere (the reactor
   /// server parks the connection instead of blocking its event loop).
@@ -216,20 +238,25 @@ class Transaction {
   /// changed and the transaction stays active. Once the caller has waited
   /// `waited_ns` >= GraphOptions::lock_timeout_ns, the transaction aborts
   /// and this returns kTimeout, the same rollback as a blocking
-  /// LockVertex timeout (§5). kNotActive after commit/abort.
+  /// LockVertex timeout (§5). kNotActive after commit/abort. Records the
+  /// wait (livegraph_lock_wait) when it acquires after a nonzero
+  /// `waited_ns` or times out, as LockVertex does for a blocking wait.
   StatusOr<bool> TryLockVertex(vertex_t v, int64_t waited_ns);
 
  private:
   friend class Graph;
   friend class CommitManager;
 
-  enum class State { kActive, kCommitted, kAborted };
+  /// kPublished: the WAL request is in the commit pipeline. kApplied: the
+  /// writes are applied and the epoch reported; it may not be visible yet.
+  enum class State { kActive, kPublished, kApplied, kCommitted, kAborted };
 
   Transaction(Graph* graph, Graph::WorkerSlot* slot, timestamp_t tre,
               int64_t tid);
 
   /// Acquires v's futex lock (once per transaction). kTimeout on deadlock
-  /// timeout, after which the caller aborts.
+  /// timeout, after which the caller aborts. A lock not free at the first
+  /// try records its wait (and a timeout) like TryLockVertex.
   Status LockVertex(vertex_t v);
   /// Records a freshly acquired lock on v in the write set.
   void NoteLocked(vertex_t v);
@@ -252,6 +279,10 @@ class Transaction {
   void UndoWrites();
   void ReleaseLocksAndSlot();
   void MarkDirty();
+  /// After the apply phase, once visible (or when the visibility wait is
+  /// skipped): queues the written vertices for compaction and resets the
+  /// scratch.
+  void Settle();
 
   /// Stages `op` into the WAL payload (core/wal_ops.h); a no-op in replay
   /// mode or without a WAL.
@@ -267,6 +298,11 @@ class Transaction {
   int64_t tid_;
   State state_ = State::kActive;
   timestamp_t write_epoch_ = 0;  // TWE, assigned by the group's leader
+  /// Stage timing of a sampled commit (metrics::SampleStageTiming): the
+  /// publish time (0 when unsampled), the persist wait, and the apply end.
+  uint64_t commit_start_ns_ = 0;
+  uint64_t persist_ns_ = 0;
+  uint64_t applied_ns_ = 0;
 
   /// The slot's pooled write-set arenas (core/txn_scratch.h). Exclusive to
   /// this transaction while it is active; reset — capacity preserved — on

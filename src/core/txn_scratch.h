@@ -17,6 +17,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/commit_manager.h"
 #include "util/types.h"
 
 namespace livegraph {
@@ -53,6 +54,9 @@ struct TxnScratch {
   std::vector<vertex_t> locked;
   std::unordered_set<vertex_t> locked_set;
   std::string wal_payload;
+  /// The commit's WAL request: published here so it outlives any one call
+  /// of a commit that parks between its stages.
+  CommitManager::Request commit_request;
 
   /// Clears contents but keeps capacity, except after an outsized
   /// transaction (bulk load): then the memory goes back to the allocator

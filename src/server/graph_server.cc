@@ -318,15 +318,8 @@ bool GraphServer::Start() {
     unsigned hw = std::thread::hardware_concurrency();
     resolved_reactors_ = hw == 0 ? 1 : static_cast<int>(hw);
   }
-  resolved_workers_ = 0;
-  if (store_.CommitsSync()) {
-    resolved_workers_ = options_.workers > 0
-                            ? options_.workers
-                            : std::max(2, resolved_reactors_);
-  }
   ReactorGroup::Options group;
   group.reactors = resolved_reactors_;
-  group.workers = resolved_workers_;
   group.write_high_water = options_.write_high_water;
   group.write_low_water =
       std::min(options_.write_low_water, options_.write_high_water);

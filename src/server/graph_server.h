@@ -5,13 +5,9 @@
 // (server/reactor.h): `reactors` event-loop threads own the accepted
 // connections, pipeline buffered requests, batch replies into single
 // writev calls, commit on the loop, and park connections whose request
-// waits on a vertex lock or the replication frontier, retrying them on the
-// loop. Only an engine whose commit waits on a device flush
-// (Store::CommitsSync: a WAL with fsync on) gets a commit lane, a small
-// worker pool that keeps the flush off the loops: measured on LinkBench
-// DFLT, the lane costs a 26 us thread hop per commit without fsync, and
-// committing on the loop with fsync on let one fdatasync stall every
-// connection on it (docs/SERVER.md "Event loop"). Each connection
+// waits on a vertex lock, the replication frontier or a commit's device
+// flush, retrying them on the loop; the engine's flusher thread performs
+// the flush (docs/SERVER.md "Event loop"). Each connection
 // is a protocol session (server/session.h): it owns a table of open
 // transactions (ids handed out by Begin{,Read}Txn) mapped onto real
 // StoreTxn/StoreReadTxn sessions, so remote sessions keep exactly the
@@ -78,11 +74,6 @@ class GraphServer {
     /// Event-loop threads (docs/SERVER.md "Event loop"). 0 resolves to
     /// the hardware concurrency at Start().
     int reactors = 0;
-    /// Commit-lane threads shared by the reactors. The lane exists only
-    /// when the store's commits sync a device (Store::CommitsSync); then
-    /// 0 resolves to max(2, reactors). Otherwise every commit runs inline
-    /// on its event loop and this is ignored.
-    int workers = 0;
     /// Reactor per-connection output-queue watermarks, in bytes: above
     /// high the reactor stops reading from the connection (and parks
     /// streaming scans); below low it resumes.
@@ -122,9 +113,6 @@ class GraphServer {
 
   /// Reactor threads actually running. Valid after Start().
   int resolved_reactors() const { return resolved_reactors_; }
-  /// Commit-lane threads running: 0 when commits run on the event loops.
-  /// Valid after Start().
-  int resolved_workers() const { return resolved_workers_; }
 
  private:
   class PushStream;
@@ -143,7 +131,6 @@ class GraphServer {
   /// Adopted push streams still running (the reactors count their own).
   std::atomic<size_t> active_streams_{0};
   int resolved_reactors_ = 0;
-  int resolved_workers_ = 0;
 
   /// The event-loop front end (null before Start()).
   std::unique_ptr<ReactorGroup> reactor_group_;

@@ -80,7 +80,6 @@ struct Flags {
   size_t page_cache_pages = size_t{1} << 16;  // PagedLiveGraph: 256 MiB
   size_t scan_batch_edges = 512;
   int reactors = 0;  // event-loop threads; 0 = hw concurrency
-  int workers = 0;   // commit-lane threads; 0 = max(2, reactors)
   int64_t idle_timeout_ms = 0;  // close silent connections; 0 = never
   std::string replica_of;   // "host:port" of the primary (follower mode)
   std::string replica_dir;  // follower durable dir (empty = in-memory)
@@ -121,18 +120,17 @@ int Usage(const char* argv0) {
       "          [--checkpoint-dir=DIR] [--storage-path=FILE]\n"
       "          [--max-vertices=N] [--page-cache-pages=N]\n"
       "          [--scan-batch-edges=N]\n"
-      "          [--reactors=N] [--workers=N] [--idle-timeout-ms=N]\n"
+      "          [--reactors=N] [--idle-timeout-ms=N]\n"
       "          [--replica-of=HOST:PORT] [--replica-dir=DIR]\n"
       "          [--replica-checkpoint-epochs=N]\n"
       "          [--drain-deadline-ms=N] [--faults=SPEC]\n"
       "          [--metrics-port=N] [--slow-op-ms=N]\n"
       "  --reactors picks the epoll event-loop thread count (docs/SERVER.md\n"
       "  \"Event loop\"; 0, the default, = hardware concurrency). Commits\n"
-      "  run on the event loops unless they fsync (--durability=wal-fsync);\n"
-      "  then --workers sizes the commit lane that keeps the flush off the\n"
-      "  loops (0 = max(2, reactors)); the server.start line reports it as\n"
-      "  commit_workers (0: no lane). --idle-timeout-ms closes connections\n"
-      "  silent that long (0 = never).\n"
+      "  run on the event loops; with --durability=wal-fsync one flusher\n"
+      "  thread per WAL performs the fdatasync while the committing\n"
+      "  connection parks. --idle-timeout-ms closes connections silent\n"
+      "  that long (0 = never).\n"
       "  --shards=N (N > 1) serves a hash-partitioned ShardedLiveGraph;\n"
       "  LiveGraph engine only. With durability the server recovers its\n"
       "  durable state on start; a sharded server uses --wal-path as its\n"
@@ -275,9 +273,6 @@ int main(int argc, char** argv) {
     } else if (TakeValue(argv[i], "--reactors", &value)) {
       flags.reactors = std::atoi(value.c_str());
       if (flags.reactors < 0) return Usage(argv[0]);
-    } else if (TakeValue(argv[i], "--workers", &value)) {
-      flags.workers = std::atoi(value.c_str());
-      if (flags.workers < 0) return Usage(argv[0]);
     } else if (TakeValue(argv[i], "--idle-timeout-ms", &value)) {
       flags.idle_timeout_ms = std::atoll(value.c_str());
       if (flags.idle_timeout_ms < 0) return Usage(argv[0]);
@@ -339,7 +334,6 @@ int main(int argc, char** argv) {
     options.port = flags.port;
     options.scan_batch_edges = flags.scan_batch_edges;
     options.reactors = flags.reactors;
-    options.workers = flags.workers;
     options.idle_timeout_ms = flags.idle_timeout_ms;
     options.frontier = &replica.frontier();
     livegraph::GraphServer server(replica.store(), options);
@@ -358,7 +352,6 @@ int main(int argc, char** argv) {
           .Str("host", flags.host)
           .U64("port", server.port())
           .I64("reactors", server.resolved_reactors())
-        .I64("commit_workers", server.resolved_workers())
           .Str("sha", livegraph::kBuildGitSha)
           .Str("build", livegraph::kBuildType)
           .Str("build_flags", livegraph::kBuildFlags)
@@ -394,7 +387,6 @@ int main(int argc, char** argv) {
   options.port = flags.port;
   options.scan_batch_edges = flags.scan_batch_edges;
   options.reactors = flags.reactors;
-  options.workers = flags.workers;
   options.idle_timeout_ms = flags.idle_timeout_ms;
   // A durable LiveGraph primary accepts follower subscriptions; the hub
   // stays inert (and kSubscribe answers kUnavailable) for volatile or
@@ -425,7 +417,6 @@ int main(int argc, char** argv) {
         .Str("host", flags.host)
         .U64("port", server.port())
         .I64("reactors", server.resolved_reactors())
-        .I64("commit_workers", server.resolved_workers())
         .Str("sha", livegraph::kBuildGitSha)
         .Str("build", livegraph::kBuildType)
         .Str("build_flags", livegraph::kBuildFlags)

@@ -4,9 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -67,25 +65,13 @@ metrics::Counter& IdleClosedTotal() {
 
 }  // namespace
 
-/// A commit handed to the commit lane, and its result on the way back to
-/// the owning reactor.
-struct CommitTask {
-  Reactor* reactor = nullptr;
-  uint64_t conn_id = 0;
-  std::unique_ptr<StoreTxn> txn;
-};
-
-struct CommitDone {
-  uint64_t conn_id = 0;
-  StatusOr<timestamp_t> committed{Status::kUnavailable};
-};
-
 /// Parked connections across every reactor, and the rings that wake
 /// them. A commit releases its transaction's vertex locks, so after each
-/// one — inline on a loop or on the commit lane — the committer rings
-/// every other reactor holding a parked connection; the atomic count
-/// keeps that to one load while nothing is parked. A ring lost to a race
-/// costs one re-check tick, never correctness.
+/// one the committing loop rings every other reactor holding a parked
+/// connection; the engine's commit wake (Store::SetCommitWake) rings them
+/// all once parked commits are durable. The atomic count keeps a ring to
+/// one load while nothing is parked. A ring lost to a race costs one
+/// re-check tick, never correctness.
 class ParkedRing {
  public:
   /// The loops to ring; they outlive every committer.
@@ -96,9 +82,9 @@ class ParkedRing {
   /// Loops add and subtract as connections park and unpark.
   void AddParked(int64_t delta) { parked_.fetch_add(delta); }
 
-  /// Wakes every reactor other than `committer` that has parked
-  /// connections (the committer's own loop retries its parked ones
-  /// anyway).
+  /// Wakes every reactor other than `committer` (null: every reactor)
+  /// that has parked connections (the committer's own loop retries its
+  /// parked ones anyway).
   void RingOthers(const Reactor* committer);
 
  private:
@@ -106,76 +92,18 @@ class ParkedRing {
   std::atomic<int64_t> parked_{0};
 };
 
-/// The commit lane, present only when the engine's commits sync a device
-/// (Store::CommitsSync): one queue, `workers` threads. A commit that waits
-/// on fdatasync is the one wait an event loop cannot finish by retrying —
-/// lock and frontier waits park their connection on its own loop instead
-/// (ServerSession::Outcome::kParked) — and a loop blocked in the flush
-/// would stall every other connection on it.
-///
-/// Stop() drains the queue before joining: every handed-off transaction
-/// commits (its client may be gone, but its locks and epoch must not
-/// leak).
-class ReactorWorkerPool {
- public:
-  ReactorWorkerPool(int workers, ParkedRing* ring)
-      : workers_(workers), ring_(ring) {}
-  ~ReactorWorkerPool() { Stop(); }
-
-  void Start() {
-    for (int i = 0; i < workers_; ++i) {
-      threads_.emplace_back([this] { Run(); });
-    }
-  }
-
-  void Submit(CommitTask task) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queue_.push_back(std::move(task));
-    }
-    cv_.notify_one();
-  }
-
-  void Stop() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopped_) return;
-      stopped_ = true;
-    }
-    cv_.notify_all();
-    for (std::thread& thread : threads_) {
-      if (thread.joinable()) thread.join();
-    }
-    threads_.clear();
-  }
-
- private:
-  void Run();
-
-  int workers_;
-  ParkedRing* ring_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<CommitTask> queue_;
-  bool stopped_ = false;
-  std::vector<std::thread> threads_;
-};
-
 /// One event-loop thread: an epoll instance, an eventfd doorbell, and the
 /// connections the acceptor assigned here. Everything per-connection is
-/// touched only from this thread; the doorbell paths (new sockets, commit
-/// completions, parked-connection rings) go through small mutex-guarded
-/// hand-off queues or the bare eventfd.
+/// touched only from this thread; the doorbell paths (new sockets,
+/// parked-connection rings) go through a small mutex-guarded hand-off
+/// queue or the bare eventfd.
 class Reactor {
  public:
-  /// `workers` is null when there is no commit lane.
   Reactor(const ReactorGroup::Options& options,
-          const ReactorGroup::AdoptFn* adopt, ParkedRing* ring,
-          ReactorWorkerPool* workers, int index)
+          const ReactorGroup::AdoptFn* adopt, ParkedRing* ring, int index)
       : options_(options),
         adopt_(adopt),
         ring_(ring),
-        workers_(workers),
         conn_gauge_(metrics::Registry::Instance().GetGauge(
             "livegraph_server_reactor_connections{reactor=\"" +
             std::to_string(index) + "\"}")) {}
@@ -208,15 +136,6 @@ class Reactor {
     wake_.Signal();
   }
 
-  /// Commit-lane hand-back (any thread).
-  void PostCompletion(CommitDone done) {
-    {
-      std::lock_guard<std::mutex> lock(completions_mu_);
-      completions_.push_back(std::move(done));
-    }
-    wake_.Signal();
-  }
-
   /// A commit elsewhere rings a loop with parked connections (any
   /// thread): they retry at this wakeup instead of the next re-check
   /// tick.
@@ -238,10 +157,8 @@ class Reactor {
     ServerSession::Sink out;
     /// Currently registered epoll interest bits.
     uint32_t interest = Epoll::kRead;
-    /// kCommit: the commit lane runs the commit. kParked: `frame` waits
-    /// to be handled again (ServerSession::Outcome::kParked).
-    enum class Wait : uint8_t { kNone, kCommit, kParked };
-    Wait wait = Wait::kNone;
+    /// `frame` waits to be handled again (ServerSession::Outcome::kParked).
+    bool parked = false;
     bool eof = false;
     bool closing = false;
     bool adopting = false;
@@ -255,12 +172,10 @@ class Reactor {
           session(config),
           out(high_water) {}
 
-    /// A commit, a parked request or a parked scan owns the reply stream:
-    /// no new frames may dispatch until it completes (replies are in
-    /// request order).
-    bool blocked() const {
-      return wait != Wait::kNone || session.scan_paused();
-    }
+    /// A parked request or a parked scan owns the reply stream: no new
+    /// frames may dispatch until it completes (replies are in request
+    /// order).
+    bool blocked() const { return parked || session.scan_paused(); }
   };
 
   void Run() {
@@ -284,12 +199,11 @@ class Reactor {
       if (woken) {
         wake_.Drain();
         AdoptPendingSockets();
-        DrainCompletions(&frames);
       }
       if (!parked_.empty()) RetryParked(&frames);
       if (committed_) {
-        // Inline commits this round released their locks: waiters parked
-        // on other loops retry now, not at their next re-check tick.
+        // Commits this round released their locks: waiters parked on
+        // other loops retry now, not at their next re-check tick.
         committed_ = false;
         ring_->RingOthers(this);
       }
@@ -350,7 +264,7 @@ class Reactor {
   }
 
   /// Dispatches every complete buffered frame, stopping at backpressure,
-  /// a commit hand-off, a parked request or scan, or a protocol violation.
+  /// a parked request or scan, or a protocol violation.
   void ProcessFrames(Conn* conn, uint64_t* frames) {
     while (!conn->closing && !conn->adopting && !conn->blocked() &&
            !conn->out.throttled()) {
@@ -376,7 +290,7 @@ class Reactor {
       ServerSession::Outcome outcome =
           conn->session.Handle(conn->frame, &conn->out);
       if (conn->frame.type == MsgType::kCommit &&
-          outcome != ServerSession::Outcome::kCommitAsync) {
+          outcome != ServerSession::Outcome::kParked) {
         committed_ = true;
       }
       Dispatch(conn, outcome);
@@ -421,9 +335,6 @@ class Reactor {
         break;
       case ServerSession::Outcome::kScanPaused:
         break;  // blocked() is now true; resume on output drain
-      case ServerSession::Outcome::kCommitAsync:
-        SubmitCommit(conn);
-        break;
       case ServerSession::Outcome::kParked:
         Park(conn);  // conn->frame is handled again by RetryParked
         break;
@@ -434,15 +345,14 @@ class Reactor {
   }
 
   /// Alternates dispatch and flush until the connection can make no more
-  /// progress this round: input exhausted, output throttled, a commit or
-  /// parked request pending, or teardown.
+  /// progress this round: input exhausted, output throttled, a parked
+  /// request pending, or teardown.
   void Drive(Conn* conn, uint64_t* frames) {
     while (!conn->closing && !conn->adopting) {
       if (!conn->blocked()) ProcessFrames(conn, frames);
       FlushConn(conn);
       if (conn->closing || conn->adopting) break;
-      bool resume_scan = conn->session.scan_paused() &&
-                         conn->wait == Conn::Wait::kNone &&
+      bool resume_scan = conn->session.scan_paused() && !conn->parked &&
                          conn->out.bytes() <= options_.write_low_water;
       if (!resume_scan) break;
       if (conn->session.ResumeScan(&conn->out) ==
@@ -482,23 +392,14 @@ class Reactor {
     }
   }
 
-  void SubmitCommit(Conn* conn) {
-    conn->wait = Conn::Wait::kCommit;
-    CommitTask task;
-    task.reactor = this;
-    task.conn_id = conn->id;
-    task.txn = conn->session.TakePendingCommit().txn;
-    workers_->Submit(std::move(task));
-  }
-
   void Park(Conn* conn) {
-    conn->wait = Conn::Wait::kParked;
+    conn->parked = true;
     parked_.push_back(conn->id);
     CountParked(1);
   }
 
   void Unpark(Conn* conn) {
-    conn->wait = Conn::Wait::kNone;
+    conn->parked = false;
     parked_.erase(std::find(parked_.begin(), parked_.end(), conn->id));
     CountParked(-1);
   }
@@ -512,6 +413,7 @@ class Reactor {
   /// stay parked; the rest continue with their buffered frames.
   void RetryParked(uint64_t* frames) {
     retry_.assign(parked_.begin(), parked_.end());
+    bool commit_done = false;
     for (uint64_t id : retry_) {
       auto it = conns_.find(id);
       if (it == conns_.end()) continue;  // closed earlier this round
@@ -519,10 +421,19 @@ class Reactor {
       ServerSession::Outcome outcome =
           conn->session.Handle(conn->frame, &conn->out);
       if (outcome == ServerSession::Outcome::kParked) continue;
+      if (conn->frame.type == MsgType::kCommit) {
+        // A parked commit finished: it released locks and may have made
+        // visible the epoch of commits parked behind it. Other loops
+        // retry now, before this reply's flush; those retried here
+        // already go again at once, not at the re-check tick.
+        ring_->RingOthers(this);
+        commit_done = true;
+      }
       Unpark(conn);
       Dispatch(conn, outcome);
       PostProcess(conn, frames);
     }
+    if (commit_done && !parked_.empty()) wake_.Signal();
   }
 
   void AdoptPendingSockets() {
@@ -542,25 +453,6 @@ class Reactor {
       conns_.emplace(id, std::move(conn));
     }
     NoteConnCount();
-  }
-
-  void DrainCompletions(uint64_t* frames) {
-    std::vector<CommitDone> completions;
-    {
-      std::lock_guard<std::mutex> lock(completions_mu_);
-      completions.swap(completions_);
-    }
-    for (CommitDone& done : completions) {
-      auto it = conns_.find(done.conn_id);
-      if (it == conns_.end()) continue;  // connection died while committing
-      Conn* conn = it->second.get();
-      conn->wait = Conn::Wait::kNone;
-      if (conn->session.FinishCommit(std::move(done.committed), &conn->out) ==
-          ServerSession::Outcome::kClose) {
-        conn->closing = true;
-      }
-      PostProcess(conn, frames);
-    }
   }
 
   /// Hands the socket (blocking again, queued output flushed) plus the
@@ -587,7 +479,7 @@ class Reactor {
   }
 
   void CloseConn(Conn* conn) {
-    if (conn->wait == Conn::Wait::kParked) Unpark(conn);
+    if (conn->parked) Unpark(conn);
     epoll_.Del(conn->socket.fd());
     conns_.erase(conn->id);  // Socket closes; session aborts open txns
     NoteConnCount();
@@ -648,7 +540,6 @@ class Reactor {
   const ReactorGroup::Options& options_;
   const ReactorGroup::AdoptFn* adopt_;
   ParkedRing* ring_;
-  ReactorWorkerPool* workers_;
   metrics::Gauge& conn_gauge_;
 
   Epoll epoll_;
@@ -658,43 +549,18 @@ class Reactor {
   std::atomic<size_t> active_{0};
   /// parked_.size(), for other committers' rings.
   std::atomic<int64_t> parked_count_{0};
-  /// A commit ran inline on this loop since the last ring.
+  /// A commit finished on this loop since the last ring.
   bool committed_ = false;
 
   uint64_t next_id_ = 1;
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
-  /// Ids of the connections in Wait::kParked, and RetryParked's copy.
+  /// Ids of the parked connections, and RetryParked's copy.
   std::vector<uint64_t> parked_;
   std::vector<uint64_t> retry_;
 
   std::mutex pending_mu_;
   std::vector<Socket> pending_;
-
-  std::mutex completions_mu_;
-  std::vector<CommitDone> completions_;
 };
-
-void ReactorWorkerPool::Run() {
-  while (true) {
-    CommitTask task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] { return stopped_ || !queue_.empty(); });
-      // Drain before exiting: a handed-off transaction must commit (or the
-      // epoch frontier could wedge on its acquired epoch).
-      if (queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    CommitDone done;
-    done.conn_id = task.conn_id;
-    task.txn->AttachToThread();
-    done.committed = task.txn->Commit();
-    task.txn.reset();
-    ring_->RingOthers(task.reactor);
-    task.reactor->PostCompletion(std::move(done));
-  }
-}
 
 void ParkedRing::RingOthers(const Reactor* committer) {
   if (parked_.load() == 0) return;
@@ -712,38 +578,35 @@ bool ReactorGroup::Start() {
   if (running_) return true;
   int reactors = options_.reactors < 1 ? 1 : options_.reactors;
   ring_ = std::make_unique<ParkedRing>();
-  if (options_.workers > 0) {
-    workers_ = std::make_unique<ReactorWorkerPool>(options_.workers,
-                                                   ring_.get());
-  }
-  options_.session.commit_lane = workers_ != nullptr;
   std::vector<Reactor*> loops;
   for (int i = 0; i < reactors; ++i) {
-    reactors_.push_back(std::make_unique<Reactor>(
-        options_, &adopt_, ring_.get(), workers_.get(), i));
+    reactors_.push_back(
+        std::make_unique<Reactor>(options_, &adopt_, ring_.get(), i));
     loops.push_back(reactors_.back().get());
   }
   ring_->SetReactors(std::move(loops));
-  if (workers_ != nullptr) workers_->Start();
   for (auto& reactor : reactors_) {
     if (!reactor->Start()) {
       Stop();
       return false;
     }
   }
+  // Parked commits retry once the engine has made them durable.
+  options_.session.store->SetCommitWake(
+      [ring = ring_.get()] { ring->RingOthers(nullptr); });
   running_ = true;
   return true;
 }
 
 void ReactorGroup::Stop() {
-  // Loops first: they stop submitting new work, close their connections,
-  // and exit. The commit lane then drains — completions posted to stopped
-  // reactors are left harmlessly until destruction. The Reactor objects
-  // themselves stay alive (threads joined, zero connections) so that
-  // concurrent active_connections() readers never race their teardown.
+  // The loops close their connections and exit; a parked commit finishes
+  // as its session is destroyed. The Reactor objects themselves stay
+  // alive (threads joined, zero connections) so that concurrent
+  // active_connections() readers never race their teardown.
   for (auto& reactor : reactors_) reactor->RequestStop();
   for (auto& reactor : reactors_) reactor->Join();
-  if (workers_ != nullptr) workers_->Stop();
+  // Clearing waits out a wake in flight on the engine's flusher thread.
+  if (running_) options_.session.store->SetCommitWake(nullptr);
   running_ = false;
 }
 

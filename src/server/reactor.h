@@ -3,8 +3,7 @@
 // A ReactorGroup owns N event-loop threads ("reactors"), each with its own
 // epoll instance and an exclusive share of the accepted connections (the
 // acceptor hands sockets over round-robin, so a connection lives on one
-// reactor for its whole life and needs no locking), plus — only when the
-// engine's commits sync a device — one small shared commit lane.
+// reactor for its whole life and needs no locking).
 //
 // Per connection the reactor keeps a non-blocking read/decode state
 // machine and a bounded output queue:
@@ -19,15 +18,13 @@
 //     when EPOLLOUT drains the queue below the low water mark, reading
 //     and the scan resume. Memory per connection stays bounded no matter
 //     how asymmetric the peer.
-//   - Commits: run inline on the owning loop. Without fsync a commit
-//     waits only on its group's writev and on other running committers,
-//     and a worker hop would cost more than the commit itself. When the
-//     engine's commit waits on fdatasync (Store::CommitsSync), the commit
-//     goes to the commit lane instead (the transaction migrates threads —
-//     api/store.h "Cross-thread hand-off"), so one flush does not stall
-//     every connection on the loop; the completion is posted back to the
-//     owning reactor through an eventfd and the reply is sent from the
-//     loop, preserving reply order.
+//   - Commits: run on the owning loop. Without fsync a commit waits only
+//     on its group's writev and on other running committers, and finishes
+//     in one call. When the engine's commit waits on fdatasync, the
+//     commit publishes its WAL record and parks its connection like the
+//     waits below (StoreTxn::TryCommit); the engine's flusher thread leads
+//     the group and rings the loops through the commit wake, and the loop
+//     applies the commit and replies — on the thread that took its locks.
 //   - Parked waits: a mutation whose vertex lock another transaction
 //     holds, or an epoch-gated read ahead of the frontier, parks its
 //     connection with the decoded frame (ServerSession::Outcome::kParked).
@@ -36,7 +33,8 @@
 //     again after every commit (the committer rings each reactor with
 //     parked connections) and at least every millisecond, until it
 //     succeeds or its deadline — the engine's lock timeout, or the read's
-//     own timeout — passes.
+//     own timeout — passes. A parked commit has no deadline: it is under
+//     way and finishes once durable and visible.
 //
 // Replication subscriptions (kSubscribe) do not fit an event loop — they
 // are infinite write-mostly streams — so the reactor detaches the socket
@@ -57,17 +55,12 @@ namespace livegraph {
 
 class ParkedRing;
 class Reactor;
-class ReactorWorkerPool;
 
 class ReactorGroup {
  public:
   struct Options {
     /// Event-loop thread count (resolved by the caller; >= 1).
     int reactors = 1;
-    /// Commit-lane threads shared by all reactors. 0 starts no lane: every
-    /// commit runs inline on its loop. Set it only for engines whose
-    /// commits sync a device (Store::CommitsSync).
-    int workers = 0;
     /// Output-queue watermarks, bytes per connection. Above high: stop
     /// reading and park scans. Below low: resume.
     size_t write_high_water = 1u << 20;
@@ -79,8 +72,8 @@ class ReactorGroup {
     /// is dead weight (peer stopped draining) and is closed. Also the send
     /// timeout an adopted subscription socket leaves with. 0 disables.
     int64_t write_stall_timeout_ms = 30'000;
-    /// Session template: store, scan budgets, frontier. Start() sets its
-    /// commit_lane from `workers`.
+    /// Session template: store, scan budgets, frontier. Start() installs
+    /// the store's commit wake (Store::SetCommitWake); Stop() clears it.
     ServerSession::Config session;
   };
 
@@ -96,8 +89,8 @@ class ReactorGroup {
   ReactorGroup& operator=(const ReactorGroup&) = delete;
 
   bool Start();
-  /// Stops the loops (closing every connection; sessions abort their open
-  /// transactions), then drains and joins the commit lane. Idempotent.
+  /// Stops the loops, closing every connection: sessions abort their open
+  /// transactions and finish their parked commits. Idempotent.
   void Stop();
 
   /// Hands an accepted socket to the next reactor (round-robin).
@@ -109,11 +102,9 @@ class ReactorGroup {
  private:
   Options options_;
   AdoptFn adopt_;
-  /// Declared first: the loops and the lane ring through it until they
-  /// are destroyed.
+  /// Declared first: the loops and the commit wake ring through it until
+  /// they are destroyed.
   std::unique_ptr<ParkedRing> ring_;
-  /// Null when there is no commit lane.
-  std::unique_ptr<ReactorWorkerPool> workers_;
   std::vector<std::unique_ptr<Reactor>> reactors_;
   size_t next_reactor_ = 0;
   bool running_ = false;

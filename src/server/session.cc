@@ -100,40 +100,27 @@ metrics::Gauge& OpenTxnsGauge() {
   return gauge;
 }
 
-/// How long a parked mutation waited for its vertex lock, one sample when
-/// it acquires or times out. Mutations that lock at the first attempt
-/// record nothing.
-metrics::Histogram& LockWait() {
-  static metrics::Histogram& histogram =
-      metrics::Registry::Instance().GetHistogram(
-          "livegraph_server_lock_wait", metrics::Unit::kNanos);
-  return histogram;
-}
-
-metrics::Counter& LockTimeouts() {
+/// Commits that parked on durability, counted once per commit.
+metrics::Counter& CommitParks() {
   static metrics::Counter& counter = metrics::Registry::Instance().GetCounter(
-      "livegraph_server_lock_timeouts_total");
+      "livegraph_server_commit_parks_total");
   return counter;
 }
 
 }  // namespace
 
 ServerSession::ServerSession(const Config& config) : config_(config) {
-  OpenTxnsGauge();  // eager registration: present (at 0) from first scrape
+  // Eager registration: present (at 0) from the first scrape.
+  OpenTxnsGauge();
+  CommitParks();
 }
 
 ServerSession::~ServerSession() {
-  // Destroying the table aborts open write sessions and releases read
+  // Destroying the table aborts open write sessions, finishes a parked
+  // commit (a published commit cannot be aborted), and releases read
   // sessions (latches, snapshots) — a vanished client holds nothing.
   OpenTxnsGauge().Add(-static_cast<int64_t>(txns_.size()));
   txns_.clear();
-  if (pending_commit_.txn != nullptr) {
-    // The transaction was detached for a worker hand-off that never
-    // happened (connection torn down in the same scheduling step);
-    // re-attach so the abort in the destructor releases on this thread.
-    pending_commit_.txn->AttachToThread();
-    pending_commit_.txn.reset();
-  }
 }
 
 ServerSession::Outcome ServerSession::Handle(const Frame& request,
@@ -145,8 +132,8 @@ ServerSession::Outcome ServerSession::Handle(const Frame& request,
   waited_ns_ = static_cast<int64_t>(now - request_start_ns_);
   Outcome outcome = DispatchInner(request, sink);
   parked_ = outcome == Outcome::kParked;
-  // Paused scans and offloaded commits record when they complete
-  // (ResumeScan / FinishCommit), parked requests when a retry finishes.
+  // Paused scans record when they complete (ResumeScan), parked requests
+  // when a retry finishes.
   if (outcome == Outcome::kDone || outcome == Outcome::kClose) {
     RecordOp(op, request_start_ns_);
   }
@@ -316,48 +303,22 @@ ServerSession::Outcome ServerSession::HandleCommit(WireReader& reader,
   if (it == txns_.end() || it->second.write == nullptr) {
     return ReplyStatus(sink, Status::kNotActive);
   }
-  std::unique_ptr<StoreTxn> txn = std::move(it->second.write);
+  // A commit that would wait on a device flush parks, and the transport
+  // handles this frame again after the engine's commit wake or a re-check
+  // tick. Its transaction stays in the table meanwhile, committing: if
+  // the connection closes, destroying it completes the commit.
+  timestamp_t epoch = 0;
+  StatusOr<bool> committed = it->second.write->TryCommit(&epoch);
+  if (committed.ok() && !*committed) {
+    if (!parked_) CommitParks().Add();
+    return Outcome::kParked;
+  }
   txns_.erase(it);
   OpenTxnsGauge().Sub(1);
-  if (config_.commit_lane && txn->SupportsThreadHandoff()) {
-    // The commit would wait on a device flush; hand it to the lane so
-    // the event loop keeps serving other connections. Detach here — still
-    // on the transport thread — so the worker may release the
-    // transaction's locks (api/store.h "Cross-thread hand-off").
-    txn->DetachFromThread();
-    pending_commit_.txn = std::move(txn);
-    pending_commit_.start_nanos = request_start_ns_;
-    return Outcome::kCommitAsync;
-  }
-  StatusOr<timestamp_t> committed = txn->Commit();
-  txn.reset();
   if (!committed.ok()) return ReplyStatus(sink, committed.status());
   WireWriter writer = BeginReply(Status::kOk);
-  writer.PutI64(*committed);
+  writer.PutI64(epoch);
   return SendReply(sink) ? Outcome::kDone : Outcome::kClose;
-}
-
-ServerSession::PendingCommit ServerSession::TakePendingCommit() {
-  PendingCommit taken;
-  taken.txn = std::move(pending_commit_.txn);
-  taken.start_nanos = pending_commit_.start_nanos;
-  return taken;
-}
-
-ServerSession::Outcome ServerSession::FinishCommit(
-    StatusOr<timestamp_t> committed, Sink* sink) {
-  const uint64_t start = pending_commit_.start_nanos;
-  pending_commit_ = PendingCommit{};
-  Outcome outcome;
-  if (!committed.ok()) {
-    outcome = ReplyStatus(sink, committed.status());
-  } else {
-    WireWriter writer = BeginReply(Status::kOk);
-    writer.PutI64(*committed);
-    outcome = SendReply(sink) ? Outcome::kDone : Outcome::kClose;
-  }
-  RecordOp(OpMetricsFor(MsgType::kCommit), start);
-  return outcome;
 }
 
 ServerSession::Outcome ServerSession::HandleAbort(WireReader& reader,
@@ -612,11 +573,9 @@ ServerSession::Outcome ServerSession::HandleStats(WireReader& reader,
 std::optional<ServerSession::Outcome> ServerSession::LockOrPark(
     StoreTxn* txn, vertex_t v, Sink* sink) {
   StatusOr<bool> locked = txn->TryLockVertex(v, waited_ns_);
-  if (locked.ok() && !*locked) return Outcome::kParked;
-  if (parked_) LockWait().Record(static_cast<uint64_t>(waited_ns_));
-  if (locked.ok()) return std::nullopt;
-  if (locked.status() == Status::kTimeout) LockTimeouts().Add();
-  return ReplyStatus(sink, locked.status());
+  if (!locked.ok()) return ReplyStatus(sink, locked.status());
+  if (!*locked) return Outcome::kParked;
+  return std::nullopt;
 }
 
 ServerSession::Outcome ServerSession::HandleAddNode(WireReader& reader,

@@ -9,23 +9,18 @@
 //   kScanPaused   a streaming scan hit output backpressure mid-list; the
 //                 cursor (and the engine read session it borrows from)
 //                 stays parked in the session until ResumeScan().
-//   kCommitAsync  a write commit would wait on a device flush: the
-//                 server has a commit lane (Config::commit_lane, set only
-//                 when Store::CommitsSync) and the session supports
-//                 cross-thread hand-off (api/store.h).
-//                 TakePendingCommit() hands the StoreTxn to a lane
-//                 worker, whose result comes back through FinishCommit().
-//                 Every other commit runs inline: without fsync it waits
-//                 only on a writev and on other running committers, less
-//                 than a worker hop costs.
 //   kParked       the request would wait on something another session
 //                 or thread resolves: a vertex lock held by another
-//                 transaction (StoreTxn::TryLockVertex), or a frontier
-//                 that does not yet cover an epoch-gated read. Nothing
-//                 changed; the transport keeps the frame and Handle()s it
-//                 again after a commit or a short re-check interval. The
-//                 deadline is the engine's lock timeout or the request's
-//                 own timeout, measured from the first attempt.
+//                 transaction (StoreTxn::TryLockVertex), a frontier that
+//                 does not yet cover an epoch-gated read, or a commit's
+//                 device flush and the visibility of its epoch
+//                 (StoreTxn::TryCommit). The transport keeps the frame
+//                 and Handle()s it again after a commit, the engine's
+//                 commit wake, or a short re-check interval. A lock or
+//                 frontier wait changed nothing, and its deadline is the
+//                 engine's lock timeout or the request's own timeout,
+//                 measured from the first attempt; a parked commit is
+//                 under way and has no deadline.
 //
 // While any of these is outstanding the caller must not Handle() further
 // frames on the connection — replies are strictly in request order, which
@@ -101,7 +96,6 @@ class ServerSession {
     kDone,         // request handled, replies queued
     kClose,        // protocol violation or dead sink: close the connection
     kScanPaused,   // scan parked on backpressure; ResumeScan() when clear
-    kCommitAsync,  // TakePendingCommit() -> lane -> FinishCommit()
     kParked,       // would wait; Handle() the same frame again later
     kSubscribe,    // hand the socket to a blocking replication thread
   };
@@ -113,9 +107,6 @@ class ServerSession {
     size_t scan_batch_bytes = 60 * 1024;
     /// Epoch-gated reads (kBeginReadTxnAt); null rejects positive bounds.
     EpochFrontier* frontier = nullptr;
-    /// A commit lane exists: hand-off-capable commits leave the transport
-    /// thread (Outcome::kCommitAsync). False commits every session inline.
-    bool commit_lane = false;
   };
 
   explicit ServerSession(const Config& config);
@@ -132,19 +123,6 @@ class ServerSession {
   /// Continues the parked streaming scan. Precondition: scan_paused().
   Outcome ResumeScan(Sink* sink);
   bool scan_paused() const { return scan_.has_value(); }
-
-  // --- Async commit (Outcome::kCommitAsync) ---
-
-  struct PendingCommit {
-    std::unique_ptr<StoreTxn> txn;
-    uint64_t start_nanos = 0;
-  };
-  /// Transfers the committing transaction to the worker. The transaction
-  /// is already detached from this thread (api/store.h "Cross-thread
-  /// hand-off"); the worker calls AttachToThread(), then Commit().
-  PendingCommit TakePendingCommit();
-  /// Queues the commit reply (worker's result), on the transport thread.
-  Outcome FinishCommit(StatusOr<timestamp_t> committed, Sink* sink);
 
  private:
   /// A slot in the session's transaction table. Write sessions serve
@@ -219,7 +197,6 @@ class ServerSession {
   std::map<uint64_t, OpenTxn> txns_;
 
   std::optional<ActiveScan> scan_;
-  PendingCommit pending_commit_;
   /// The request in flight returned kParked and is being retried.
   bool parked_ = false;
   /// When the request in flight was first tried, and how long before the

@@ -71,6 +71,11 @@ class ShardedWriteTxn : public StoreTxn {
 
   ~ShardedWriteTxn() override {
     if (active_) AbortAll();
+    // A published multi-shard commit cannot be aborted: its records replay
+    // at recovery. Finish every piece, but skip the visibility wait, which
+    // may depend on a commit parked on this thread. (A single-shard commit
+    // is finished by its Transaction's own destructor.)
+    if (stage_ == Stage::kPublished) FinishPieces(/*wait=*/true);
     ReleasePin();
   }
 
@@ -212,100 +217,20 @@ class ShardedWriteTxn : public StoreTxn {
   // --- Lifecycle ---
 
   StatusOr<timestamp_t> Commit() override {
-    if (!active_) return Status::kNotActive;
-    // Store-wide read-only degradation: the shards share one disk, so a
-    // WAL failure latched by ANY shard rejects every commit — not just
-    // those routed to the poisoned shard. Sessions that staged writes
-    // before the latch abort cleanly (locks released, nothing visible).
-    if (Status degraded = store_->degraded_status();
-        degraded != Status::kOk) {
-      AbortAll();
-      return degraded;
-    }
-    active_ = false;
-    // The domain pin only has to outlive lazy first-touches: every open
-    // shard's worker slot published the pinned epoch itself, and Commit
-    // touches no new shards, so the pin's job is done.
-    ReleasePin();
-
-    // Shards without a landed mutation publish no visible data (at most an
-    // empty staged TEL write from a missed delete): their native commits
-    // cannot tear anything. Run them outside any coordination.
-    int writers = 0;
-    for (size_t s = 0; s < txns_.size(); ++s) {
-      if (!txns_[s].has_value()) continue;
-      if (wrote_[s]) {
-        ++writers;
-      } else {
-        txns_[s]->Commit();
-        txns_[s].reset();
-      }
-    }
-
-    EpochDomain* domain = ShardedStoreAccess::Domain(*store_);
-    if (writers == 0) return domain->visible();
-
-    if (writers == 1) {
-      // Single-shard fast path: straight through that shard's commit
-      // pipeline. Its fresh epoch comes from the shared domain, so it IS
-      // a global epoch — no extra coordination to make it comparable.
-      for (auto& txn : txns_) {
-        if (!txn.has_value()) continue;
-        StatusOr<timestamp_t> committed = txn->Commit();
-        txn.reset();
-        return committed;
-      }
-    }
-
-    // Multi-shard commit: ONE domain epoch for the whole transaction, each
-    // shard's piece committed at it (CommitAt) through its own pipeline.
-    // The epoch becomes visible only when the last piece applies — and no
-    // reader can pin an epoch at or above it before then — so the commit
-    // is all-or-nothing without any coordinator lock. Pieces that fail
-    // unexpectedly still report their MarkApplied inside CommitAt, so the
-    // frontier cannot wedge; committing the remaining shards keeps locks
-    // from leaking.
-    // Coordinator section (rank kCommitCoordinator): entered while this
-    // session's vertex locks are still held by the pieces below; it must
-    // never acquire NEW vertex locks — a write after the epoch is stamped
-    // would escape its WAL record. The rank table turns that rule into an
-    // abort at the violation site.
-    LIVEGRAPH_SCOPED_LOCK_RANK(LockRank::kCommitCoordinator);
-    timestamp_t epoch = domain->Acquire(static_cast<uint32_t>(writers));
-    Status failure = Status::kOk;
-    for (auto& txn : txns_) {
-      if (!txn.has_value()) continue;
-      StatusOr<timestamp_t> committed =
-          txn->CommitAt(epoch, static_cast<uint32_t>(writers));
-      txn.reset();
-      if (!committed.ok() && failure == Status::kOk) {
-        failure = committed.status();
-      }
-    }
-    // Read-your-commit across the whole store: return only once the epoch
-    // is visible everywhere (the per-piece commits skipped this wait).
-    domain->WaitVisible(epoch);
-    if (failure != Status::kOk) return failure;
+    timestamp_t epoch = 0;
+    StatusOr<bool> done = Step(/*wait=*/true, &epoch);
+    if (!done.ok()) return done.status();
     return epoch;
+  }
+
+  /// Waits on nothing when the shards' WALs sync (Graph::parks_commits);
+  /// otherwise no commit parks and this runs Commit().
+  StatusOr<bool> TryCommit(timestamp_t* epoch) override {
+    return Step(/*wait=*/!store_->shard(0).parks_commits(), epoch);
   }
 
   void Abort() override {
     if (active_) AbortAll();
-  }
-
-  // Every engaged per-shard piece migrates its debug-ledger state; the
-  // futex locks themselves are not thread-affine (core/transaction.h
-  // "Cross-thread hand-off").
-  bool SupportsThreadHandoff() const override { return true; }
-  void DetachFromThread() override {
-    for (auto& txn : txns_) {
-      if (txn.has_value()) txn->DetachFromThread();
-    }
-  }
-  void AttachToThread() override {
-    for (auto& txn : txns_) {
-      if (txn.has_value()) txn->AttachToThread();
-    }
   }
 
  private:
@@ -355,6 +280,134 @@ class ShardedWriteTxn : public StoreTxn {
     store_->epoch_domain()->Unpin(pin_);
   }
 
+  /// Runs the commit from wherever the last call left it. `wait` blocks
+  /// at every stage; otherwise false means "call again".
+  StatusOr<bool> Step(bool wait, timestamp_t* epoch) {
+    EpochDomain* domain = ShardedStoreAccess::Domain(*store_);
+    if (stage_ == Stage::kOpen) {
+      if (!active_) return Status::kNotActive;
+      // Store-wide read-only degradation: the shards share one disk, so a
+      // WAL failure latched by ANY shard rejects every commit — not just
+      // those routed to the poisoned shard. Sessions that staged writes
+      // before the latch abort cleanly (locks released, nothing visible).
+      if (Status degraded = store_->degraded_status();
+          degraded != Status::kOk) {
+        AbortAll();
+        return degraded;
+      }
+      active_ = false;
+      // The domain pin only has to outlive lazy first-touches: every open
+      // shard's worker slot published the pinned epoch itself, and Commit
+      // touches no new shards, so the pin's job is done.
+      ReleasePin();
+      // Shards without a landed mutation publish no visible data (at most
+      // an empty staged TEL write from a missed delete): their native
+      // commits cannot tear anything. Run them outside any coordination.
+      uint32_t writers = 0;
+      for (size_t s = 0; s < txns_.size(); ++s) {
+        if (!txns_[s].has_value()) continue;
+        if (wrote_[s]) {
+          ++writers;
+          single_ = s;
+        } else {
+          txns_[s]->Commit();
+          txns_[s].reset();
+        }
+      }
+      if (writers == 0) {
+        stage_ = Stage::kDone;
+        *epoch = domain->visible();
+        return true;
+      }
+      if (writers == 1) {
+        // Single-shard fast path: straight through that shard's commit
+        // pipeline. Its fresh epoch comes from the shared domain, so it IS
+        // a global epoch — no extra coordination to make it comparable.
+        stage_ = Stage::kSingle;
+      } else {
+        PublishPieces(writers, /*park=*/!wait);
+      }
+    }
+    if (stage_ == Stage::kSingle) {
+      std::optional<Transaction>& txn = txns_[single_];
+      if (wait) {
+        StatusOr<timestamp_t> committed = txn->Commit();
+        txn.reset();
+        stage_ = Stage::kDone;
+        if (!committed.ok()) return committed.status();
+        *epoch = *committed;
+        return true;
+      }
+      StatusOr<bool> done = txn->TryCommit(epoch);
+      if (done.ok() && !*done) return false;
+      txn.reset();
+      stage_ = Stage::kDone;
+      return done;
+    }
+    if (stage_ == Stage::kPublished && !FinishPieces(wait)) return false;
+    if (stage_ != Stage::kApplied) return Status::kNotActive;
+    // Read-your-commit across the whole store: report the commit only
+    // once the epoch is visible everywhere (the pieces skipped this wait).
+    if (domain->visible() < epoch_) {
+      if (!wait) return false;
+      domain->WaitVisible(epoch_);
+    }
+    for (auto& txn : txns_) {
+      if (txn.has_value()) txn->CommitVisible(/*wait=*/true);  // visible
+      txn.reset();
+    }
+    stage_ = Stage::kDone;
+    if (failure_ != Status::kOk) return failure_;
+    *epoch = epoch_;
+    return true;
+  }
+
+  /// Multi-shard commit: ONE domain epoch for the whole transaction, each
+  /// shard's piece published at it through its own pipeline. The epoch
+  /// becomes visible only when the last piece applies — and no reader can
+  /// pin an epoch at or above it before then — so the commit is
+  /// all-or-nothing without any coordinator lock.
+  void PublishPieces(uint32_t writers, bool park) {
+    // Coordinator section (rank kCommitCoordinator): entered while this
+    // session's vertex locks are still held by the pieces; it must never
+    // acquire NEW vertex locks — a write after the epoch is stamped would
+    // escape its WAL record. The rank table turns that rule into an abort
+    // at the violation site. It spans the publish only: a reactor loop
+    // that parked inside it would take other sessions' vertex locks under
+    // it.
+    LIVEGRAPH_SCOPED_LOCK_RANK(LockRank::kCommitCoordinator);
+    epoch_ = ShardedStoreAccess::Domain(*store_)->Acquire(writers);
+    for (auto& txn : txns_) {
+      if (!txn.has_value()) continue;
+      // A piece rejected here (a shard degraded meanwhile) has already
+      // reported its MarkApplied; the rest roll back in FinishPieces.
+      Status published = txn->PublishCommit(epoch_, writers, park);
+      if (failure_ == Status::kOk) failure_ = published;
+    }
+    stage_ = Stage::kPublished;
+  }
+
+  /// Once every piece is durable, applies them all — or, if any piece's
+  /// WAL write failed, rolls every piece back, as recovery drops a
+  /// half-durable epoch. Every piece reports its MarkApplied either way,
+  /// so the frontier cannot wedge. False while a piece is not yet durable
+  /// (`wait` false only).
+  bool FinishPieces(bool wait) {
+    for (auto& txn : txns_) {
+      if (txn.has_value() && !txn->CommitDurable(wait)) return false;
+    }
+    for (auto& txn : txns_) {
+      if (txn.has_value() && failure_ == Status::kOk) {
+        failure_ = txn->persist_status();
+      }
+    }
+    for (auto& txn : txns_) {
+      if (txn.has_value()) txn->FinishCommit(/*undo=*/failure_ != Status::kOk);
+    }
+    stage_ = Stage::kApplied;
+    return true;
+  }
+
   ShardedStore* store_;
   std::vector<std::optional<Transaction>> txns_;  // index = shard
   std::vector<bool> wrote_;  // mutation reached this shard's native txn
@@ -362,6 +415,13 @@ class ShardedWriteTxn : public StoreTxn {
   EpochDomain::ReadPin pin_;
   bool pinned_ = true;
   bool active_ = true;
+  /// Commit progress: kSingle commits the one writing shard's piece;
+  /// kPublished/kApplied drive the multi-shard pieces at epoch_.
+  enum class Stage : uint8_t { kOpen, kSingle, kPublished, kApplied, kDone };
+  Stage stage_ = Stage::kOpen;
+  size_t single_ = 0;  // the writing shard (kSingle)
+  timestamp_t epoch_ = 0;
+  Status failure_ = Status::kOk;  // first failed piece (multi-shard)
 };
 
 }  // namespace

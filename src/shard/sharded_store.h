@@ -21,7 +21,7 @@
 //     only for the shards they actually touch — a point read costs one
 //     shard's worker slot, like the single engine.
 //   * Multi-shard write transactions acquire one epoch for the whole
-//     transaction and commit each shard's piece at it (CommitAt), so all
+//     transaction and commit each shard's piece at it, so all
 //     pieces surface at a single point of the visibility order:
 //     all-or-nothing for every reader and for time travel, with no
 //     coordinator lock anywhere.
@@ -50,6 +50,7 @@
 #define LIVEGRAPH_SHARD_SHARDED_STORE_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -150,10 +151,9 @@ class ShardedStore : public Store {
   std::unique_ptr<StoreTxn> BeginTxn() override;
   std::unique_ptr<StoreReadTxn> BeginReadTxn() override;
 
-  /// A commit syncs only when the store is durable (per-shard WALs) with
-  /// fsync on.
-  bool CommitsSync() const override {
-    return !options_.dir.empty() && options_.graph.fsync_wal;
+  /// Forwarded to every shard (Graph::SetCommitWake).
+  void SetCommitWake(std::function<void()> wake) override {
+    for (auto& shard : shards_) shard->SetCommitWake(wake);
   }
 
   /// Typed BeginReadTxn, for callers that want fan-in scans or the read

@@ -22,11 +22,12 @@
 //                     asserts vertex locks are never taken after anything
 //                     ranked above them.
 //   kCommitCoordinator The multi-shard commit section of a ShardedWriteTxn
-//                     (epoch acquire + CommitAt fan-out + visibility wait).
-//                     Entered while the work phase's vertex locks are still
-//                     held — hence above kVertexLock — and must never
-//                     itself acquire new vertex locks (writes after commit
-//                     start would escape the WAL record).
+//                     (epoch acquire + every piece's publish). Entered
+//                     while the work phase's vertex locks are still held —
+//                     hence above kVertexLock — and must never itself
+//                     acquire new vertex locks (writes after commit start
+//                     would escape the WAL record). It never waits, so a
+//                     reactor loop never parks inside it.
 //   kDirtySet         WorkerSlot::dirty_mu — leaf mutex guarding a slot's
 //                     dirty-vertex list; taken inside commit (MarkDirty)
 //                     and inside a compaction pass while a vertex lock is
@@ -34,8 +35,8 @@
 //   kWalAppend        Wal::AppendBatch — not a mutex but a single-writer
 //                     section owned by the group-commit leader: a
 //                     committing thread that still holds its own
-//                     transaction's vertex locks and, for a multi-shard
-//                     piece, the coordinator section — both ranked below.
+//                     transaction's vertex locks (ranked below), or the
+//                     flusher thread, which holds nothing.
 //                     Ranked above every engine lock, so code that tried
 //                     to take one inside the append (say, from the
 //                     replication tee) trips the checker.
@@ -123,38 +124,6 @@ inline void NoteRelease(LockRank rank) {
   --held;
 }
 
-/// Cross-thread hand-off of held locks. The futex vertex locks are not
-/// thread-affine (any thread may Unlock a held word), and the reactor
-/// server exploits that: a write transaction acquires its locks on an
-/// event-loop thread but commits — and therefore releases them — on a
-/// commit-worker thread. The ownership transfer is legal for the locks
-/// themselves; only this per-thread ledger needs to be told, or the
-/// worker's NoteRelease would fire "releasing a lock this thread does not
-/// hold". Call NoteDetach(rank, n) on the old thread before the hand-off
-/// and NoteAttach(rank, n) on the new thread before any release.
-inline void NoteDetach(LockRank rank, uint32_t n) {
-  uint32_t& held = Ledger().held[static_cast<int>(rank)];
-  LIVEGRAPH_DCHECK(held >= n,
-                   "detaching %u %s locks but this thread holds only %u",
-                   n, Name(rank), held);
-  held -= n;
-}
-
-inline void NoteAttach(LockRank rank, uint32_t n) {
-  // Same admission rule as NoteAcquire: the receiving thread must not
-  // already be inside a higher-ranked section (vertex locks may join
-  // other vertex locks, as in NoteAcquire).
-  if (n == 0) return;
-  LockRank highest = Highest();
-  bool ok = highest < rank ||
-            (highest == rank && rank == LockRank::kVertexLock);
-  LIVEGRAPH_DCHECK(ok,
-                   "lock-order inversion: attaching %s while holding %s "
-                   "(see the rank table in util/lock_rank.h)",
-                   Name(rank), Name(highest));
-  Ledger().held[static_cast<int>(rank)] += n;
-}
-
 }  // namespace lock_rank
 
 /// RAII rank note for scoped sections (mutex guards, the WAL append
@@ -176,10 +145,6 @@ class ScopedLockRank {
   ::livegraph::lock_rank::NoteAcquire(rank)
 #define LIVEGRAPH_LOCK_RANK_RELEASE(rank) \
   ::livegraph::lock_rank::NoteRelease(rank)
-#define LIVEGRAPH_LOCK_RANK_DETACH(rank, n) \
-  ::livegraph::lock_rank::NoteDetach(rank, n)
-#define LIVEGRAPH_LOCK_RANK_ATTACH(rank, n) \
-  ::livegraph::lock_rank::NoteAttach(rank, n)
 #define LIVEGRAPH_LOCK_RANK_CONCAT_INNER(a, b) a##b
 #define LIVEGRAPH_LOCK_RANK_CONCAT(a, b) LIVEGRAPH_LOCK_RANK_CONCAT_INNER(a, b)
 #define LIVEGRAPH_SCOPED_LOCK_RANK(rank)                                  \
@@ -190,8 +155,6 @@ class ScopedLockRank {
 
 #define LIVEGRAPH_LOCK_RANK_ACQUIRE(rank) ((void)0)
 #define LIVEGRAPH_LOCK_RANK_RELEASE(rank) ((void)0)
-#define LIVEGRAPH_LOCK_RANK_DETACH(rank, n) ((void)0)
-#define LIVEGRAPH_LOCK_RANK_ATTACH(rank, n) ((void)0)
 #define LIVEGRAPH_SCOPED_LOCK_RANK(rank) ((void)0)
 
 #endif  // LIVEGRAPH_DCHECK_ENABLED

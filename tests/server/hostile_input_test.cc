@@ -306,7 +306,7 @@ metrics::Snapshot SampleSnapshot() {
                        {"livegraph_server_requests_total{op=\"GET_NODE\"}", 7}};
   snapshot.gauges = {{"livegraph_server_open_txns", -3}};
   metrics::HistogramSample histogram;
-  histogram.name = "livegraph_server_lock_wait";
+  histogram.name = "livegraph_lock_wait";
   histogram.unit = metrics::Unit::kNanos;
   histogram.count = 5;
   histogram.sum = 1234.5;

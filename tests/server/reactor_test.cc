@@ -4,8 +4,9 @@
 // graceful drain, and parked waits — a contended vertex lock or an
 // epoch-gated read parks its connection on the event loop, so it neither
 // rides to the engine's deadlock timeout nor stalls other clients. The
-// lock-wait cases run on both commit paths: inline on the loop (no WAL)
-// and on the commit lane (a WAL with fsync on).
+// lock-wait cases run on both commit paths: finished in one call (no WAL)
+// and parked until the engine's flusher made them durable (a WAL with
+// fsync on). The flush-fault cases are in storage/fault_matrix_test.cc.
 // Protocol semantics live in remote_store_test.cc.
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 
 #include "baselines/livegraph_store.h"
 #include "replication/epoch_frontier.h"
+#include "shard/sharded_store.h"
 #include "server/graph_server.h"
 #include "server/net.h"
 #include "server/protocol.h"
@@ -49,26 +51,38 @@ int ResolveReactors(int requested) {
   return requested;
 }
 
-// Where the server runs commits: on the event loop (an engine whose
-// commits never sync a device), or on the commit lane (a WAL with fsync
-// on, Store::CommitsSync).
-enum class CommitPath { kInline, kLane };
+uint64_t CommitParks() {
+  return metrics::Registry::Instance().Collect().counter(
+      "livegraph_server_commit_parks_total");
+}
 
-// Engine + server + connected client. kLane gives the engine a WAL with
+// How a served commit finishes: in one call on the event loop (an engine
+// whose commits never sync a device), or parked on the loop until the
+// WAL's flusher made it durable (fsync on).
+enum class CommitPath { kInline, kDurable };
+
+// A fresh directory, removed by the caller.
+std::string FreshDir() {
+  static int counter = 0;
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     ("lg_reactor_test_" + std::to_string(::getpid()) + "_" +
+                      std::to_string(counter++)))
+                        .string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+// Engine + server + connected client. kDurable gives the engine a WAL with
 // fsync on, in a fresh directory removed at teardown.
 struct Harness {
   explicit Harness(GraphServer::Options options = {},
                    GraphOptions graph = SmallGraphOptions(),
-                   CommitPath path = CommitPath::kInline) {
+                   CommitPath path = CommitPath::kInline)
+      : parks_before(CommitParks()) {
     options.reactors = ResolveReactors(options.reactors);
-    if (path == CommitPath::kLane) {
-      static int counter = 0;
-      wal_dir = (std::filesystem::temp_directory_path() /
-                 ("lg_reactor_test_" + std::to_string(::getpid()) + "_" +
-                  std::to_string(counter++)))
-                    .string();
-      std::filesystem::remove_all(wal_dir);
-      std::filesystem::create_directories(wal_dir);
+    if (path == CommitPath::kDurable) {
+      wal_dir = FreshDir();
       graph.wal_path = wal_dir + "/wal.log";
       graph.fsync_wal = true;
     }
@@ -86,16 +100,17 @@ struct Harness {
     if (!wal_dir.empty()) std::filesystem::remove_all(wal_dir);
   }
 
-  /// The commit path the server chose: no lane threads exactly when
-  /// commits run on the loop.
+  /// The path the served commits took so far: none parked when they
+  /// finish in one call; some parked on durability with fsync on.
   void ExpectCommitPath(CommitPath path) const {
     if (path == CommitPath::kInline) {
-      EXPECT_EQ(server->resolved_workers(), 0);
+      EXPECT_EQ(CommitParks(), parks_before);
     } else {
-      EXPECT_GE(server->resolved_workers(), 1);
+      EXPECT_GT(CommitParks(), parks_before);
     }
   }
 
+  uint64_t parks_before;
   std::string wal_dir;
   std::unique_ptr<Store> engine;
   std::unique_ptr<GraphServer> server;
@@ -294,7 +309,6 @@ void ContendedWritesOnOneLoop(CommitPath path) {
   options.reactors = 1;
   Harness harness(options, SmallGraphOptions(), path);
   ASSERT_EQ(harness.server->resolved_reactors(), 1);
-  harness.ExpectCommitPath(path);
 
   vertex_t hot = harness.client->AddNode("hot");
   vertex_t other = harness.client->AddNode("other");
@@ -316,14 +330,15 @@ void ContendedWritesOnOneLoop(CommitPath path) {
   t1.join();
   t2.join();
   EXPECT_EQ(failures.load(), 0);
+  harness.ExpectCommitPath(path);
 }
 
 TEST(Reactor, ContendedWritesOnOneLoopDoNotTimeout) {
   ContendedWritesOnOneLoop(CommitPath::kInline);
 }
 
-TEST(Reactor, ContendedWritesOnOneLoopDoNotTimeoutOnCommitLane) {
-  ContendedWritesOnOneLoop(CommitPath::kLane);
+TEST(Reactor, ContendedWritesOnOneLoopDoNotTimeoutWithDurableCommits) {
+  ContendedWritesOnOneLoop(CommitPath::kDurable);
 }
 
 // Opens write transaction 1 on a raw connection; returns its id.
@@ -380,13 +395,13 @@ bool ReplyPending(const Socket& sock) {
 uint64_t LockWaitSamples() {
   metrics::Snapshot snapshot = metrics::Registry::Instance().Collect();
   const metrics::HistogramSample* sample =
-      snapshot.histogram("livegraph_server_lock_wait");
+      snapshot.histogram("livegraph_lock_wait");
   return sample == nullptr ? 0 : sample->count;
 }
 
 uint64_t LockTimeouts() {
   return metrics::Registry::Instance().Collect().counter(
-      "livegraph_server_lock_timeouts_total");
+      "livegraph_lock_timeouts_total");
 }
 
 // A writer blocked on a vertex lock parks its connection, not the loop:
@@ -398,7 +413,6 @@ void ParkedWriterLetsOtherClientsRun(CommitPath path) {
   GraphOptions graph = SmallGraphOptions();
   graph.lock_timeout_ns = int64_t{30} * 1'000'000'000;  // never the limit
   Harness harness(options, graph, path);
-  harness.ExpectCommitPath(path);
   vertex_t v = harness.client->AddNode("v");
   vertex_t other = harness.client->AddNode("other");
   const uint64_t samples_before = LockWaitSamples();
@@ -427,19 +441,20 @@ void ParkedWriterLetsOtherClientsRun(CommitPath path) {
   ASSERT_TRUE(b.ReadFrame(&reply));
   EXPECT_EQ(ReplyStatus(reply), Status::kOk);
   EXPECT_EQ(LockWaitSamples(), samples_before + 1);
+  harness.ExpectCommitPath(path);
 }
 
 TEST(Reactor, ParkedWriterLetsOtherClientsRun) {
   ParkedWriterLetsOtherClientsRun(CommitPath::kInline);
 }
 
-TEST(Reactor, ParkedWriterLetsOtherClientsRunOnCommitLane) {
-  ParkedWriterLetsOtherClientsRun(CommitPath::kLane);
+TEST(Reactor, ParkedWriterLetsOtherClientsRunWithDurableCommits) {
+  ParkedWriterLetsOtherClientsRun(CommitPath::kDurable);
 }
 
 // Two loops, commits inline: the holder commits on one loop and the
 // writer parked on the other gets its reply — the holder's loop rings the
-// other one, as the commit lane does after each of its commits.
+// other one after its commit.
 TEST(Reactor, InlineCommitWakesWriterParkedOnAnotherLoop) {
   GraphServer::Options options;
   options.reactors = 2;
@@ -447,7 +462,6 @@ TEST(Reactor, InlineCommitWakesWriterParkedOnAnotherLoop) {
   graph.lock_timeout_ns = int64_t{30} * 1'000'000'000;  // never the limit
   Harness harness(options, graph);
   ASSERT_EQ(harness.server->resolved_reactors(), 2);
-  harness.ExpectCommitPath(CommitPath::kInline);
   vertex_t v = harness.client->AddNode("v");
   vertex_t other = harness.client->AddNode("other");
   const uint64_t samples_before = LockWaitSamples();
@@ -477,6 +491,79 @@ TEST(Reactor, InlineCommitWakesWriterParkedOnAnotherLoop) {
   ASSERT_TRUE(writer.ReadFrame(&reply));
   EXPECT_EQ(ReplyStatus(reply), Status::kOk);
   EXPECT_EQ(LockWaitSamples(), samples_before + 1);
+  harness.ExpectCommitPath(CommitPath::kInline);
+}
+
+// Multi-shard transactions over the server, two clients on ONE loop, each
+// updating its own two vertices on different shards. The coordinator
+// section (lock rank kCommitCoordinator) spans only the pieces' publish,
+// so while one client's commit parks on durability the other client's
+// writes take their vertex locks on that loop outside the section — in a
+// DCHECK build the rank table aborts otherwise. Every commit is
+// all-or-nothing: both of a client's vertices end with one value.
+void MultiShardCommitsOnOneLoop(CommitPath path) {
+  const uint64_t parks_before = CommitParks();
+  ShardOptions sharded;
+  sharded.shards = 2;
+  sharded.graph = SmallGraphOptions();
+  sharded.graph.fsync_wal = path == CommitPath::kDurable;
+  if (path == CommitPath::kDurable) sharded.dir = FreshDir();
+  auto engine = std::make_unique<ShardedStore>(sharded);
+  // New nodes round-robin over the shards: each pair spans both.
+  vertex_t pairs[2][2];
+  for (auto& pair : pairs) {
+    pair[0] = engine->AddNode("init");
+    pair[1] = engine->AddNode("init");
+    ASSERT_NE(engine->ShardOf(pair[0]), engine->ShardOf(pair[1]));
+  }
+  GraphServer::Options options;
+  options.reactors = 1;
+  GraphServer server(*engine, options);
+  ASSERT_TRUE(server.Start());
+
+  std::atomic<int> failures{0};
+  auto writer = [&](int k) {
+    auto client = RemoteStore::Connect("127.0.0.1", server.port());
+    ASSERT_NE(client, nullptr);
+    for (int i = 0; i < 50; ++i) {
+      const std::string value = std::to_string(i);
+      Status st = RunWrite(*client, [&](StoreTxn& txn) -> Status {
+        if (Status updated = txn.UpdateNode(pairs[k][0], value);
+            updated != Status::kOk) {
+          return updated;
+        }
+        return txn.UpdateNode(pairs[k][1], value);
+      });
+      if (st != Status::kOk) failures.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::thread t1(writer, 0);
+  std::thread t2(writer, 1);
+  t1.join();
+  t2.join();
+  EXPECT_EQ(failures.load(), 0);
+  auto read = engine->BeginReadTxn();
+  for (const auto& pair : pairs) {
+    EXPECT_EQ(read->GetNode(pair[0]).value_or("a"), "49");
+    EXPECT_EQ(read->GetNode(pair[1]).value_or("b"), "49");
+  }
+  read.reset();
+  if (path == CommitPath::kDurable) {
+    EXPECT_GT(CommitParks(), parks_before);
+  } else {
+    EXPECT_EQ(CommitParks(), parks_before);
+  }
+  server.Stop();
+  engine.reset();
+  if (!sharded.dir.empty()) std::filesystem::remove_all(sharded.dir);
+}
+
+TEST(Reactor, MultiShardCommitsOnOneLoop) {
+  MultiShardCommitsOnOneLoop(CommitPath::kInline);
+}
+
+TEST(Reactor, MultiShardCommitsOnOneLoopWithDurableCommits) {
+  MultiShardCommitsOnOneLoop(CommitPath::kDurable);
 }
 
 // A holder that never commits: the parked writer gets the engine's

@@ -2,9 +2,12 @@
 // every injected durability failure must surface as a typed Status, leave
 // the store serving consistent reads at the last durable epoch, reject
 // writes without aborting, and — after the fault clears and the process
-// restarts — recover every acknowledged commit. Compiled against the
-// failpoint registry; in a normal build the whole matrix skips.
+// restarts — recover every acknowledged commit. The last cases serve the
+// engine: a commit whose WAL syncs parks its connection on the reactor
+// until the flush ends. Compiled against the failpoint registry; in a
+// normal build the whole matrix skips.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <chrono>
 #include <filesystem>
@@ -13,9 +16,15 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/livegraph_store.h"
 #include "core/epoch_domain.h"
 #include "core/graph.h"
 #include "core/transaction.h"
+#include "server/graph_server.h"
+#include "server/net.h"
+#include "server/protocol.h"
+#include "server/remote_store.h"
+#include "server/wire.h"
 #include "shard/sharded_store.h"
 #include "util/fault_injection.h"
 #include "util/metrics.h"
@@ -417,6 +426,192 @@ TEST_F(FaultMatrixTest, ShardedCheckpointFailureKeepsManifest) {
   ASSERT_NE(recovered, nullptr);
   auto read = recovered->BeginReadTxn();
   EXPECT_EQ(read->GetNode(committed.back()).value_or(""), "late");
+}
+
+// --- Parked durable commits over the reactor server -----------------------
+
+uint64_t CommitParks() {
+  return metrics::Registry::Instance().Collect().counter(
+      "livegraph_server_commit_parks_total");
+}
+
+/// One raw protocol connection past its Hello: a commit can be in flight
+/// without a client thread blocked on the reply.
+class RawConn {
+ public:
+  explicit RawConn(uint16_t port) : sock_(ConnectTcp("127.0.0.1", port)) {
+    sock_.SetRecvTimeout(10'000);
+    std::string body;
+    WireWriter(&body).PutU32(kProtocolVersion);
+    EXPECT_EQ(Call(MsgType::kHello, body), Status::kOk);
+  }
+
+  bool Send(MsgType type, const std::string& body) {
+    return sock_.WriteFrame(type, kFlagNone, body, &scratch_);
+  }
+  /// The next reply's status (kUnavailable when the connection ended).
+  Status Reply() {
+    Frame reply;
+    if (!sock_.ReadFrame(&reply)) return Status::kUnavailable;
+    WireReader reader(reply.body);
+    uint8_t wire = 0;
+    if (!reader.GetU8(&wire)) return Status::kUnavailable;
+    return StatusFromWire(wire);
+  }
+  Status Call(MsgType type, const std::string& body) {
+    return Send(type, body) ? Reply() : Status::kUnavailable;
+  }
+  bool ReplyPending() const { return sock_.Readable(0); }
+  /// Closes with a reset, so the server fails its next read and tears the
+  /// connection down at once instead of serving what it already has.
+  void Reset() {
+    struct linger abortive = {1, 0};
+    ::setsockopt(sock_.fd(), SOL_SOCKET, SO_LINGER, &abortive,
+                 sizeof(abortive));
+    sock_.Close();
+  }
+
+ private:
+  Socket sock_;
+  std::string scratch_;
+};
+
+std::string TxnBody(uint64_t txn) {
+  std::string body;
+  WireWriter(&body).PutU64(txn);
+  return body;
+}
+
+std::string UpdateNodeBody(uint64_t txn, vertex_t v, std::string_view data) {
+  std::string body;
+  WireWriter writer(&body);
+  writer.PutU64(txn);
+  writer.PutI64(v);
+  writer.PutBytes(data);
+  return body;
+}
+
+/// Opens write transaction `txn` on `conn` and stages v := data in it.
+void StageUpdate(RawConn* conn, uint64_t txn, vertex_t v,
+                 std::string_view data) {
+  ASSERT_EQ(conn->Call(MsgType::kBeginTxn, TxnBody(txn)), Status::kOk);
+  ASSERT_EQ(conn->Call(MsgType::kUpdateNode, UpdateNodeBody(txn, v, data)),
+            Status::kOk);
+}
+
+/// A served engine whose WAL syncs, on ONE event loop.
+struct ServedDurableGraph {
+  explicit ServedDurableGraph(GraphOptions options)
+      : store(options), server(store, OneLoop()) {
+    EXPECT_TRUE(server.Start());
+  }
+  static GraphServer::Options OneLoop() {
+    GraphServer::Options options;
+    options.reactors = 1;
+    return options;
+  }
+  Graph& graph() { return store.graph(); }
+
+  LiveGraphStore store;
+  GraphServer server;
+};
+
+// The commit's reply waits out the held fdatasync (at least 300 ms),
+// while a client on the same loop keeps being served.
+TEST_F(FaultMatrixTest, ParkedCommitRepliesAfterTheFlush) {
+  ServedDurableGraph served(DurableOptions(/*fsync=*/true));
+  const vertex_t v = served.store.AddNode("v");
+  auto reader = RemoteStore::Connect("127.0.0.1", served.server.port());
+  ASSERT_NE(reader, nullptr);
+  RawConn writer(served.server.port());
+  StageUpdate(&writer, 1, v, "parked");
+  const uint64_t parks_before = CommitParks();
+
+  ASSERT_TRUE(faults::Configure("wal.fdatasync=delay:300@once"));
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(writer.Send(MsgType::kCommit, TxnBody(1)));
+  int reads = 0;
+  while (!writer.ReplyPending()) {
+    // The value may flip to "parked" just before the reply is readable.
+    ASSERT_TRUE(reader->GetNode(v).ok());
+    ++reads;
+    ASSERT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(10));
+  }
+  EXPECT_EQ(writer.Reply(), Status::kOk);
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(300));
+  EXPECT_GT(reads, 0);
+  EXPECT_EQ(CommitParks(), parks_before + 1);
+  EXPECT_EQ(reader->GetNode(v).value_or(""), "parked");
+}
+
+// A failed flush fails the parked commit with the typed status, the
+// frontier passes its epoch, and the degraded engine refuses the next
+// commit.
+TEST_F(FaultMatrixTest, ParkedCommitFlushErrorRepliesIOError) {
+  ServedDurableGraph served(DurableOptions(/*fsync=*/true));
+  const vertex_t v = served.store.AddNode("v");
+  RawConn writer(served.server.port());
+  StageUpdate(&writer, 1, v, "lost");
+
+  ASSERT_TRUE(faults::Configure("wal.fdatasync=error:EIO@once"));
+  EXPECT_EQ(writer.Call(MsgType::kCommit, TxnBody(1)), Status::kIOError);
+  EXPECT_EQ(served.graph().ReadEpoch(),
+            served.graph().epoch_domain()->issued());
+  EXPECT_EQ(served.graph().degraded_status(), Status::kIOError);
+
+  StageUpdate(&writer, 2, v, "refused");
+  EXPECT_EQ(writer.Call(MsgType::kCommit, TxnBody(2)), Status::kIOError);
+  EXPECT_EQ(served.store.GetNode(v).value_or(""), "v");
+}
+
+// A published commit cannot be aborted: when its connection resets, or
+// the server stops, while the commit is parked, the commit still finishes.
+// Its vertex lock comes free, the frontier passes its epoch, and its
+// record replays after a restart.
+TEST_F(FaultMatrixTest, ParkedCommitFinishesWhenItsConnectionCloses) {
+  GraphOptions options = DurableOptions(/*fsync=*/true);
+  options.lock_timeout_ns = 2'000'000'000;
+  vertex_t v = kNullVertex;
+  vertex_t w = kNullVertex;
+  {
+    ServedDurableGraph served(options);
+    v = served.store.AddNode("v");
+    w = served.store.AddNode("w");
+    const uint64_t parks_before = CommitParks();
+
+    RawConn closed(served.server.port());
+    StageUpdate(&closed, 1, v, "closed");
+    ASSERT_TRUE(faults::Configure("wal.fdatasync=delay:300@once"));
+    ASSERT_TRUE(closed.Send(MsgType::kCommit, TxnBody(1)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    closed.Reset();
+    // The link write locks v: it fails with kTimeout if the lock leaked.
+    auto client = RemoteStore::Connect("127.0.0.1", served.server.port());
+    ASSERT_NE(client, nullptr);
+    EXPECT_TRUE(client->AddLink(v, 0, w, "after").ok());
+    EXPECT_EQ(served.graph().ReadEpoch(),
+              served.graph().epoch_domain()->issued());
+
+    RawConn stopped(served.server.port());
+    StageUpdate(&stopped, 1, w, "stopped");
+    ASSERT_TRUE(faults::Configure("wal.fdatasync=delay:300@once"));
+    ASSERT_TRUE(stopped.Send(MsgType::kCommit, TxnBody(1)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    client.reset();
+    served.server.Stop();
+    EXPECT_EQ(served.graph().ReadEpoch(),
+              served.graph().epoch_domain()->issued());
+    EXPECT_GE(CommitParks(), parks_before + 2);
+  }
+  faults::Clear();
+  auto recovered = Graph::Recover(options, "");
+  ASSERT_NE(recovered, nullptr);
+  auto read = recovered->BeginReadOnlyTransaction();
+  EXPECT_EQ(read.GetVertex(v).value_or(""), "closed");
+  EXPECT_EQ(read.GetVertex(w).value_or(""), "stopped");
+  EXPECT_EQ(read.GetEdge(v, 0, w).value_or(""), "after");
 }
 
 #else  // !LIVEGRAPH_FAULTS_ENABLED
