@@ -88,6 +88,7 @@ inline std::unique_ptr<Store> MakeStore(const std::string& name,
       ShardOptions options;
       options.shards = shards;
       options.graph = BenchGraphOptions(wal);
+      options.dir = options.graph.wal_path;  // the per-shard WAL directory
       return std::make_unique<ShardedStore>(options);
     }
     return std::make_unique<LiveGraphStore>(BenchGraphOptions(wal), pagesim);

@@ -7,6 +7,10 @@
 // idle N-thread checkpoint, with no WAL, and checks the recovered graph
 // against the live one: vertex and per-label edge counts must match, or
 // the bench exits 1.
+//
+// The engine is a one-shard durable directory (ShardedStore::Recover, the
+// layout every durable server uses), served through shard 0's native
+// sessions.
 #include <filesystem>
 #include <vector>
 
@@ -15,11 +19,22 @@
 namespace livegraph::bench {
 namespace {
 
-double CheckpointSeconds(LiveGraphStore* store, const std::string& dir,
-                         int threads) {
-  std::filesystem::create_directories(dir);
+namespace fs = std::filesystem;
+
+double CheckpointSeconds(ShardedStore* durable, int threads) {
+  // Each timed checkpoint writes into an empty directory, as a first one
+  // does: the previous checkpoint is moved aside (a checkpoint of the
+  // epoch the manifest already records would be a no-op, and deleting
+  // the previous one inside the timer would time the file system).
+  static int moved = 0;
+  const std::string root = durable->dir() + "/shard0/checkpoint";
+  for (const auto& entry : fs::directory_iterator(root)) {
+    fs::rename(entry.path(), durable->dir() + "/previous_" +
+                                 std::to_string(moved++));
+  }
+  fs::remove(durable->dir() + "/MANIFEST");
   Timer timer;
-  store->graph().Checkpoint(dir, threads);
+  durable->Checkpoint(threads);
   return timer.Seconds();
 }
 
@@ -50,26 +65,37 @@ int main() {
 
   LinkBenchConfig config = DefaultLinkBenchConfig();
   config.ops_per_client = static_cast<uint64_t>(EnvInt("LG_OPS", 30'000));
-  LiveGraphStore store(BenchGraphOptions(/*wal=*/true));
+  ShardOptions options;
+  options.shards = 1;
+  options.dir = dir + "/live";
+  options.graph = BenchGraphOptions(/*wal=*/true);
+  std::unique_ptr<ShardedStore> durable = ShardedStore::Recover(options);
+  LiveGraphStore store(durable->shard(0));
   vertex_t n = LoadLinkBenchGraph(&store, config);
 
   std::printf("=== §7.2 checkpointing under load ===\n");
-  // Baselines: idle checkpoint and idle workload. Separate directories: a
-  // checkpoint of the epoch its directory already holds is a no-op.
-  double idle_ckpt_1t = CheckpointSeconds(&store, dir + "/1t", 1);
+  // Baselines: idle checkpoint and idle workload.
+  double idle_ckpt_1t = CheckpointSeconds(durable.get(), 1);
   double idle_ckpt_nt = CheckpointSeconds(
-      &store, dir + "/nt", static_cast<int>(EnvInt("LG_CKPT_THREADS", 8)));
+      durable.get(), static_cast<int>(EnvInt("LG_CKPT_THREADS", 8)));
 
-  // Recovery from the idle checkpoint alone, checked against the live
-  // graph it was taken from (nothing has committed since).
-  GraphOptions recover_options = store.graph().options();
-  recover_options.wal_path.clear();
+  // Recovery from the idle checkpoint alone (the directory without its
+  // WAL, its files hard-linked), checked against the live graph it was
+  // taken from (nothing has committed since).
+  ShardOptions recover_options = options;
+  recover_options.dir = dir + "/recovered";
+  fs::create_directories(recover_options.dir + "/shard0");
+  fs::copy(options.dir + "/MANIFEST", recover_options.dir + "/MANIFEST");
+  fs::copy(options.dir + "/shard0/checkpoint",
+           recover_options.dir + "/shard0/checkpoint",
+           fs::copy_options::recursive | fs::copy_options::create_hard_links);
   Timer recover_timer;
-  std::unique_ptr<Graph> recovered =
-      Graph::Recover(recover_options, dir + "/nt");
+  std::unique_ptr<ShardedStore> recovered =
+      ShardedStore::Recover(recover_options);
   const double recover_s = recover_timer.Seconds();
   const bool recovered_ok =
-      recovered != nullptr && Census(*recovered) == Census(store.graph());
+      recovered != nullptr &&
+      Census(recovered->shard(0)) == Census(store.graph());
   recovered.reset();
 
   DriverResult solo = RunLinkBench(&store, config, n);
@@ -77,7 +103,7 @@ int main() {
   // Concurrent: checkpoint in a thread while LinkBench runs.
   double loaded_ckpt = 0;
   std::thread checkpointer(
-      [&] { loaded_ckpt = CheckpointSeconds(&store, dir + "/loaded", 1); });
+      [&] { loaded_ckpt = CheckpointSeconds(durable.get(), 1); });
   DriverResult loaded = RunLinkBench(&store, config, n);
   checkpointer.join();
 

@@ -12,6 +12,7 @@
 
 #include "core/graph.h"
 #include "core/transaction.h"
+#include "shard/sharded_store.h"
 
 namespace {
 
@@ -37,17 +38,21 @@ int main() {
   using namespace livegraph;
   std::string dir = "/tmp/livegraph_social_example";
   std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
 
-  GraphOptions options;
-  options.region_reserve = size_t{1} << 30;
-  options.max_vertices = 1 << 20;
-  options.wal_path = dir + "/wal.log";
-  options.fsync_wal = false;  // demo speed; enable for real durability
+  // A one-shard durable directory: <dir>/MANIFEST, <dir>/shard0/wal and
+  // <dir>/shard0/checkpoint/. Opening it is recovering it (empty here).
+  ShardOptions options;
+  options.shards = 1;
+  options.dir = dir;
+  options.graph.region_reserve = size_t{1} << 30;
+  options.graph.max_vertices = 1 << 20;
+  options.graph.fsync_wal = false;  // demo speed; enable for real durability
 
   vertex_t users[4];
+  size_t ada_posts = 0;
   {
-    Graph graph(options);
+    std::unique_ptr<ShardedStore> store = ShardedStore::Recover(options);
+    Graph& graph = store->shard(0);
     // Register users.
     {
       Transaction txn = graph.BeginTransaction();
@@ -96,17 +101,18 @@ int main() {
                     std::string(*snapshot.GetVertex(p.DstId())).c_str());
       }
     }
-    std::printf("total posts by ada: %zu\n",
-                snapshot.CountEdges(users[0], kPosted));
+    ada_posts = snapshot.CountEdges(users[0], kPosted);
+    std::printf("total posts by ada: %zu\n", ada_posts);
   }  // graph closed ("crash")
 
   // Recover from the WAL and verify the feed survived.
-  auto recovered = Graph::Recover(options, "");
-  ReadTransaction snapshot = recovered->BeginReadOnlyTransaction();
+  auto recovered = ShardedStore::Recover(options);
+  ReadTransaction snapshot = recovered->shard(0).BeginReadOnlyTransaction();
   std::printf("after recovery: ada still has %zu posts, %zu friends\n",
               snapshot.CountEdges(users[0], kPosted),
               snapshot.CountEdges(users[0], kFriend));
   std::filesystem::remove_all(dir);
+  if (snapshot.CountEdges(users[0], kPosted) != ada_posts) return 1;
   std::printf("social_network OK\n");
   return 0;
 }

@@ -177,29 +177,31 @@ class LiveGraphWriteTxn : public StoreTxn {
 }  // namespace
 
 LiveGraphStore::LiveGraphStore(GraphOptions options, PageCacheSim* pagesim)
-    : graph_(std::make_unique<Graph>(std::move(options))), pagesim_(pagesim) {}
+    : owned_graph_(std::make_unique<Graph>(std::move(options))),
+      graph_(owned_graph_.get()),
+      pagesim_(pagesim) {}
 
 LiveGraphStore::LiveGraphStore(GraphOptions options,
                                PageCacheSim::Options pagesim_options)
-    : graph_(std::make_unique<Graph>(std::move(options))),
+    : owned_graph_(std::make_unique<Graph>(std::move(options))),
+      graph_(owned_graph_.get()),
       owned_pagesim_(std::make_unique<PageCacheSim>(pagesim_options)),
       pagesim_(owned_pagesim_.get()) {}
 
-LiveGraphStore::LiveGraphStore(std::unique_ptr<Graph> graph)
-    : graph_(std::move(graph)), pagesim_(nullptr) {}
-
-LiveGraphStore::LiveGraphStore(std::unique_ptr<Graph> graph,
-                               PageCacheSim::Options pagesim_options)
-    : graph_(std::move(graph)),
-      owned_pagesim_(std::make_unique<PageCacheSim>(pagesim_options)),
+LiveGraphStore::LiveGraphStore(
+    Graph& graph, std::optional<PageCacheSim::Options> pagesim_options)
+    : graph_(&graph),
+      owned_pagesim_(pagesim_options.has_value()
+                         ? std::make_unique<PageCacheSim>(*pagesim_options)
+                         : nullptr),
       pagesim_(owned_pagesim_.get()) {}
 
 std::unique_ptr<StoreTxn> LiveGraphStore::BeginTxn() {
-  return std::make_unique<LiveGraphWriteTxn>(graph_.get(), pagesim_);
+  return std::make_unique<LiveGraphWriteTxn>(graph_, pagesim_);
 }
 
 std::unique_ptr<StoreReadTxn> LiveGraphStore::BeginReadTxn() {
-  return std::make_unique<LiveGraphReadTxn>(graph_.get(), pagesim_);
+  return std::make_unique<LiveGraphReadTxn>(graph_, pagesim_);
 }
 
 }  // namespace livegraph

@@ -8,6 +8,7 @@
 #define LIVEGRAPH_BASELINES_LIVEGRAPH_STORE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -28,14 +29,13 @@ class LiveGraphStore : public Store {
   /// lookups actually walk (paper Tables 5/6/8).
   LiveGraphStore(GraphOptions options, PageCacheSim::Options pagesim_options);
 
-  /// Adopts an already-built engine — the restart path: wrap the graph
-  /// returned by Graph::Recover (§6) behind the Store surface.
-  explicit LiveGraphStore(std::unique_ptr<Graph> graph);
-
-  /// Restart path for the out-of-core configuration: a recovered engine
-  /// plus an owned page-cache simulator.
-  LiveGraphStore(std::unique_ptr<Graph> graph,
-                 PageCacheSim::Options pagesim_options);
+  /// Borrows `graph`, which must outlive the store — how a durable server
+  /// serves shard 0 of the one-shard directory ShardedStore::Recover
+  /// opened (§6) through native sessions. `pagesim_options`, when given,
+  /// selects the out-of-core configuration as above.
+  explicit LiveGraphStore(
+      Graph& graph,
+      std::optional<PageCacheSim::Options> pagesim_options = std::nullopt);
 
   std::string Name() const override {
     return owned_pagesim_ != nullptr ? "PagedLiveGraph" : "LiveGraph";
@@ -55,7 +55,8 @@ class LiveGraphStore : public Store {
   Graph& graph() { return *graph_; }
 
  private:
-  std::unique_ptr<Graph> graph_;
+  std::unique_ptr<Graph> owned_graph_;
+  Graph* graph_;
   std::unique_ptr<PageCacheSim> owned_pagesim_;
   PageCacheSim* pagesim_;
 };

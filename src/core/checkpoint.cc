@@ -11,9 +11,9 @@
 // of thread s's vertex range, then an empty end record. Loading replays
 // the records one at a time through ApplyWalRecord, and refuses the whole
 // checkpoint for a missing file, a record that fails its check, a missing
-// end record or bytes after it. The WAL is kept append-only; recovery
-// replays only records with epoch > checkpoint epoch, so checkpoints taken
-// concurrently with a live workload never lose later commits.
+// end record or bytes after it. The durable directory that holds these
+// files, its cross-shard MANIFEST and the WAL-tail replay belong to
+// ShardedStore (shard/sharded_store.h), the one recovery routine.
 #include <unistd.h>
 
 #include <cstdio>
@@ -85,15 +85,8 @@ void WriteRecord(std::FILE* f, timestamp_t epoch, std::string_view payload) {
 
 }  // namespace
 
-timestamp_t Graph::Checkpoint(const std::string& checkpoint_dir,
-                              int threads) {
-  ReadTransaction snapshot = BeginReadOnlyTransaction();
-  return CheckpointSnapshot(snapshot, checkpoint_dir, threads);
-}
-
 timestamp_t Graph::CheckpointSnapshot(const ReadTransaction& snapshot,
-                                      const std::string& checkpoint_dir,
-                                      int threads) {
+                                      const std::string& dir, int threads) {
   if (threads < 1) threads = 1;
   const timestamp_t epoch = snapshot.read_epoch();
   const vertex_t vertex_count = VertexCount();
@@ -102,12 +95,12 @@ timestamp_t Graph::CheckpointSnapshot(const ReadTransaction& snapshot,
     // A missing directory is a config/first-run condition, not an I/O
     // fault; create it rather than failing the cadence.
     std::error_code ec;
-    std::filesystem::create_directories(checkpoint_dir, ec);
+    std::filesystem::create_directories(dir, ec);
   }
   // A checkpoint's content is a function of its epoch: when the manifest
   // already records this epoch, the checkpoint on disk is this one.
   Manifest current;
-  if (ReadManifest(checkpoint_dir, options_.max_vertices, &current) ==
+  if (ReadManifest(dir, options_.max_vertices, &current) ==
           Status::kOk &&
       current.epoch == epoch) {
     return epoch;
@@ -126,17 +119,17 @@ timestamp_t Graph::CheckpointSnapshot(const ReadTransaction& snapshot,
     }
     for (int s = 0; s < threads; ++s) {
       std::error_code ec;
-      std::filesystem::remove(ShardPath(checkpoint_dir, epoch, s) + ".tmp",
+      std::filesystem::remove(ShardPath(dir, epoch, s) + ".tmp",
                               ec);
     }
     std::fprintf(stderr,
                  "Checkpoint: %s failed: %s (errno %d, dir %s) — previous "
                  "checkpoint stays authoritative\n",
-                 what, std::strerror(err), err, checkpoint_dir.c_str());
+                 what, std::strerror(err), err, dir.c_str());
     return -1;
   };
   for (int s = 0; s < threads; ++s) {
-    const std::string tmp = ShardPath(checkpoint_dir, epoch, s) + ".tmp";
+    const std::string tmp = ShardPath(dir, epoch, s) + ".tmp";
     if (faults::Action fault = LIVEGRAPH_FAULT("ckpt.open")) {
       return cleanup_tmps("open", fault.err);
     }
@@ -188,15 +181,15 @@ timestamp_t Graph::CheckpointSnapshot(const ReadTransaction& snapshot,
     f = nullptr;
   }
   for (int s = 0; s < threads; ++s) {
-    if (!Wal::CommitRename(ShardPath(checkpoint_dir, epoch, s) + ".tmp",
-                           ShardPath(checkpoint_dir, epoch, s))) {
+    if (!Wal::CommitRename(ShardPath(dir, epoch, s) + ".tmp",
+                           ShardPath(dir, epoch, s))) {
       return cleanup_tmps("rename", EIO);
     }
   }
 
   // Manifest last: its presence marks the checkpoint complete.
   Manifest manifest{epoch, {threads, VertexCount()}};
-  if (int err = Wal::PublishRecord(ManifestPath(checkpoint_dir), epoch,
+  if (int err = Wal::PublishRecord(ManifestPath(dir), epoch,
                                    &manifest.body, sizeof(manifest.body))) {
     return cleanup_tmps("manifest", err);
   }
@@ -205,7 +198,7 @@ timestamp_t Graph::CheckpointSnapshot(const ReadTransaction& snapshot,
   const std::string live = "." + std::to_string(epoch) + ".ckpt";
   std::error_code ec;
   for (const auto& entry :
-       std::filesystem::directory_iterator(checkpoint_dir, ec)) {
+       std::filesystem::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
     if (name.starts_with("shard_") && !name.ends_with(live)) {
       std::filesystem::remove(entry.path(), ec);
@@ -260,19 +253,19 @@ void Graph::ExportSnapshot(
   if (!chunk.empty()) emit(chunk);
 }
 
-bool Graph::LoadCheckpoint(const std::string& checkpoint_dir) {
+bool Graph::LoadCheckpoint(const std::string& dir) {
   Manifest manifest;
   Status status =
-      ReadManifest(checkpoint_dir, options_.max_vertices, &manifest);
+      ReadManifest(dir, options_.max_vertices, &manifest);
   if (status != Status::kOk) {
-    LogRefusal(ManifestPath(checkpoint_dir),
+    LogRefusal(ManifestPath(dir),
                status == Status::kNotFound ? "is missing" : kManifestDamage);
     return false;
   }
 
   std::vector<uint8_t> record;
   for (int s = 0; s < manifest.body.shards; ++s) {
-    const std::string path = ShardPath(checkpoint_dir, manifest.epoch, s);
+    const std::string path = ShardPath(dir, manifest.epoch, s);
     std::error_code ec;
     uint64_t left = std::filesystem::file_size(path, ec);
     std::FILE* f = ec ? nullptr : std::fopen(path.c_str(), "rb");
@@ -356,50 +349,6 @@ bool Graph::ApplyWalRecord(std::string_view payload) {
     }
   }
   return txn.Commit().ok();
-}
-
-std::unique_ptr<Graph> Graph::Recover(GraphOptions options,
-                                      const std::string& checkpoint_dir) {
-  Manifest manifest;
-  Status checkpoint = checkpoint_dir.empty()
-                          ? Status::kNotFound
-                          : ReadManifest(checkpoint_dir,
-                                         options.max_vertices, &manifest);
-  if (checkpoint == Status::kIOError) {
-    LogRefusal(ManifestPath(checkpoint_dir), kManifestDamage);
-    return nullptr;
-  }
-  const timestamp_t checkpoint_epoch = manifest.epoch;
-  auto graph = std::make_unique<Graph>(options);
-  // Resume the durable epoch sequence past everything already stamped
-  // into the checkpoint or the WAL, so replayed state commits at fresh
-  // epochs and a later checkpoint's manifest epoch supersedes every
-  // surviving WAL record.
-  timestamp_t max_epoch = checkpoint_epoch;
-  Wal::Reader reader(options.wal_path);  // no path: an empty log
-  WalRecordView record;
-  while (reader.Next(&record)) max_epoch = std::max(max_epoch, record.epoch);
-  // Cut off a torn/corrupt tail (crash mid-append). The graph's own Wal
-  // keeps appending to this file; without the truncation every
-  // post-recovery record would sit behind unreadable bytes and the NEXT
-  // replay would stop before reaching it — losing fsync-acknowledged
-  // commits on the second crash.
-  reader.TruncateTornTail(options.wal_path);
-  graph->epoch_domain()->FastForward(max_epoch);
-  if (checkpoint == Status::kOk && !graph->LoadCheckpoint(checkpoint_dir)) {
-    return nullptr;
-  }
-  // Replay pass over the same in-memory buffer (no second file read).
-  reader.Rewind();
-  while (reader.Next(&record)) {
-    if (record.epoch <= checkpoint_epoch) continue;  // in the checkpoint
-    if (!graph->ApplyWalRecord({reinterpret_cast<const char*>(record.payload),
-                                record.payload_len})) {
-      LogRefusal(options.wal_path, kRecordRejected);
-      return nullptr;
-    }
-  }
-  return graph;
 }
 
 }  // namespace livegraph

@@ -23,7 +23,9 @@ struct GraphOptions {
   /// anonymous memory (the paper's in-memory configuration).
   std::string storage_path;
 
-  /// WAL file for durability; empty disables logging entirely.
+  /// This graph's WAL file; empty disables logging entirely. Recovery
+  /// reads it only as a shard of a durable directory (ShardedStore sets
+  /// it to <dir>/shard<i>/wal).
   std::string wal_path;
 
   /// fsync the WAL on every group commit (§5 persist phase).

@@ -1,6 +1,5 @@
 #include "core/epoch_domain.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -165,26 +164,6 @@ void EpochDomain::WaitVisible(timestamp_t epoch) {
     FutexWait(&visible_word_, word);
   }
   LIVEGRAPH_TSAN_ACQUIRE(&visible_);  // pairs with MarkApplied's RELEASE
-}
-
-bool EpochDomain::WaitVisibleFor(timestamp_t epoch, int64_t timeout_ms) {
-  if (visible_.load(std::memory_order_seq_cst) >= epoch) {
-    LIVEGRAPH_TSAN_ACQUIRE(&visible_);  // pairs with MarkApplied's RELEASE
-    return true;
-  }
-  if (timeout_ms <= 0) return false;
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(timeout_ms);
-  // FutexWait carries its own 50 ms safety timeout, so re-checking the
-  // deadline on every wakeup bounds the wait without a timed futex call.
-  while (visible_.load(std::memory_order_seq_cst) < epoch) {
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    uint32_t word = visible_word_.load(std::memory_order_acquire);
-    if (visible_.load(std::memory_order_seq_cst) >= epoch) break;
-    FutexWait(&visible_word_, word);
-  }
-  LIVEGRAPH_TSAN_ACQUIRE(&visible_);  // pairs with MarkApplied's RELEASE
-  return true;
 }
 
 void EpochDomain::FastForward(timestamp_t epoch) {

@@ -67,13 +67,6 @@ class EpochDomain {
   /// Blocks until visible() >= epoch.
   void WaitVisible(timestamp_t epoch);
 
-  /// Bounded WaitVisible: true once visible() >= epoch, false after
-  /// `timeout_ms` without it. Unlike WaitVisible this tolerates epochs the
-  /// domain never issued (it simply times out) — the epoch may come from an
-  /// untrusted peer (a client's read-your-epoch bound, docs/REPLICATION.md),
-  /// and a bogus value must degrade to kTimeout, not abort the server.
-  bool WaitVisibleFor(timestamp_t epoch, int64_t timeout_ms);
-
   /// Recovery only: jumps an idle domain (no epochs in flight) forward so
   /// post-recovery commits continue the durable epoch sequence instead of
   /// re-issuing epochs that already exist in WAL records and checkpoint

@@ -48,13 +48,6 @@ class Graph {
   Graph(const Graph&) = delete;
   Graph& operator=(const Graph&) = delete;
 
-  /// Opens a graph from durable state: loads the newest checkpoint under
-  /// `checkpoint_dir` (if any) and replays the WAL tail (§6 "Recovery").
-  /// Null, after one log line naming the file, when the checkpoint is
-  /// damaged or a record holds ids beyond `options.max_vertices`.
-  static std::unique_ptr<Graph> Recover(GraphOptions options,
-                                        const std::string& checkpoint_dir);
-
   /// Starts a read-write transaction with snapshot isolation.
   Transaction BeginTransaction();
 
@@ -95,24 +88,18 @@ class Graph {
   /// default, shared across shards under a ShardedStore).
   EpochDomain* epoch_domain() const { return domain_.get(); }
 
-  /// Writes a consistent checkpoint of the latest snapshot into
-  /// `checkpoint_dir` using `threads` writer threads (§6 "Recovery"; the
-  /// WAL stays append-only — recovery filters by epoch). Returns the
-  /// checkpointed epoch, or -1 when an I/O failure prevented the
-  /// checkpoint — the previous checkpoint (if any) stays authoritative
-  /// and the next cadence retries.
-  timestamp_t Checkpoint(const std::string& checkpoint_dir, int threads = 1);
-
   /// Writes a checkpoint of `snapshot` (its pinned epoch, exact) into
-  /// `checkpoint_dir`. Used by the sharded cross-shard checkpoint, which
-  /// pins ONE domain epoch and checkpoints every shard at it.
+  /// `dir` using `threads` writer threads (§6 "Recovery"). The durable
+  /// store's cross-shard checkpoint (ShardedStore::Checkpoint) pins ONE
+  /// domain epoch and checkpoints every shard at it. Returns the epoch, or
+  /// -1 when an I/O failure prevented the checkpoint — the previous one
+  /// in `dir` (if any) stays authoritative and the next cadence retries.
   timestamp_t CheckpointSnapshot(const ReadTransaction& snapshot,
-                                 const std::string& checkpoint_dir,
-                                 int threads = 1);
+                                 const std::string& dir, int threads = 1);
 
-  /// Truncates the WAL after a durable checkpoint made its contents
-  /// redundant (sharded recovery: the replayed tail is re-checkpointed and
-  /// the logs reset so a torn cross-shard suffix can never resurface).
+  /// Truncates the WAL once a durable checkpoint holds its contents
+  /// (ShardedStore::Recover, on every restart, so a torn cross-shard
+  /// suffix can never resurface).
   void ResetWal();
 
   /// Installs (nullptr clears) the durable-batch tee on this engine's WAL —
@@ -240,9 +227,9 @@ class Graph {
   /// Replays one WAL payload as one replay-mode transaction; false, with
   /// nothing applied, when the decoder rejects it or the commit fails.
   bool ApplyWalRecord(std::string_view payload);
-  /// False, after one log line naming the file, for a missing or damaged
-  /// checkpoint.
-  bool LoadCheckpoint(const std::string& checkpoint_dir);
+  /// Loads the checkpoint CheckpointSnapshot wrote into `dir`. False,
+  /// after one log line naming the file, for a missing or damaged one.
+  bool LoadCheckpoint(const std::string& dir);
 
   GraphOptions options_;
   /// Visibility domain (owns GWE/GRE; see epoch_domain.h). Private unless

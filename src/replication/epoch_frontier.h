@@ -14,7 +14,6 @@
 #define LIVEGRAPH_REPLICATION_EPOCH_FRONTIER_H_
 
 #include <atomic>
-#include <cstdint>
 
 #include "core/epoch_domain.h"
 #include "util/types.h"
@@ -25,12 +24,10 @@ class EpochFrontier {
  public:
   virtual ~EpochFrontier() = default;
 
-  /// The highest epoch fully applied here. Monotone.
+  /// The highest epoch fully applied here. Monotone. Epoch-gated reads
+  /// poll it from their parked connection (docs/SERVER.md), so nothing
+  /// blocks on it.
   virtual timestamp_t Frontier() const = 0;
-
-  /// Blocks until Frontier() >= epoch; false after `timeout_ms` without
-  /// it. Must tolerate arbitrary (client-supplied) epochs by timing out.
-  virtual bool WaitCovered(timestamp_t epoch, int64_t timeout_ms) = 0;
 };
 
 /// Primary: the serving engine's own visibility frontier.
@@ -39,33 +36,32 @@ class DomainFrontier : public EpochFrontier {
   explicit DomainFrontier(EpochDomain* domain) : domain_(domain) {}
 
   timestamp_t Frontier() const override { return domain_->visible(); }
-  bool WaitCovered(timestamp_t epoch, int64_t timeout_ms) override {
-    return domain_->WaitVisibleFor(epoch, timeout_ms);
-  }
 
  private:
   EpochDomain* domain_;
 };
 
-/// Follower: advanced by the replica apply loop, waited on by read
-/// sessions carrying a read-your-epoch bound.
+/// Follower: advanced by the replica apply loop, polled by read sessions
+/// carrying a read-your-epoch bound.
 class ReplicaFrontier : public EpochFrontier {
  public:
   timestamp_t Frontier() const override {
     return frontier_.load(std::memory_order_acquire);
   }
-  bool WaitCovered(timestamp_t epoch, int64_t timeout_ms) override;
 
-  /// Monotone advance (lower/equal values are ignored); wakes waiters.
-  /// Called by the replica apply loop AFTER every piece of every primary
-  /// epoch <= `epoch` has been applied locally.
-  void Advance(timestamp_t epoch);
+  /// Monotone advance (lower/equal values are ignored). Called by the
+  /// replica apply loop AFTER every piece of every primary epoch <=
+  /// `epoch` has been applied locally.
+  void Advance(timestamp_t epoch) {
+    timestamp_t current = frontier_.load(std::memory_order_acquire);
+    while (current < epoch &&
+           !frontier_.compare_exchange_weak(current, epoch,
+                                            std::memory_order_acq_rel)) {
+    }
+  }
 
  private:
   std::atomic<timestamp_t> frontier_{0};
-  /// 32-bit futex word bumped on every advance (same waiter protocol as
-  /// EpochDomain's visible_word_).
-  std::atomic<uint32_t> word_{0};
 };
 
 }  // namespace livegraph

@@ -255,9 +255,9 @@ void Replica::RunSession() {
     if (batch_frontier > frontier_.Frontier()) {
       frontier_.Advance(batch_frontier);
       note_ready();
-      // Persist BEFORE the ack: Advance just woke WaitCovered waiters,
-      // and one of them may Stop() us — the dying socket must not skip
-      // a durability point the frontier already promised.
+      // Persist BEFORE the ack: a reader that polls the new frontier
+      // may Stop() us — the dying socket must not skip a durability
+      // point the frontier already promised.
       if (options_.checkpoint_every_epochs > 0 &&
           batch_frontier - last_persisted_frontier_ >=
               options_.checkpoint_every_epochs) {

@@ -1,6 +1,5 @@
 #include "replication/replication_hub.h"
 
-#include "baselines/livegraph_store.h"
 #include "shard/sharded_store.h"
 #include "util/metrics.h"
 
@@ -14,28 +13,15 @@ ReplicationHub::~ReplicationHub() {
   log_.Close();
 }
 
-bool ReplicationHub::Attach(Store& store) {
+bool ReplicationHub::Attach(ShardedStore& store) {
   Detach();
-  if (auto* sharded = dynamic_cast<ShardedStore*>(&store)) {
-    if (sharded->dir().empty()) return false;  // no WALs to tee
-    for (int s = 0; s < sharded->num_shards(); ++s) {
-      graphs_.push_back(&sharded->shard(s));
-      wal_paths_.push_back(sharded->wal_path(s));
-    }
-    domain_ = sharded->epoch_domain();
-    wal_floor_ = sharded->recovered_epoch();
-  } else if (auto* single = dynamic_cast<LiveGraphStore*>(&store)) {
-    Graph& graph = single->graph();
-    if (graph.options().wal_path.empty()) return false;
-    graphs_.push_back(&graph);
-    wal_paths_.push_back(graph.options().wal_path);
-    domain_ = graph.epoch_domain();
-    // A standalone durable Graph never truncates its WAL (checkpoints are
-    // filters, not seals), so the full epoch history is on disk.
-    wal_floor_ = 0;
-  } else {
-    return false;
+  if (store.dir().empty()) return false;  // no WALs to tee
+  for (int s = 0; s < store.num_shards(); ++s) {
+    graphs_.push_back(&store.shard(s));
+    wal_paths_.push_back(store.wal_path(s));
   }
+  domain_ = store.epoch_domain();
+  wal_floor_ = store.recovered_epoch();
   for (size_t s = 0; s < graphs_.size(); ++s) {
     sinks_.push_back(
         std::make_unique<ShardSink>(&log_, static_cast<uint32_t>(s)));

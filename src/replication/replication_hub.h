@@ -36,7 +36,6 @@
 
 namespace livegraph {
 
-class Store;
 class ShardedStore;
 
 class ReplicationHub {
@@ -47,12 +46,12 @@ class ReplicationHub {
   ReplicationHub(const ReplicationHub&) = delete;
   ReplicationHub& operator=(const ReplicationHub&) = delete;
 
-  /// Hooks `store`'s WAL(s). Supported engines: ShardedStore (durable
-  /// directory) and LiveGraphStore/PagedLiveGraph with a WAL — anything
-  /// else (or an in-memory engine) returns false and the hub stays inert.
-  /// Call before the server starts accepting traffic; the sinks are
-  /// installed here and removed by Detach()/destruction.
-  bool Attach(Store& store);
+  /// Hooks the WALs of `store`'s durable directory — every durable
+  /// LiveGraph server has one, one shard included. An in-memory store
+  /// returns false and the hub stays inert. Call before the server starts
+  /// accepting traffic; the sinks are installed here and removed by
+  /// Detach()/destruction.
+  bool Attach(ShardedStore& store);
   void Detach();
 
   bool attached() const { return !graphs_.empty(); }

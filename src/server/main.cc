@@ -2,8 +2,8 @@
 //
 //   livegraph_server [--engine=LiveGraph|PagedLiveGraph|LSMT]
 //                    [--shards=N] [--host=127.0.0.1] [--port=9271]
-//                    [--durability=none|wal|wal-fsync] [--wal-path=PATH]
-//                    [--checkpoint-dir=DIR] [--storage-path=FILE]
+//                    [--durability=none|wal|wal-fsync] [--wal-path=DIR]
+//                    [--storage-path=FILE]
 //                    [--max-vertices=N] [--page-cache-pages=N]
 //                    [--scan-batch-edges=N]
 //                    [--replica-of=HOST:PORT] [--replica-dir=DIR]
@@ -29,19 +29,19 @@
 //
 // Durability flags apply to the LiveGraph engines only (the baselines are
 // volatile comparators, as in the paper's §7.1 setup). With durability
-// enabled the server RECOVERS on start: a single-engine server replays
-// --checkpoint-dir (if given) plus the --wal-path tail (§6); a sharded
-// server treats --wal-path as its durable DIRECTORY (<dir>/MANIFEST,
-// <dir>/shard<i>/wal, <dir>/shard<i>/checkpoint/) and runs
-// ShardedStore::Recover — so restarting against a populated directory
-// resumes exactly the committed state, never half of a cross-shard
-// transaction.
+// enabled --wal-path names the durable DIRECTORY (<dir>/MANIFEST,
+// <dir>/shard<i>/wal, <dir>/shard<i>/checkpoint/) at every shard count,
+// and the server RECOVERS on start through ShardedStore::Recover (§6) —
+// so restarting against a populated directory resumes exactly the
+// committed state, never half of a cross-shard transaction. A one-shard
+// server serves shard 0 through the engine's native sessions.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "baselines/livegraph_store.h"
@@ -73,8 +73,7 @@ struct Flags {
   std::string host = "127.0.0.1";
   uint16_t port = 9271;
   std::string durability = "none";  // none | wal | wal-fsync
-  std::string wal_path = "/tmp/livegraph_server_wal.log";
-  std::string checkpoint_dir;  // single-engine recovery source (optional)
+  std::string wal_path = "/tmp/livegraph_server_wal";  // durable directory
   std::string storage_path;
   size_t max_vertices = size_t{1} << 24;
   size_t page_cache_pages = size_t{1} << 16;  // PagedLiveGraph: 256 MiB
@@ -116,8 +115,8 @@ int Usage(const char* argv0) {
       stderr,
       "usage: %s [--engine=LiveGraph|PagedLiveGraph|LSMT]\n"
       "          [--shards=N] [--host=ADDR] [--port=N]\n"
-      "          [--durability=none|wal|wal-fsync] [--wal-path=PATH]\n"
-      "          [--checkpoint-dir=DIR] [--storage-path=FILE]\n"
+      "          [--durability=none|wal|wal-fsync] [--wal-path=DIR]\n"
+      "          [--storage-path=FILE]\n"
       "          [--max-vertices=N] [--page-cache-pages=N]\n"
       "          [--scan-batch-edges=N]\n"
       "          [--reactors=N] [--idle-timeout-ms=N]\n"
@@ -132,9 +131,9 @@ int Usage(const char* argv0) {
       "  connection parks. --idle-timeout-ms closes connections silent\n"
       "  that long (0 = never).\n"
       "  --shards=N (N > 1) serves a hash-partitioned ShardedLiveGraph;\n"
-      "  LiveGraph engine only. With durability the server recovers its\n"
-      "  durable state on start; a sharded server uses --wal-path as its\n"
-      "  per-shard WAL/checkpoint directory.\n"
+      "  LiveGraph engine only. With durability --wal-path is the\n"
+      "  per-shard WAL/checkpoint directory, at any shard count, and the\n"
+      "  server recovers it on start.\n"
       "  --replica-of runs a read-only follower of that primary\n"
       "  (docs/REPLICATION.md); --replica-dir makes its state durable.\n"
       "  SIGTERM drains gracefully: stop accepting, finish in-flight\n"
@@ -158,51 +157,56 @@ std::unique_ptr<T> RecoveredOrExit(std::unique_ptr<T> recovered) {
   std::exit(1);
 }
 
-std::unique_ptr<livegraph::Store> MakeEngine(const Flags& flags) {
-  using namespace livegraph;
-  if (flags.engine == "LiveGraph" || flags.engine == "PagedLiveGraph") {
-    GraphOptions options;
-    options.max_vertices = flags.max_vertices;
-    options.storage_path = flags.storage_path;
-    const bool durable = flags.durability != "none";
-    if (durable) {
-      options.wal_path = flags.wal_path;
-      options.fsync_wal = flags.durability == "wal-fsync";
-    }
-    if (flags.engine == "PagedLiveGraph") {
-      // Out-of-core configuration: the engine owns a page-cache simulator
-      // charging device latencies for the byte ranges scans really walk.
-      // Durable restarts recover exactly like the plain engine.
-      if (durable) {
-        return std::make_unique<LiveGraphStore>(
-            RecoveredOrExit(Graph::Recover(options, flags.checkpoint_dir)),
-            PageCacheSim::Optane(flags.page_cache_pages));
-      }
-      return std::make_unique<LiveGraphStore>(
-          options, PageCacheSim::Optane(flags.page_cache_pages));
-    }
-    if (flags.shards > 1) {
-      ShardOptions sharded;
-      sharded.shards = flags.shards;
-      sharded.graph = options;
-      sharded.graph.wal_path.clear();
-      if (durable) {
-        // --wal-path is the sharded durable DIRECTORY; restart == recover
-        // (a fresh directory recovers to an empty store).
-        sharded.dir = flags.wal_path;
-        return RecoveredOrExit(ShardedStore::Recover(std::move(sharded)));
-      }
-      return std::make_unique<ShardedStore>(sharded);
-    }
-    if (durable) {
-      // Restart path (§6): checkpoint (if any) + WAL tail replay.
-      return std::make_unique<LiveGraphStore>(
-          RecoveredOrExit(Graph::Recover(options, flags.checkpoint_dir)));
-    }
-    return std::make_unique<LiveGraphStore>(options);
+/// The served engine, and the durable directory it recovered from.
+struct Engine {
+  /// Owns every durable LiveGraph engine, one shard included.
+  std::unique_ptr<livegraph::ShardedStore> durable;
+  /// Served in place of `durable`: a volatile engine, or a one-shard
+  /// server's native store borrowing durable->shard(0) (declared after
+  /// `durable`, so it goes first).
+  std::unique_ptr<livegraph::Store> owned;
+
+  livegraph::Store* served() const {
+    if (owned != nullptr) return owned.get();
+    return durable.get();
   }
-  if (flags.engine == "LSMT") return std::make_unique<LsmtStore>();
-  return nullptr;
+};
+
+Engine MakeEngine(const Flags& flags) {
+  using namespace livegraph;
+  Engine engine;
+  if (flags.engine == "LiveGraph" || flags.engine == "PagedLiveGraph") {
+    ShardOptions sharded;
+    sharded.shards = flags.shards;
+    sharded.graph.max_vertices = flags.max_vertices;
+    sharded.graph.storage_path = flags.storage_path;
+    // Out-of-core configuration: the engine owns a page-cache simulator
+    // charging device latencies for the byte ranges scans really walk.
+    std::optional<PageCacheSim::Options> pagesim;
+    if (flags.engine == "PagedLiveGraph") {
+      pagesim = PageCacheSim::Optane(flags.page_cache_pages);
+    }
+    if (flags.durability != "none") {
+      // Restart == recover (§6); a fresh directory recovers to an empty
+      // store.
+      sharded.dir = flags.wal_path;
+      sharded.graph.fsync_wal = flags.durability == "wal-fsync";
+      engine.durable = RecoveredOrExit(ShardedStore::Recover(sharded));
+      if (engine.durable->num_shards() == 1) {
+        engine.owned = std::make_unique<LiveGraphStore>(
+            engine.durable->shard(0), pagesim);
+      }
+    } else if (flags.shards > 1) {
+      engine.owned = std::make_unique<ShardedStore>(sharded);
+    } else if (pagesim.has_value()) {
+      engine.owned = std::make_unique<LiveGraphStore>(sharded.graph, *pagesim);
+    } else {
+      engine.owned = std::make_unique<LiveGraphStore>(sharded.graph);
+    }
+  } else if (flags.engine == "LSMT") {
+    engine.owned = std::make_unique<LsmtStore>();
+  }
+  return engine;
 }
 
 /// Binds the /metrics endpoint when --metrics-port is given. False only on
@@ -251,7 +255,6 @@ int main(int argc, char** argv) {
         TakeValue(argv[i], "--host", &flags.host) ||
         TakeValue(argv[i], "--durability", &flags.durability) ||
         TakeValue(argv[i], "--wal-path", &flags.wal_path) ||
-        TakeValue(argv[i], "--checkpoint-dir", &flags.checkpoint_dir) ||
         TakeValue(argv[i], "--storage-path", &flags.storage_path) ||
         TakeValue(argv[i], "--replica-of", &flags.replica_of) ||
         TakeValue(argv[i], "--replica-dir", &flags.replica_dir)) {
@@ -376,8 +379,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::unique_ptr<livegraph::Store> engine = MakeEngine(flags);
-  if (engine == nullptr) {
+  Engine engine = MakeEngine(flags);
+  if (engine.served() == nullptr) {
     std::fprintf(stderr, "unknown engine '%s'\n", flags.engine.c_str());
     return Usage(argv[0]);
   }
@@ -393,12 +396,12 @@ int main(int argc, char** argv) {
   // baseline engines.
   livegraph::ReplicationHub hub;
   std::unique_ptr<livegraph::DomainFrontier> frontier;
-  if (hub.Attach(*engine)) {
+  if (engine.durable != nullptr && hub.Attach(*engine.durable)) {
     options.replication = &hub;
     frontier = std::make_unique<livegraph::DomainFrontier>(hub.domain());
     options.frontier = frontier.get();
   }
-  livegraph::GraphServer server(*engine, options);
+  livegraph::GraphServer server(*engine.served(), options);
   if (!server.Start()) {
     livegraph::logging::LogLine("server.bind_failed")
         .Str("host", flags.host)
@@ -410,7 +413,7 @@ int main(int argc, char** argv) {
   {
     livegraph::logging::LogLine line("server.start");
     line.Str("role", "primary")
-        .Str("engine", engine->Name())
+        .Str("engine", engine.served()->Name())
         .I64("shards", flags.shards)
         .Str("durability", flags.durability)
         .Bool("replication", hub.attached())
@@ -434,17 +437,9 @@ int main(int argc, char** argv) {
         .U64("connections", server.active_connections())
         .I64("deadline_ms", flags.drain_deadline_ms);
     server.Drain(flags.drain_deadline_ms);
-    if (auto* sharded =
-            dynamic_cast<livegraph::ShardedStore*>(engine.get())) {
-      if (sharded->degraded_status() == livegraph::Status::kOk) {
-        sharded->Checkpoint();
-      }
-    } else if (auto* live =
-                   dynamic_cast<livegraph::LiveGraphStore*>(engine.get());
-               live != nullptr && !flags.checkpoint_dir.empty()) {
-      if (live->graph().degraded_status() == livegraph::Status::kOk) {
-        live->graph().Checkpoint(flags.checkpoint_dir);
-      }
+    if (engine.durable != nullptr &&
+        engine.durable->degraded_status() == livegraph::Status::kOk) {
+      engine.durable->Checkpoint();
     }
     livegraph::logging::LogLine("server.stop")
         .Str("role", "primary")

@@ -478,9 +478,18 @@ class Reactor {
     }
   }
 
+  /// A parked commit cannot be aborted, and destroying its session would
+  /// wait out the flush on this loop. So its connection only leaves epoll
+  /// and shuts its socket here; it stays parked until RetryParked sees
+  /// the commit finish, and closes then.
   void CloseConn(Conn* conn) {
-    if (conn->parked) Unpark(conn);
     epoll_.Del(conn->socket.fd());
+    if (conn->parked && conn->frame.type == MsgType::kCommit) {
+      conn->closing = true;
+      conn->socket.Shutdown();
+      return;
+    }
+    if (conn->parked) Unpark(conn);
     conns_.erase(conn->id);  // Socket closes; session aborts open txns
     NoteConnCount();
   }

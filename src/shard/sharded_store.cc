@@ -23,13 +23,6 @@ struct ShardedStoreAccess {
 
 namespace {
 
-/// The effective durable directory: ShardOptions::dir, with the template's
-/// wal_path accepted as a fallback spelling of the same thing.
-std::string EffectiveDir(const ShardOptions& options) {
-  if (!options.dir.empty()) return options.dir;
-  return options.graph.wal_path;
-}
-
 /// Shard s's engine options: an equal slice of the global vertex budget,
 /// the shared epoch domain, and this shard's slot of the durable
 /// directory layout.
@@ -506,8 +499,6 @@ ShardedStore::ShardedStore(ShardOptions options)
     : options_(std::move(options)) {
   const int n = std::max(1, options_.shards);
   options_.shards = n;
-  options_.dir = EffectiveDir(options_);
-  options_.graph.wal_path.clear();
 
   // One visibility domain for all shards, its in-flight window sized past
   // the worst case of every shard's worker table committing at once.
@@ -637,14 +628,18 @@ timestamp_t ShardedStore::Checkpoint(int threads) {
   // durable manifest already records this exact epoch the on-disk state
   // IS this checkpoint — return without touching it. (Rewriting would
   // remove_all the very directories the live manifest points at, opening
-  // a crash window that loses the store; this is the idempotent-reseal
-  // path recovery takes when the WAL tail was empty.)
+  // a crash window that loses the store.) The same holds at the frontier
+  // Recover left: nothing has committed since, and the manifest on disk
+  // holds that state (loading a checkpoint advances the epoch, not the
+  // data), so a drain after an idle restart writes nothing.
   {
     int manifest_shards = 0;
     timestamp_t manifest_epoch = -1;
     if (ReadManifest(options_.dir, &manifest_shards, &manifest_epoch) ==
             Status::kOk &&
-        manifest_shards == num_shards() && manifest_epoch == epoch) {
+        manifest_shards == num_shards() &&
+        (manifest_epoch == epoch ||
+         (recovered_epoch_ > 0 && epoch == recovered_epoch_))) {
       return epoch;
     }
   }
@@ -691,9 +686,18 @@ timestamp_t ShardedStore::Checkpoint(int threads) {
 }
 
 std::unique_ptr<ShardedStore> ShardedStore::Recover(ShardOptions options) {
-  options.dir = EffectiveDir(options);
   timestamp_t checkpoint_epoch = 0;
   if (!options.dir.empty()) {
+    // A file where the directory belongs (say, a WAL file from before
+    // every durable engine kept a directory) holds data this routine
+    // cannot read: refuse rather than serve an empty store in its place.
+    std::error_code ec;
+    if (std::filesystem::exists(options.dir, ec) &&
+        !std::filesystem::is_directory(options.dir, ec)) {
+      std::fprintf(stderr, "ShardedStore::Recover: %s is not a directory "
+                   "— refusing to recover\n", options.dir.c_str());
+      return nullptr;
+    }
     int manifest_shards = 0;
     Status manifest =
         ReadManifest(options.dir, &manifest_shards, &checkpoint_epoch);
@@ -730,6 +734,10 @@ std::unique_ptr<ShardedStore> ShardedStore::Recover(ShardOptions options) {
   };
   std::unordered_map<timestamp_t, PieceCount> pieces;
   timestamp_t max_epoch = checkpoint_epoch;
+  // Whether any record past the checkpoint was on disk, replayed or
+  // dropped as a torn piece: only then does the manifest not describe the
+  // recovered state.
+  bool past_checkpoint = false;
   for (int s = 0; s < n; ++s) {
     Wal::Reader scan(store->ShardWalPath(s));
     timestamp_t epoch = 0;
@@ -737,6 +745,7 @@ std::unique_ptr<ShardedStore> ShardedStore::Recover(ShardOptions options) {
     std::string payload;
     while (scan.Next(&epoch, &participants, &payload)) {
       if (epoch > max_epoch) max_epoch = epoch;
+      if (epoch > checkpoint_epoch) past_checkpoint = true;
       if (participants > 1 && epoch > checkpoint_epoch) {
         PieceCount& count = pieces[epoch];
         count.expected = participants;
@@ -799,21 +808,23 @@ std::unique_ptr<ShardedStore> ShardedStore::Recover(ShardOptions options) {
   store->next_shard_.store(static_cast<uint64_t>(store->VertexCount()),
                            std::memory_order_relaxed);
 
-  // Seal the recovered state: checkpoint it under a fresh manifest, then
-  // truncate every WAL. After this, no surviving byte of the old logs —
-  // including any dropped torn suffix — can influence a later recovery;
-  // the manifest IS the consistent prefix. The WALs are destroyed ONLY if
-  // the checkpoint actually published at the recovered frontier — on
-  // failure (e.g. ENOSPC) the old manifest + intact logs still recover
-  // the same state next time.
-  timestamp_t sealed = store->Checkpoint();
-  if (sealed == store->domain_->visible()) {
+  // Seal the recovered state, then truncate every WAL. After this, no
+  // surviving byte of the old logs — including any dropped torn suffix —
+  // can influence a later recovery. When every record on disk was already
+  // in the checkpoint (a restart after a drain, or of an idle store), the
+  // manifest still describes the recovered state and is kept as it is.
+  // Otherwise a checkpoint under a fresh manifest seals it, and the WALs
+  // are destroyed ONLY if that checkpoint published at the recovered
+  // frontier — on failure (e.g. ENOSPC) the old manifest + intact logs
+  // still recover the same state next time.
+  const timestamp_t recovered = store->domain_->visible();
+  if (!past_checkpoint || store->Checkpoint() == recovered) {
     for (int s = 0; s < n; ++s) {
       store->shards_[static_cast<size_t>(s)]->ResetWal();
     }
-    // Replication: no log byte below the seal survives, so subscribers
-    // older than this epoch need the snapshot bootstrap.
-    store->recovered_epoch_ = sealed;
+    // Replication: no log byte below the recovered frontier survives, so
+    // subscribers older than it need the snapshot bootstrap.
+    store->recovered_epoch_ = recovered;
   } else {
     std::fprintf(stderr,
                  "ShardedStore::Recover: sealing checkpoint failed; "

@@ -38,8 +38,9 @@
 // Recover() loads the manifest's checkpoint, replays each shard's WAL tail
 // — skipping any multi-shard epoch whose pieces are not ALL durable, so a
 // crash between two shards' fsyncs can never resurrect half a transaction
-// — then re-checkpoints and truncates the WALs to seal the recovered
-// state.
+// — then truncates the WALs, re-checkpointing first when the tail held
+// anything past the manifest. This is the only durable layout: a
+// single-engine server is a one-shard directory.
 //
 // IDs: global = local * N + shard. The inverse maps are single
 // div/mod operations on the hot path, new vertices round-robin across
@@ -68,13 +69,12 @@ struct ShardOptions {
   /// Number of independent LiveGraph shards.
   int shards = 4;
   /// Durable directory (WAL + checkpoint layout above); empty disables
-  /// durability. When empty and `graph.wal_path` is set, that path is used
-  /// as the directory (the pre-directory file-suffix scheme is gone).
+  /// durability.
   std::string dir;
   /// Template options for every shard. `max_vertices` is the GLOBAL bound
-  /// and is divided across shards; `wal_path` is superseded by `dir` (see
-  /// above); `storage_path`, when set, gets a ".shard<i>" suffix per shard
-  /// so the block-store backing files never collide.
+  /// and is divided across shards; `wal_path` is ignored (shard i logs to
+  /// <dir>/shard<i>/wal); `storage_path`, when set, gets a ".shard<i>"
+  /// suffix per shard so the block-store backing files never collide.
   GraphOptions graph;
 };
 
@@ -131,15 +131,17 @@ class ShardedStore : public Store {
   explicit ShardedStore(ShardOptions options = {});
   ~ShardedStore() override;
 
-  /// Opens a sharded store from its durable directory: loads the manifest
-  /// checkpoint, replays every shard's WAL tail (dropping half-durable
-  /// multi-shard transactions atomically), fast-forwards the epoch domain
-  /// past every durable epoch, then re-checkpoints and truncates the WALs.
-  /// A missing/empty directory recovers to an empty store. If the manifest
-  /// disagrees with `options.shards`, the manifest wins (the data layout
-  /// is keyed on it). Returns null, after one log line naming the file,
-  /// when the manifest's checkpoint is damaged or a record holds ids
-  /// beyond `options.graph.max_vertices` (Graph::Recover).
+  /// Opens a store from its durable directory — the one restart path of
+  /// every durable LiveGraph engine, one shard included: loads the
+  /// manifest checkpoint, replays every shard's WAL tail (dropping
+  /// half-durable multi-shard transactions atomically), fast-forwards the
+  /// epoch domain past every durable epoch, then truncates the WALs —
+  /// re-checkpointing first only when a record past the manifest was on
+  /// disk. A missing/empty directory recovers to an empty store. If the
+  /// manifest disagrees with `options.shards`, the manifest wins (the data
+  /// layout is keyed on it). Returns null, after one log line naming the
+  /// file, when the manifest's checkpoint is damaged or a record holds ids
+  /// beyond `options.graph.max_vertices`.
   static std::unique_ptr<ShardedStore> Recover(ShardOptions options);
 
   std::string Name() const override { return "ShardedLiveGraph"; }
@@ -233,10 +235,10 @@ class ShardedStore : public Store {
   /// The durable directory ("" when in-memory).
   const std::string& dir() const { return options_.dir; }
 
-  /// The epoch the store's durable state was sealed at by Recover (0 for a
-  /// store that never went through Recover). Every WAL byte predating it
-  /// was truncated by the recovery seal, so a replication subscriber can
-  /// only be served from the log for epochs ABOVE this floor.
+  /// The frontier Recover left the store at (0 for a store that never
+  /// went through Recover). Every WAL byte predating it was truncated by
+  /// the recovery, so a replication subscriber can only be served from
+  /// the log for epochs ABOVE this floor.
   timestamp_t recovered_epoch() const { return recovered_epoch_; }
 
  private:

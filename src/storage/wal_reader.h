@@ -1,7 +1,7 @@
 // WalReader: the one bounds-checked record-iteration loop over a WAL file,
-// shared by everything that replays log bytes — single-engine recovery
-// (Graph::Recover), sharded recovery (ShardedStore::Recover), and the
-// replication hub's disk catch-up phase (docs/REPLICATION.md).
+// shared by everything that reads log bytes — recovery
+// (ShardedStore::Recover, the one restart path of every durable engine)
+// and the replication hub's disk catch-up phase (docs/REPLICATION.md).
 //
 // Record framing (see storage/wal.h): a 24-byte header {u32 payload_len,
 // u32 crc32c(epoch ++ participants ++ payload), i64 epoch,
@@ -9,9 +9,10 @@
 // tail record (crash mid-append) fails its bounds or CRC check and
 // terminates iteration; everything before it is the valid prefix.
 //
-// The constructor loads the whole file; Next() walks it. Recovery scans
-// the log twice (epoch bounds, then replay) over the same buffer via
-// Rewind(). Checkpoint shard files use the same framing and are read
+// The constructor loads the whole file; Next() walks it. Recovery reads
+// each shard's log twice (epoch bounds, then replay) and truncates it on
+// every restart, so a log holds only what was written since the previous
+// restart. Checkpoint shard files use the same framing and are read
 // record by record through ParseWalRecord (core/checkpoint.cc).
 #ifndef LIVEGRAPH_STORAGE_WAL_READER_H_
 #define LIVEGRAPH_STORAGE_WAL_READER_H_
@@ -85,9 +86,6 @@ class WalReader {
   /// the next replay.
   size_t valid_bytes() const { return pos_; }
   size_t file_bytes() const { return buffer_.size(); }
-
-  /// Restarts iteration over the already-loaded buffer.
-  void Rewind() { pos_ = 0; }
 
   /// After a scan to the end: truncates the on-disk file at `path` to the
   /// valid record prefix, cutting off a torn/corrupt tail left by a crash

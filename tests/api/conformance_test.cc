@@ -56,13 +56,18 @@ using StoreFactory = std::function<std::unique_ptr<Store>()>;
 
 /// Wraps a store whose durable state lives under `dir`; removes the
 /// directory when the store is destroyed so per-test recovery backends
-/// leave nothing in /tmp.
+/// leave nothing in /tmp. `durable`, when given, is the directory's store
+/// that `inner` borrows a shard of.
 class ScopedDirStore : public Store {
  public:
-  ScopedDirStore(std::unique_ptr<Store> inner, std::string dir)
-      : inner_(std::move(inner)), dir_(std::move(dir)) {}
+  ScopedDirStore(std::unique_ptr<Store> inner, std::string dir,
+                 std::unique_ptr<ShardedStore> durable = nullptr)
+      : durable_(std::move(durable)),
+        inner_(std::move(inner)),
+        dir_(std::move(dir)) {}
   ~ScopedDirStore() override {
     inner_.reset();
+    durable_.reset();
     std::filesystem::remove_all(dir_);
   }
   std::string Name() const override { return inner_->Name(); }
@@ -73,6 +78,7 @@ class ScopedDirStore : public Store {
   }
 
  private:
+  std::unique_ptr<ShardedStore> durable_;
   std::unique_ptr<Store> inner_;
   std::string dir_;
 };
@@ -379,6 +385,28 @@ INSTANTIATE_TEST_SUITE_P(
                          return std::unique_ptr<Store>(new ScopedDirStore(
                              ShardedStore::Recover(options), dir));
                        })),
+        // A one-shard directory opened through ShardedStore::Recover and
+        // served through shard 0's native sessions: the durable
+        // single-engine server's configuration.
+        std::make_pair("RecoveredLiveGraph",
+                       StoreFactory([] {
+                         static int counter = 0;
+                         std::string dir =
+                             "/tmp/lg_conformance_recover_one_" +
+                             std::to_string(::getpid()) + "_" +
+                             std::to_string(counter++);
+                         std::filesystem::remove_all(dir);
+                         ShardOptions options;
+                         options.shards = 1;
+                         options.dir = dir;
+                         options.graph = SmallGraphOptions();
+                         options.graph.fsync_wal = false;
+                         auto durable = ShardedStore::Recover(options);
+                         auto served =
+                             std::make_unique<LiveGraphStore>(durable->shard(0));
+                         return std::unique_ptr<Store>(new ScopedDirStore(
+                             std::move(served), dir, std::move(durable)));
+                       })),
         // The network subsystem behind the same contract: a LiveGraph
         // engine served by GraphServer over loopback TCP, driven through
         // RemoteStore. Same 12 contracts, every request on the wire.
@@ -490,10 +518,6 @@ TEST(TryCommit, ParksOnlyForAWalWithFsync) {
   EXPECT_TRUE(
       finishes(std::make_unique<ShardedStore>(sharded("nosync", false))));
   EXPECT_TRUE(parks(std::make_unique<ShardedStore>(sharded("sync", true))));
-  // A graph WAL path stands in for the directory (ShardOptions::dir).
-  ShardOptions via_wal = sharded(nullptr, true);
-  via_wal.graph.wal_path = root + "/via_wal";
-  EXPECT_TRUE(parks(std::make_unique<ShardedStore>(via_wal)));
 
   EXPECT_TRUE(finishes(std::make_unique<LsmtStore>()));
   EXPECT_TRUE(finishes(std::make_unique<BTreeStore>()));

@@ -11,6 +11,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "core/epoch_domain.h"
 #include "core/graph.h"
 #include "core/transaction.h"
+#include "shard/sharded_store.h"
 #include "storage/wal_reader.h"
 #include "util/metrics.h"
 
@@ -36,6 +39,17 @@ GraphOptions StressOptions() {
 std::string TempWalPath(const char* tag) {
   return "/tmp/livegraph_commit_pipeline_" + std::string(tag) + "_" +
          std::to_string(::getpid()) + ".wal";
+}
+
+/// Opens (recovers) a one-shard durable directory whose shard 0 runs
+/// `options`: the restart path of every durable engine.
+std::unique_ptr<ShardedStore> OpenDir(const GraphOptions& options,
+                                      const std::string& dir) {
+  ShardOptions sharded;
+  sharded.shards = 1;
+  sharded.dir = dir;
+  sharded.graph = options;
+  return ShardedStore::Recover(sharded);
 }
 
 // N writers commit continuously while readers assert that the global read
@@ -225,13 +239,16 @@ TEST(CommitPipeline, CommitEpochsAreTotalisedInOrder) {
 // per-worker buffers) must replay to the same graph after a restart.
 TEST(CommitPipeline, OverlappedGroupsRecoverFromWal) {
   GraphOptions options = StressOptions();
-  options.wal_path = TempWalPath("recover");
   options.fsync_wal = false;
+  const std::string dir = TempWalPath("recover");
+  std::filesystem::remove_all(dir);
   constexpr int kWriters = 6;
   constexpr int kTxnsPerWriter = 120;
   std::vector<vertex_t> bases(kWriters);
   {
-    Graph graph(options);
+    auto store = OpenDir(options, dir);
+    ASSERT_NE(store, nullptr);
+    Graph& graph = store->shard(0);
     {
       auto txn = graph.BeginTransaction();
       for (auto& b : bases) b = txn.AddVertex("hub");
@@ -254,9 +271,9 @@ TEST(CommitPipeline, OverlappedGroupsRecoverFromWal) {
     for (auto& t : writers) t.join();
   }
 
-  auto recovered = Graph::Recover(options, /*checkpoint_dir=*/"");
+  auto recovered = OpenDir(options, dir);
   ASSERT_NE(recovered, nullptr);
-  auto read = recovered->BeginReadOnlyTransaction();
+  auto read = recovered->shard(0).BeginReadOnlyTransaction();
   for (int w = 0; w < kWriters; ++w) {
     EXPECT_EQ(read.CountEdges(bases[static_cast<size_t>(w)], 0),
               static_cast<size_t>(kTxnsPerWriter));
@@ -266,7 +283,7 @@ TEST(CommitPipeline, OverlappedGroupsRecoverFromWal) {
     EXPECT_EQ(*props, "w" + std::to_string(w) + "#" +
                           std::to_string(kTxnsPerWriter - 1));
   }
-  std::remove(options.wal_path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 // Leader-based group commit under every hand-off pattern: with
@@ -285,20 +302,24 @@ class LeaderHandoff : public ::testing::TestWithParam<HandoffCase> {};
 TEST_P(LeaderHandoff, EveryCommitIsDurableOrderedAndReplayed) {
   const HandoffCase& param = GetParam();
   GraphOptions options = StressOptions();
-  options.wal_path = TempWalPath(param.name);
   options.fsync_wal = param.fsync;
   options.group_commit_max_batch = param.max_batch;
+  const std::string dir = TempWalPath(param.name);
   constexpr int kWriters = 8;
   const int per_writer = param.fsync ? 100 : 500;
-  std::remove(options.wal_path.c_str());
+  std::filesystem::remove_all(dir);
   metrics::Counter& groups = metrics::Registry::Instance().GetCounter(
       "livegraph_commit_groups_total");
 
   std::vector<vertex_t> bases(kWriters);
   std::vector<timestamp_t> committed;  // every epoch Commit() returned
   timestamp_t last_epoch = 0;
+  std::string wal_path;
   {
-    Graph graph(options);
+    auto store = OpenDir(options, dir);
+    ASSERT_NE(store, nullptr);
+    Graph& graph = store->shard(0);
+    wal_path = store->wal_path(0);
     {
       auto txn = graph.BeginTransaction();
       for (auto& b : bases) b = txn.AddVertex("hub");
@@ -364,7 +385,7 @@ TEST_P(LeaderHandoff, EveryCommitIsDurableOrderedAndReplayed) {
   // with the epochs the committers got back.
   std::vector<timestamp_t> logged;
   {
-    WalReader reader(options.wal_path);
+    WalReader reader(wal_path);
     timestamp_t epoch = 0;
     std::string payload;
     while (reader.Next(&epoch, &payload)) logged.push_back(epoch);
@@ -375,9 +396,9 @@ TEST_P(LeaderHandoff, EveryCommitIsDurableOrderedAndReplayed) {
   EXPECT_EQ(logged, committed);
 
   // Recovery replays every one of them.
-  auto recovered = Graph::Recover(options, /*checkpoint_dir=*/"");
+  auto recovered = OpenDir(options, dir);
   ASSERT_NE(recovered, nullptr);
-  auto read = recovered->BeginReadOnlyTransaction();
+  auto read = recovered->shard(0).BeginReadOnlyTransaction();
   for (int w = 0; w < kWriters; ++w) {
     const vertex_t base = bases[static_cast<size_t>(w)];
     EXPECT_EQ(read.CountEdges(base, 0), static_cast<size_t>(per_writer));
@@ -387,7 +408,7 @@ TEST_P(LeaderHandoff, EveryCommitIsDurableOrderedAndReplayed) {
       EXPECT_EQ(*props, "w" + std::to_string(w) + "#" + std::to_string(i));
     }
   }
-  std::remove(options.wal_path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,7 +1,8 @@
 // Crash-recovery fuzzing: truncate the WAL at arbitrary byte offsets
 // (simulating a crash mid-write) and verify that recovery restores exactly
 // the prefix of whole committed transactions that survives — never a
-// partial transaction, never a corrupted state.
+// partial transaction, never a corrupted state. Each cut log is the WAL of
+// a one-shard durable directory, recovered by ShardedStore::Recover.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -12,6 +13,7 @@
 
 #include "core/graph.h"
 #include "core/transaction.h"
+#include "shard/sharded_store.h"
 #include "storage/wal.h"
 #include "util/random.h"
 
@@ -34,16 +36,18 @@ class RecoveryFuzzTest : public ::testing::TestWithParam<uint64_t> {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  GraphOptions Options(const std::string& wal_name) {
-    GraphOptions options;
-    options.region_reserve = size_t{1} << 30;
-    options.max_vertices = 1 << 16;
-    options.enable_compaction = false;
-    options.wal_path = (dir_ / wal_name).string();
-    options.fsync_wal = false;
+  /// A one-shard durable directory `name` under the test directory.
+  ShardOptions Options(const std::string& name) {
+    ShardOptions options;
+    options.shards = 1;
+    options.dir = (dir_ / name).string();
+    options.graph.region_reserve = size_t{1} << 30;
+    options.graph.max_vertices = 1 << 16;
+    options.graph.enable_compaction = false;
+    options.graph.fsync_wal = false;
     // One transaction per group so the WAL record order equals the commit
     // order deterministically (the fuzz oracle depends on it).
-    options.group_commit_max_batch = 1;
+    options.graph.group_commit_max_batch = 1;
     return options;
   }
 
@@ -62,8 +66,12 @@ TEST_P(RecoveryFuzzTest, TruncatedWalRecoversExactPrefix) {
   // recorded *per WAL record*, in record order.
   std::vector<ModelState> state_after_record;
   state_after_record.emplace_back();  // empty state before any record
+  std::string wal_path;
   {
-    Graph graph(Options("wal.log"));
+    auto store = ShardedStore::Recover(Options("live"));
+    ASSERT_NE(store, nullptr);
+    wal_path = store->wal_path(0);
+    Graph& graph = store->shard(0);
     ModelState model;
     for (int t = 0; t < kTxns; ++t) {
       auto txn = graph.BeginTransaction();
@@ -114,7 +122,6 @@ TEST_P(RecoveryFuzzTest, TruncatedWalRecoversExactPrefix) {
 
   // Read the intact WAL once to find record boundaries (via the public
   // reader), then fuzz cut points.
-  std::string wal_path = (dir_ / "wal.log").string();
   auto wal_size = static_cast<uint64_t>(std::filesystem::file_size(wal_path));
   std::string wal_bytes;
   {
@@ -126,8 +133,9 @@ TEST_P(RecoveryFuzzTest, TruncatedWalRecoversExactPrefix) {
   Xorshift cut_rng(seed * 31 + 7);
   for (int trial = 0; trial < 6; ++trial) {
     uint64_t cut = trial == 0 ? wal_size : cut_rng.NextBounded(wal_size + 1);
-    std::string cut_path =
-        (dir_ / ("wal_cut_" + std::to_string(trial) + ".log")).string();
+    const ShardOptions cut_options = Options("cut_" + std::to_string(trial));
+    const std::string cut_path = cut_options.dir + "/shard0/wal";
+    std::filesystem::create_directories(cut_options.dir + "/shard0");
     {
       std::ofstream out(cut_path, std::ios::binary);
       out.write(wal_bytes.data(), static_cast<std::streamsize>(cut));
@@ -142,14 +150,9 @@ TEST_P(RecoveryFuzzTest, TruncatedWalRecoversExactPrefix) {
     }
     ASSERT_LT(survivors, state_after_record.size());
 
-    GraphOptions options;
-    options.region_reserve = size_t{1} << 30;
-    options.max_vertices = 1 << 16;
-    options.enable_compaction = false;
-    options.wal_path = cut_path;
-    options.fsync_wal = false;
-    auto graph = Graph::Recover(options, "");
-    auto read = graph->BeginReadOnlyTransaction();
+    auto store = ShardedStore::Recover(cut_options);
+    ASSERT_NE(store, nullptr);
+    auto read = store->shard(0).BeginReadOnlyTransaction();
 
     const ModelState& expected = state_after_record[survivors];
     for (const auto& [v, props] : expected.vertices) {

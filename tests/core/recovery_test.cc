@@ -1,12 +1,16 @@
-// WAL replay and checkpoint recovery (paper §6 "Recovery").
+// WAL replay and checkpoint recovery (paper §6 "Recovery") of a one-shard
+// durable directory: the layout and restart path of every durable engine.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/graph.h"
 #include "core/transaction.h"
+#include "shard/sharded_store.h"
 
 namespace livegraph {
 namespace {
@@ -22,39 +26,49 @@ class RecoveryTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  GraphOptions DurableOptions() {
-    GraphOptions options;
-    options.region_reserve = size_t{1} << 30;
-    options.max_vertices = 1 << 18;
-    options.enable_compaction = false;
-    options.wal_path = (dir_ / "wal.log").string();
-    options.fsync_wal = false;  // tmpfs: test logical replay, not fsync
+  ShardOptions DurableOptions() {
+    ShardOptions options;
+    options.shards = 1;
+    options.dir = dir_.string();
+    options.graph.region_reserve = size_t{1} << 30;
+    options.graph.max_vertices = 1 << 18;
+    options.graph.enable_compaction = false;
+    options.graph.fsync_wal = false;  // tmpfs: test logical replay, not fsync
     return options;
+  }
+
+  /// Opens the directory: a restart recovers it; a fresh one is empty.
+  std::unique_ptr<ShardedStore> Open() {
+    auto store = ShardedStore::Recover(DurableOptions());
+    EXPECT_NE(store, nullptr);
+    return store;
   }
 
   // A 2-thread checkpoint of 100 committed vertices, each with an edge to
   // the next; the WAL holds nothing newer.
   void WriteCheckpoint() {
-    Graph graph(DurableOptions());
+    auto store = Open();
+    Graph& graph = store->shard(0);
     auto txn = graph.BeginTransaction();
     for (int i = 0; i < 100; ++i) txn.AddVertex("v" + std::to_string(i));
     for (vertex_t v = 0; v + 1 < 100; ++v) {
       ASSERT_EQ(txn.AddEdge(v, 0, v + 1, "next"), Status::kOk);
     }
     ASSERT_EQ(txn.Commit(), Status::kOk);
-    epoch_ = graph.Checkpoint(dir_.string(), /*threads=*/2);
+    epoch_ = store->Checkpoint(/*threads=*/2);
     ASSERT_GT(epoch_, 0);
   }
 
   std::filesystem::path ShardFile(int s) const {
-    return dir_ / ("shard_" + std::to_string(s) + "." +
-                   std::to_string(epoch_) + ".ckpt");
+    const std::string epoch = std::to_string(epoch_);
+    return dir_ / "shard0" / "checkpoint" / epoch /
+           ("shard_" + std::to_string(s) + "." + epoch + ".ckpt");
   }
 
   // Recovery of a damaged checkpoint must refuse, naming the file.
   void ExpectRefused() {
     ::testing::internal::CaptureStderr();
-    EXPECT_EQ(Graph::Recover(DurableOptions(), dir_.string()), nullptr);
+    EXPECT_EQ(ShardedStore::Recover(DurableOptions()), nullptr);
     EXPECT_NE(::testing::internal::GetCapturedStderr().find(
                   ShardFile(1).string()),
               std::string::npos);
@@ -67,7 +81,8 @@ class RecoveryTest : public ::testing::Test {
 TEST_F(RecoveryTest, WalOnlyReplayRestoresGraph) {
   vertex_t a, b, c;
   {
-    Graph graph(DurableOptions());
+    auto store = Open();
+    Graph& graph = store->shard(0);
     auto txn = graph.BeginTransaction();
     a = txn.AddVertex("alice");
     b = txn.AddVertex("bob");
@@ -80,20 +95,22 @@ TEST_F(RecoveryTest, WalOnlyReplayRestoresGraph) {
     ASSERT_EQ(txn2.DeleteEdge(a, 1, c), Status::kOk);
     ASSERT_EQ(txn2.Commit(), Status::kOk);
   }  // crash
-  auto graph = Graph::Recover(DurableOptions(), "");
-  auto read = graph->BeginReadOnlyTransaction();
+  auto store = Open();
+  Graph& graph = store->shard(0);
+  auto read = graph.BeginReadOnlyTransaction();
   EXPECT_EQ(read.GetVertex(a).value(), "alice");
   EXPECT_EQ(read.GetVertex(b).value(), "bob-v2");
   EXPECT_EQ(read.GetVertex(c).value(), "carol");
   EXPECT_EQ(read.GetEdge(a, 0, b).value(), "follows");
   EXPECT_FALSE(read.GetEdge(a, 1, c).has_value());
-  EXPECT_EQ(graph->VertexCount(), 3);
+  EXPECT_EQ(graph.VertexCount(), 3);
 }
 
 TEST_F(RecoveryTest, AbortedTransactionsNotReplayed) {
   vertex_t a;
   {
-    Graph graph(DurableOptions());
+    auto store = Open();
+    Graph& graph = store->shard(0);
     auto txn = graph.BeginTransaction();
     a = txn.AddVertex("committed");
     ASSERT_EQ(txn.Commit(), Status::kOk);
@@ -102,17 +119,18 @@ TEST_F(RecoveryTest, AbortedTransactionsNotReplayed) {
     (void)doomed.PutVertex(a, "dirty");
     doomed.Abort();
   }
-  auto graph = Graph::Recover(DurableOptions(), "");
-  auto read = graph->BeginReadOnlyTransaction();
+  auto store = Open();
+  Graph& graph = store->shard(0);
+  auto read = graph.BeginReadOnlyTransaction();
   EXPECT_EQ(read.GetVertex(a).value(), "committed");
   EXPECT_FALSE(read.GetVertex(1).has_value());
 }
 
 TEST_F(RecoveryTest, CheckpointPlusWalTail) {
   vertex_t a, b;
-  std::string ckpt = dir_.string();
   {
-    Graph graph(DurableOptions());
+    auto store = Open();
+    Graph& graph = store->shard(0);
     {
       auto txn = graph.BeginTransaction();
       a = txn.AddVertex("a");
@@ -120,7 +138,7 @@ TEST_F(RecoveryTest, CheckpointPlusWalTail) {
       ASSERT_EQ(txn.AddEdge(a, 0, b, "pre-ckpt"), Status::kOk);
       ASSERT_EQ(txn.Commit(), Status::kOk);
     }
-    timestamp_t epoch = graph.Checkpoint(ckpt, /*threads=*/2);
+    timestamp_t epoch = store->Checkpoint(/*threads=*/2);
     EXPECT_GT(epoch, 0);
     {
       auto txn = graph.BeginTransaction();
@@ -129,8 +147,8 @@ TEST_F(RecoveryTest, CheckpointPlusWalTail) {
       ASSERT_EQ(txn.Commit(), Status::kOk);
     }
   }  // crash
-  auto graph = Graph::Recover(DurableOptions(), ckpt);
-  auto read = graph->BeginReadOnlyTransaction();
+  auto store = Open();
+  auto read = store->shard(0).BeginReadOnlyTransaction();
   EXPECT_EQ(read.GetVertex(a).value(), "a");
   EXPECT_EQ(read.GetVertex(b).value(), "b-post");
   EXPECT_EQ(read.GetEdge(a, 0, b).value(), "pre-ckpt");
@@ -139,10 +157,10 @@ TEST_F(RecoveryTest, CheckpointPlusWalTail) {
 
 TEST_F(RecoveryTest, IntactCheckpointRecoversEveryVertex) {
   WriteCheckpoint();
-  auto graph = Graph::Recover(DurableOptions(), dir_.string());
-  ASSERT_NE(graph, nullptr);
-  EXPECT_EQ(graph->VertexCount(), 100);
-  auto read = graph->BeginReadOnlyTransaction();
+  auto store = Open();
+  ASSERT_NE(store, nullptr);
+  EXPECT_EQ(store->shard(0).VertexCount(), 100);
+  auto read = store->shard(0).BeginReadOnlyTransaction();
   for (vertex_t v = 0; v < 100; ++v) {
     EXPECT_EQ(read.GetVertex(v).value(), "v" + std::to_string(v));
     EXPECT_EQ(read.CountEdges(v, 0), v + 1 < 100 ? 1u : 0u);
@@ -184,14 +202,15 @@ TEST_F(RecoveryTest, TornTailTruncatedSoPostRecoveryCommitsSurvive) {
   // the torn record and be silently dropped by the NEXT recovery.
   vertex_t a;
   {
-    Graph graph(DurableOptions());
+    auto store = Open();
+    Graph& graph = store->shard(0);
     auto txn = graph.BeginTransaction();
     a = txn.AddVertex("pre-crash");
     ASSERT_EQ(txn.Commit(), Status::kOk);
   }
   {
     // The torn tail: a header promising more bytes than exist.
-    std::ofstream f(DurableOptions().wal_path,
+    std::ofstream f(dir_ / "shard0" / "wal",
                     std::ios::binary | std::ios::app);
     uint32_t len = 5000, crc = 0xdeadbeef, participants = 1, reserved = 0;
     timestamp_t epoch = 99;
@@ -203,28 +222,42 @@ TEST_F(RecoveryTest, TornTailTruncatedSoPostRecoveryCommitsSurvive) {
     f.write("torn", 4);
   }
   {
-    auto graph = Graph::Recover(DurableOptions(), "");
-    auto read = graph->BeginReadOnlyTransaction();
+    auto store = Open();
+    Graph& graph = store->shard(0);
+    auto read = graph.BeginReadOnlyTransaction();
     EXPECT_EQ(read.GetVertex(a).value(), "pre-crash");
     // Durable work after the first crash's recovery.
-    auto txn = graph->BeginTransaction();
+    auto txn = graph.BeginTransaction();
     ASSERT_EQ(txn.PutVertex(a, "post-crash"), Status::kOk);
     ASSERT_EQ(txn.Commit(), Status::kOk);
   }
   // Second crash + recovery: the post-crash commit must be there.
-  auto graph = Graph::Recover(DurableOptions(), "");
-  auto read = graph->BeginReadOnlyTransaction();
+  auto store = Open();
+  Graph& graph = store->shard(0);
+  auto read = graph.BeginReadOnlyTransaction();
   EXPECT_EQ(read.GetVertex(a).value(), "post-crash");
 }
 
+// A file where the directory belongs, such as a WAL file from before every
+// durable engine kept a directory, is refused, not read as an empty store.
+TEST_F(RecoveryTest, FileInPlaceOfTheDirectoryIsRefused) {
+  std::filesystem::remove_all(dir_);
+  std::ofstream(dir_) << "a log in the old single-file layout";
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(ShardedStore::Recover(DurableOptions()), nullptr);
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find(dir_.string()),
+            std::string::npos);
+}
+
 TEST_F(RecoveryTest, RecoverEmptyStateIsEmptyGraph) {
-  auto graph = Graph::Recover(DurableOptions(), dir_.string());
-  EXPECT_EQ(graph->VertexCount(), 0);
+  auto store = Open();
+  EXPECT_EQ(store->shard(0).VertexCount(), 0);
 }
 
 TEST_F(RecoveryTest, SecondRecoveryIsStable) {
   {
-    Graph graph(DurableOptions());
+    auto store = Open();
+    Graph& graph = store->shard(0);
     auto txn = graph.BeginTransaction();
     vertex_t v = txn.AddVertex("root");
     for (int i = 0; i < 20; ++i) {
@@ -233,24 +266,112 @@ TEST_F(RecoveryTest, SecondRecoveryIsStable) {
     ASSERT_EQ(txn.Commit(), Status::kOk);
   }
   {
-    auto graph = Graph::Recover(DurableOptions(), "");
-    auto read = graph->BeginReadOnlyTransaction();
+    auto store = Open();
+    Graph& graph = store->shard(0);
+    auto read = graph.BeginReadOnlyTransaction();
     ASSERT_EQ(read.CountEdges(0, 0), 20u);
     // Write more after the first recovery.
-    auto txn = graph->BeginTransaction();
+    auto txn = graph.BeginTransaction();
     ASSERT_EQ(txn.AddEdge(0, 0, txn.AddVertex("post-recovery")), Status::kOk);
     ASSERT_EQ(txn.Commit(), Status::kOk);
   }
-  auto graph = Graph::Recover(DurableOptions(), "");
-  auto read = graph->BeginReadOnlyTransaction();
+  auto store = Open();
+  Graph& graph = store->shard(0);
+  auto read = graph.BeginReadOnlyTransaction();
   EXPECT_EQ(read.CountEdges(0, 0), 21u);
-  EXPECT_EQ(graph->VertexCount(), 22);
+  EXPECT_EQ(graph.VertexCount(), 22);
+}
+
+/// The one checkpoint epoch directory under shard0/checkpoint/ ("" when
+/// there is none or more than one).
+std::string CheckpointEpochDir(const std::filesystem::path& dir) {
+  std::vector<std::string> names;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           dir / "shard0" / "checkpoint", ec)) {
+    names.push_back(entry.path().filename().string());
+  }
+  return names.size() == 1 ? names[0] : std::string();
+}
+
+// Three restarts with commits between them. A restart that finds a record
+// past the manifest seals (a fresh checkpoint epoch); one that finds
+// nothing past it keeps the manifest and its checkpoint files as they are,
+// and so does a checkpoint taken before the next commit. Every restart
+// leaves the WAL empty, and no acknowledged commit is lost.
+TEST_F(RecoveryTest, RestartCycleSealsOnlyWhatTheManifestLacks) {
+  namespace fs = std::filesystem;
+  const fs::path wal = dir_ / "shard0" / "wal";
+  std::vector<vertex_t> acked;
+  auto commit = [&](ShardedStore& store, const std::string& props) {
+    auto txn = store.shard(0).BeginTransaction();
+    acked.push_back(txn.AddVertex(props));
+    ASSERT_EQ(txn.Commit(), Status::kOk);
+  };
+  auto expect_acked = [&](ShardedStore& store) {
+    auto read = store.shard(0).BeginReadOnlyTransaction();
+    for (size_t i = 0; i < acked.size(); ++i) {
+      EXPECT_EQ(read.GetVertex(acked[i]).value_or(""),
+                "c" + std::to_string(i));
+    }
+  };
+  {
+    auto store = Open();
+    commit(*store, "c0");
+    commit(*store, "c1");
+  }
+
+  // Restart 1: the log holds commits and there is no manifest: seal.
+  std::string sealed;
+  fs::file_time_type sealed_mtime;
+  {
+    auto store = Open();
+    ASSERT_NE(store, nullptr);
+    expect_acked(*store);
+    EXPECT_EQ(fs::file_size(wal), 0u);
+    sealed = CheckpointEpochDir(dir_);
+    ASSERT_FALSE(sealed.empty());
+    ASSERT_TRUE(fs::exists(dir_ / "MANIFEST"));
+    sealed_mtime = fs::last_write_time(dir_ / "MANIFEST");
+  }
+
+  // Restart 2: nothing past the manifest: the checkpoint stays untouched.
+  {
+    auto store = Open();
+    ASSERT_NE(store, nullptr);
+    expect_acked(*store);
+    EXPECT_EQ(fs::file_size(wal), 0u);
+    EXPECT_EQ(CheckpointEpochDir(dir_), sealed);
+    EXPECT_EQ(fs::last_write_time(dir_ / "MANIFEST"), sealed_mtime);
+    // A drain checkpoint before any commit has nothing new to write.
+    EXPECT_GT(store->Checkpoint(), 0);
+    EXPECT_EQ(CheckpointEpochDir(dir_), sealed);
+    EXPECT_EQ(fs::last_write_time(dir_ / "MANIFEST"), sealed_mtime);
+    commit(*store, "c2");
+  }
+
+  // Restart 3: a commit after the checkpoint: seal at a newer epoch.
+  {
+    auto store = Open();
+    ASSERT_NE(store, nullptr);
+    expect_acked(*store);
+    EXPECT_EQ(fs::file_size(wal), 0u);
+    const std::string resealed = CheckpointEpochDir(dir_);
+    ASSERT_FALSE(resealed.empty());
+    EXPECT_GT(std::stoll(resealed), std::stoll(sealed));
+    commit(*store, "c3");
+  }
+  auto store = Open();
+  ASSERT_NE(store, nullptr);
+  expect_acked(*store);
+  EXPECT_EQ(acked.size(), 4u);
 }
 
 TEST_F(RecoveryTest, DeleteVertexSurvivesRecovery) {
   vertex_t a, b;
   {
-    Graph graph(DurableOptions());
+    auto store = Open();
+    Graph& graph = store->shard(0);
     auto txn = graph.BeginTransaction();
     a = txn.AddVertex("keep");
     b = txn.AddVertex("remove");
@@ -259,8 +380,9 @@ TEST_F(RecoveryTest, DeleteVertexSurvivesRecovery) {
     ASSERT_EQ(txn2.DeleteVertex(b), Status::kOk);
     ASSERT_EQ(txn2.Commit(), Status::kOk);
   }
-  auto graph = Graph::Recover(DurableOptions(), "");
-  auto read = graph->BeginReadOnlyTransaction();
+  auto store = Open();
+  Graph& graph = store->shard(0);
+  auto read = graph.BeginReadOnlyTransaction();
   EXPECT_TRUE(read.GetVertex(a).has_value());
   EXPECT_FALSE(read.GetVertex(b).has_value());
 }
@@ -269,7 +391,8 @@ TEST_F(RecoveryTest, ConcurrentCheckpointDoesNotBlockWrites) {
   // The §7.2 experiment: checkpoint while a workload runs. Here we just
   // assert correctness: everything committed before the checkpoint call
   // must be in checkpoint+tail; concurrent commits must never be lost.
-  Graph graph(DurableOptions());
+  auto store = Open();
+  Graph& graph = store->shard(0);
   vertex_t hub;
   {
     auto txn = graph.BeginTransaction();
@@ -288,7 +411,7 @@ TEST_F(RecoveryTest, ConcurrentCheckpointDoesNotBlockWrites) {
     }
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  graph.Checkpoint(dir_.string(), 2);
+  store->Checkpoint(2);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   stop.store(true);
   writer.join();

@@ -29,6 +29,8 @@
 #include "util/fault_injection.h"
 #include "util/metrics.h"
 
+#include "frontier_wait.h"
+
 namespace livegraph {
 namespace {
 
@@ -149,8 +151,8 @@ TEST(MultiFollower, TwoSubscribersConvergeIndependently) {
                     static_cast<label_t>(i % 2));
   }
   ASSERT_GT(last, 0);
-  ASSERT_TRUE(follower_a->frontier().WaitCovered(last, 10000));
-  ASSERT_TRUE(follower_b->frontier().WaitCovered(last, 10000));
+  ASSERT_TRUE(WaitCovered(follower_a->frontier(), last, 10000));
+  ASSERT_TRUE(WaitCovered(follower_b->frontier(), last, 10000));
   ExpectConverged(*primary.store, follower_a->store());
   ExpectConverged(*primary.store, follower_b->store());
 
@@ -183,14 +185,14 @@ TEST(MultiFollower, LappedFollowerResubscribesWhileOtherStaysLive) {
                     static_cast<label_t>(i % 2));
   }
   ASSERT_GT(primary.hub.log().trim_epoch(), 0) << "the log must have lapped";
-  ASSERT_TRUE(live->frontier().WaitCovered(last, 10000))
+  ASSERT_TRUE(WaitCovered(live->frontier(), last, 10000))
       << "the live follower must not be disturbed by the laggard";
 
   // The laggard comes back with a stale frontier: the hub must route it
   // through the snapshot tier, and it still converges.
   laggard->Start();
   ASSERT_TRUE(laggard->WaitReady(10000));
-  ASSERT_TRUE(laggard->frontier().WaitCovered(last, 10000));
+  ASSERT_TRUE(WaitCovered(laggard->frontier(), last, 10000));
   ExpectConverged(*primary.store, live->store());
   ExpectConverged(*primary.store, laggard->store());
 
@@ -230,7 +232,7 @@ TEST_F(ReplicationChaosTest, DroppedPushStreamResubscribesAndConverges) {
     last = WriteOne(*primary.store, "post" + std::to_string(i), hub_vertex,
                     static_cast<label_t>(i % 2));
   }
-  ASSERT_TRUE(follower->frontier().WaitCovered(last, 15000))
+  ASSERT_TRUE(WaitCovered(follower->frontier(), last, 15000))
       << "follower must resubscribe through the injected drop";
   EXPECT_GE(follower->resubscribes(), 1u);
   ExpectConverged(*primary.store, follower->store());
@@ -256,7 +258,7 @@ TEST_F(ReplicationChaosTest, TornFrameConvergesAfterResubscribe) {
     last = WriteOne(*primary.store, "t" + std::to_string(i), hub_vertex,
                     static_cast<label_t>(i % 2));
   }
-  ASSERT_TRUE(follower->frontier().WaitCovered(last, 15000));
+  ASSERT_TRUE(WaitCovered(follower->frontier(), last, 15000));
   ExpectConverged(*primary.store, follower->store());
 
   follower->Stop();
@@ -280,7 +282,7 @@ TEST_F(ReplicationChaosTest, DelayedStreamStillConverges) {
     last = WriteOne(*primary.store, "d" + std::to_string(i), hub_vertex,
                     static_cast<label_t>(i % 2));
   }
-  ASSERT_TRUE(follower->frontier().WaitCovered(last, 15000));
+  ASSERT_TRUE(WaitCovered(follower->frontier(), last, 15000));
   faults::Clear();
   ExpectConverged(*primary.store, follower->store());
 

@@ -26,6 +26,8 @@
 #include "server/remote_store.h"
 #include "shard/sharded_store.h"
 
+#include "frontier_wait.h"
+
 namespace livegraph {
 namespace {
 
@@ -135,22 +137,22 @@ TEST(ReplicationLogTest, CloseWakesBlockedFetch) {
 
 // --- ReplicaFrontier ---------------------------------------------------
 
-TEST(ReplicaFrontierTest, AdvanceIsMonotoneAndWakesWaiters) {
+TEST(ReplicaFrontierTest, AdvanceIsMonotoneAndSeenByPollers) {
   ReplicaFrontier frontier;
   EXPECT_EQ(frontier.Frontier(), 0);
   frontier.Advance(5);
   frontier.Advance(3);  // stale advances are ignored
   EXPECT_EQ(frontier.Frontier(), 5);
 
-  EXPECT_TRUE(frontier.WaitCovered(5, 0)) << "already covered: no wait";
-  EXPECT_FALSE(frontier.WaitCovered(6, 30))
+  EXPECT_TRUE(WaitCovered(frontier, 5, 0)) << "already covered: no wait";
+  EXPECT_FALSE(WaitCovered(frontier, 6, 30))
       << "an uncovered (possibly garbage) epoch must time out, not hang";
 
   std::thread advancer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     frontier.Advance(10);
   });
-  EXPECT_TRUE(frontier.WaitCovered(10, 5000));
+  EXPECT_TRUE(WaitCovered(frontier, 10, 5000));
   advancer.join();
 }
 
@@ -280,7 +282,7 @@ TEST(ReplicationEndToEnd, FollowerCatchesUpMidWorkloadAndConverges) {
                     "late" + std::to_string(i));
   }
   ASSERT_GT(last, 0);
-  ASSERT_TRUE(replica.frontier().WaitCovered(last, 10000))
+  ASSERT_TRUE(WaitCovered(replica.frontier(), last, 10000))
       << "follower frontier never covered the final primary commit";
 
   ExpectConverged(*primary.store, replica.store());
@@ -310,7 +312,7 @@ TEST(ReplicationEndToEnd, RestartedFollowerResubscribesFromDurableState) {
     Replica replica(replica_options);
     replica.Start();
     ASSERT_TRUE(replica.WaitReady(10000));
-    ASSERT_TRUE(replica.frontier().WaitCovered(last, 10000));
+    ASSERT_TRUE(WaitCovered(replica.frontier(), last, 10000));
     replica.Stop();  // dies mid-workload; REPLICA_STATE stays behind
   }
   ASSERT_TRUE(std::filesystem::exists(root + "/replica/REPLICA_STATE"));
@@ -328,7 +330,7 @@ TEST(ReplicationEndToEnd, RestartedFollowerResubscribesFromDurableState) {
   EXPECT_GT(replica.frontier().Frontier(), 0)
       << "restart must resume from the persisted frontier, not epoch 0";
   ASSERT_TRUE(replica.WaitReady(10000));
-  ASSERT_TRUE(replica.frontier().WaitCovered(last, 10000));
+  ASSERT_TRUE(WaitCovered(replica.frontier(), last, 10000));
   ExpectConverged(*primary.store, replica.store());
   replica.Stop();
   std::filesystem::remove_all(root);
@@ -354,7 +356,7 @@ TEST(ReplicationEndToEnd, FollowerWithDamagedStoreBootstrapsFromPrimary) {
     Replica replica(replica_options);
     replica.Start();
     ASSERT_TRUE(replica.WaitReady(10000));
-    ASSERT_TRUE(replica.frontier().WaitCovered(last, 10000));
+    ASSERT_TRUE(WaitCovered(replica.frontier(), last, 10000));
     replica.Stop();
   }
   // Cut every checkpoint shard file of the follower's store in half.
@@ -376,7 +378,7 @@ TEST(ReplicationEndToEnd, FollowerWithDamagedStoreBootstrapsFromPrimary) {
   EXPECT_EQ(replica.frontier().Frontier(), 0);
   ASSERT_TRUE(replica.WaitReady(10000));
   ::testing::internal::GetCapturedStderr();
-  ASSERT_TRUE(replica.frontier().WaitCovered(last, 10000));
+  ASSERT_TRUE(WaitCovered(replica.frontier(), last, 10000));
   ExpectConverged(*primary.store, replica.store());
   replica.Stop();
   std::filesystem::remove_all(root);

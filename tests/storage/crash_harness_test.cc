@@ -1,8 +1,9 @@
 // Crash-at-failpoint harness: a forked child runs a real workload with a
 // `crash` failpoint armed (::_exit(42) — no flushes, no destructors, a
 // power cut), reporting each acknowledged commit to a side file as it
-// happens. The parent reaps the child, recovers from the same directory,
-// and asserts zero acknowledged-commit loss. Gated on the fault build.
+// happens. The parent reaps the child, recovers the same one-shard durable
+// directory (ShardedStore::Recover), and asserts zero acknowledged-commit
+// loss. Gated on the fault build.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -17,6 +18,7 @@
 
 #include "core/graph.h"
 #include "core/transaction.h"
+#include "shard/sharded_store.h"
 #include "util/fault_injection.h"
 
 namespace livegraph {
@@ -39,18 +41,18 @@ class CrashHarnessTest : public ::testing::Test {
     std::filesystem::remove_all(dir_);
   }
 
-  GraphOptions DurableOptions(bool fsync) {
-    GraphOptions options;
-    options.region_reserve = size_t{1} << 30;
-    options.max_vertices = 1 << 16;
-    options.enable_compaction = false;
-    options.wal_path = (dir_ / "wal.log").string();
-    options.fsync_wal = fsync;
+  ShardOptions DurableOptions(bool fsync) {
+    ShardOptions options;
+    options.shards = 1;
+    options.dir = (dir_ / "db").string();
+    options.graph.region_reserve = size_t{1} << 30;
+    options.graph.max_vertices = 1 << 16;
+    options.graph.enable_compaction = false;
+    options.graph.fsync_wal = fsync;
     return options;
   }
 
   std::string ReportPath() { return (dir_ / "acked.txt").string(); }
-  std::string CheckpointDir() { return (dir_ / "ckpt").string(); }
 
   /// Child body: commit vertices one by one, appending "<id> <i>" to the
   /// report file after each acknowledged commit. Never returns normally
@@ -61,7 +63,10 @@ class CrashHarnessTest : public ::testing::Test {
                                   bool checkpoint_at_end) {
     std::string error;
     if (!faults::Configure(spec, &error)) ::_exit(3);
-    Graph graph(DurableOptions(fsync));
+    std::unique_ptr<ShardedStore> store =
+        ShardedStore::Recover(DurableOptions(fsync));
+    if (store == nullptr) ::_exit(4);
+    Graph& graph = store->shard(0);
     std::FILE* report = std::fopen(ReportPath().c_str(), "a");
     if (report == nullptr) ::_exit(4);
     for (int i = 0; i < 32; ++i) {
@@ -71,7 +76,7 @@ class CrashHarnessTest : public ::testing::Test {
       std::fprintf(report, "%lld %d\n", static_cast<long long>(v), i);
       std::fflush(report);
     }
-    if (checkpoint_at_end) (void)graph.Checkpoint(CheckpointDir());
+    if (checkpoint_at_end) (void)store->Checkpoint();
     std::fclose(report);
     ::_exit(0);
   }
@@ -111,10 +116,11 @@ TEST_F(CrashHarnessTest, CrashAtFdatasyncLosesNoAckedCommit) {
                         /*checkpoint_at_end=*/false);
   ASSERT_TRUE(WIFEXITED(status));
   ASSERT_EQ(WEXITSTATUS(status), 42) << "the crash point must have fired";
-  auto recovered = Graph::Recover(DurableOptions(/*fsync=*/true), "");
-  ExpectAckedCommitsSurvive(*recovered);
+  auto recovered = ShardedStore::Recover(DurableOptions(/*fsync=*/true));
+  ASSERT_NE(recovered, nullptr);
+  ExpectAckedCommitsSurvive(recovered->shard(0));
   // The recovered engine is healthy and writes again.
-  auto txn = recovered->BeginTransaction();
+  auto txn = recovered->shard(0).BeginTransaction();
   txn.AddVertex("after");
   EXPECT_EQ(txn.Commit(), Status::kOk);
 }
@@ -124,21 +130,22 @@ TEST_F(CrashHarnessTest, CrashAtAppendLosesNoAckedCommit) {
                         /*checkpoint_at_end=*/false);
   ASSERT_TRUE(WIFEXITED(status));
   ASSERT_EQ(WEXITSTATUS(status), 42);
-  auto recovered = Graph::Recover(DurableOptions(/*fsync=*/false), "");
-  ExpectAckedCommitsSurvive(*recovered);
+  auto recovered = ShardedStore::Recover(DurableOptions(/*fsync=*/false));
+  ASSERT_NE(recovered, nullptr);
+  ExpectAckedCommitsSurvive(recovered->shard(0));
 }
 
 TEST_F(CrashHarnessTest, CrashDuringCheckpointRecoversFromWal) {
   // The child finishes its workload, then dies inside Checkpoint(): only
-  // .tmp checkpoint files exist, the WAL holds everything, and recovery
-  // (pointed at the half-written checkpoint dir) replays it all.
+  // .tmp checkpoint files exist and no manifest names them, the WAL holds
+  // everything, and recovery replays it all.
   int status = RunChild("ckpt.sync=crash", /*fsync=*/false,
                         /*checkpoint_at_end=*/true);
   ASSERT_TRUE(WIFEXITED(status));
   ASSERT_EQ(WEXITSTATUS(status), 42);
-  auto recovered = Graph::Recover(DurableOptions(/*fsync=*/false),
-                                  CheckpointDir());
-  ExpectAckedCommitsSurvive(*recovered);
+  auto recovered = ShardedStore::Recover(DurableOptions(/*fsync=*/false));
+  ASSERT_NE(recovered, nullptr);
+  ExpectAckedCommitsSurvive(recovered->shard(0));
 }
 
 #else  // !LIVEGRAPH_FAULTS_ENABLED

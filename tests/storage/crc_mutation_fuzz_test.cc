@@ -2,8 +2,8 @@
 // frames read through Socket::ReadFrame (the blocking receive path
 // replication followers use) and through FrameReader (the buffered one
 // RemoteStore reads replies with), WAL files read through WalReader
-// (recovery and replication catch-up), and checkpoint files read by
-// Graph::Recover. Every single-bit flip, every truncation, a set of
+// (recovery and replication catch-up), and the checkpoint files of a
+// one-shard durable directory read by ShardedStore::Recover. Every single-bit flip, every truncation, a set of
 // trailing extensions and a seeded stream of multi-byte corruptions are
 // applied to known-good encodings. The contract for streams: the decoder
 // returns exactly the intact records in front of the damage, bit for bit,
@@ -32,6 +32,7 @@
 #include "server/net.h"
 #include "server/protocol.h"
 #include "server/wire.h"
+#include "shard/sharded_store.h"
 #include "storage/wal.h"
 #include "storage/wal_reader.h"
 
@@ -341,12 +342,15 @@ class CheckpointMutationFuzz : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  // No WAL: the checkpoint is the whole durable state.
-  static GraphOptions Options() {
-    GraphOptions options;
-    options.region_reserve = size_t{1} << 26;
-    options.max_vertices = 64;
-    options.enable_compaction = false;
+  /// A one-shard durable directory.
+  ShardOptions Options() const {
+    ShardOptions options;
+    options.shards = 1;
+    options.dir = dir_.string();
+    options.graph.region_reserve = size_t{1} << 26;
+    options.graph.max_vertices = 64;
+    options.graph.enable_compaction = false;
+    options.graph.fsync_wal = false;
     return options;
   }
 
@@ -386,13 +390,16 @@ class CheckpointMutationFuzz : public ::testing::Test {
 };
 
 TEST_F(CheckpointMutationFuzz, DamageRefusesRecoveryOrChangesNothing) {
-  // A 2-thread checkpoint: a manifest and two shard files, each one data
-  // record plus the end record. Labels 0-2, a deleted vertex, an edge
-  // overwritten in place, empty and non-empty properties.
+  // A 2-thread checkpoint: the directory's manifest, the shard's manifest
+  // and two shard files, each one data record plus the end record. Labels
+  // 0-2, a deleted vertex, an edge overwritten in place, empty and
+  // non-empty properties.
   std::string want;
   timestamp_t epoch = 0;
   {
-    Graph graph(Options());
+    auto store = ShardedStore::Recover(Options());
+    ASSERT_NE(store, nullptr);
+    Graph& graph = store->shard(0);
     auto txn = graph.BeginTransaction();
     for (int i = 0; i < 6; ++i) {
       txn.AddVertex(i == 2 ? "" : "v" + std::to_string(i));
@@ -407,20 +414,24 @@ TEST_F(CheckpointMutationFuzz, DamageRefusesRecoveryOrChangesNothing) {
     ASSERT_EQ(update.DeleteVertex(3), Status::kOk);
     ASSERT_EQ(update.AddEdge(0, 0, 1, "a2"), Status::kOk);
     ASSERT_EQ(update.Commit(), Status::kOk);
-    epoch = graph.Checkpoint(dir_.string(), /*threads=*/2);
+    epoch = store->Checkpoint(/*threads=*/2);
     ASSERT_GT(epoch, 0);
     want = Dump(graph);
   }
   {
-    auto clean = Graph::Recover(Options(), dir_.string());
+    // Nothing past the checkpoint: this first restart truncates the WAL,
+    // so every later one recovers from the checkpoint files alone.
+    auto clean = ShardedStore::Recover(Options());
     ASSERT_NE(clean, nullptr);
-    ASSERT_EQ(Dump(*clean), want);
+    ASSERT_EQ(Dump(clean->shard(0)), want);
   }
 
   const std::string suffix = "." + std::to_string(epoch) + ".ckpt";
+  const std::filesystem::path ckpt =
+      dir_ / "shard0" / "checkpoint" / std::to_string(epoch);
   const std::vector<std::filesystem::path> files = {
-      dir_ / "MANIFEST", dir_ / ("shard_0" + suffix),
-      dir_ / ("shard_1" + suffix)};
+      dir_ / "MANIFEST", ckpt / "MANIFEST", ckpt / ("shard_0" + suffix),
+      ckpt / ("shard_1" + suffix)};
   std::vector<std::string> originals;
   for (const auto& file : files) originals.push_back(ReadFile(file));
   // Recovery refusing names the damaged file on stderr; keep those lines
@@ -435,12 +446,12 @@ TEST_F(CheckpointMutationFuzz, DamageRefusesRecoveryOrChangesNothing) {
     for (const Mutation& m :
          Mutations(originals[f], first_record_end, /*random_trials=*/200)) {
       WriteFile(files[f], m.bytes);
-      auto recovered = Graph::Recover(Options(), dir_.string());
+      auto recovered = ShardedStore::Recover(Options());
       ++trials;
       if (recovered == nullptr) {
         ++refused;
       } else {
-        EXPECT_EQ(Dump(*recovered), want)
+        EXPECT_EQ(Dump(recovered->shard(0)), want)
             << files[f].filename() << ": mutation at byte " << m.first_change
             << ", " << m.bytes.size() << " bytes";
       }

@@ -2,10 +2,12 @@
 // every injected durability failure must surface as a typed Status, leave
 // the store serving consistent reads at the last durable epoch, reject
 // writes without aborting, and — after the fault clears and the process
-// restarts — recover every acknowledged commit. The last cases serve the
-// engine: a commit whose WAL syncs parks its connection on the reactor
-// until the flush ends. Compiled against the failpoint registry; in a
-// normal build the whole matrix skips.
+// restarts — recover every acknowledged commit. Durable state is a
+// one-shard directory, recovered by ShardedStore::Recover like every
+// durable engine's. The last cases serve the engine: a commit whose WAL
+// syncs parks its connection on the reactor until the flush ends.
+// Compiled against the failpoint registry; in a normal build the whole
+// matrix skips.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
@@ -49,17 +51,24 @@ class FaultMatrixTest : public ::testing::Test {
     std::filesystem::remove_all(dir_);
   }
 
-  GraphOptions DurableOptions(bool fsync = false) {
-    GraphOptions options;
-    options.region_reserve = size_t{1} << 30;
-    options.max_vertices = 1 << 16;
-    options.enable_compaction = false;
-    options.wal_path = (dir_ / "wal.log").string();
-    options.fsync_wal = fsync;
+  /// The one-shard durable directory; its engine never compacts.
+  ShardOptions DurableOptions(bool fsync = false) {
+    ShardOptions options;
+    options.shards = 1;
+    options.dir = (dir_ / "db").string();
+    options.graph.region_reserve = size_t{1} << 30;
+    options.graph.max_vertices = 1 << 16;
+    options.graph.enable_compaction = false;
+    options.graph.fsync_wal = fsync;
     return options;
   }
 
-  std::string CheckpointDir() { return (dir_ / "ckpt").string(); }
+  /// Opens (recovers) the directory: a fresh one is an empty store.
+  std::unique_ptr<ShardedStore> Open(bool fsync = false) {
+    auto store = ShardedStore::Recover(DurableOptions(fsync));
+    EXPECT_NE(store, nullptr);
+    return store;
+  }
 
   /// Commits `n` single-vertex transactions; returns their ids.
   static std::vector<vertex_t> CommitSome(Graph& graph, int n,
@@ -91,7 +100,8 @@ class FaultMatrixTest : public ::testing::Test {
 // rejecting writes with a typed Status (no abort); clearing the fault and
 // restarting recovers with zero committed-transaction loss.
 TEST_F(FaultMatrixTest, EnospcOnAppendDegradesAndRecoversLossFree) {
-  auto graph = std::make_unique<Graph>(DurableOptions());
+  auto store = Open();
+  Graph* graph = &store->shard(0);
   std::vector<vertex_t> committed = CommitSome(*graph, 5, "ok");
 
   ASSERT_TRUE(faults::Configure("wal.append=error:ENOSPC"));
@@ -128,8 +138,9 @@ TEST_F(FaultMatrixTest, EnospcOnAppendDegradesAndRecoversLossFree) {
 
   // Restart: zero committed-transaction loss, failed commit absent, and
   // the store writes again.
-  graph.reset();
-  auto recovered = Graph::Recover(DurableOptions(), "");
+  store.reset();
+  auto reopened = Open();
+  Graph* recovered = &reopened->shard(0);
   ExpectPresent(*recovered, committed, "ok");
   {
     auto read = recovered->BeginReadOnlyTransaction();
@@ -143,7 +154,8 @@ TEST_F(FaultMatrixTest, EnospcOnAppendDegradesAndRecoversLossFree) {
 // A torn (short) append writes real partial bytes, then fails the commit;
 // recovery truncates the torn tail and keeps every acknowledged commit.
 TEST_F(FaultMatrixTest, TornAppendTruncatedOnRecovery) {
-  auto graph = std::make_unique<Graph>(DurableOptions());
+  auto store = Open();
+  Graph* graph = &store->shard(0);
   std::vector<vertex_t> committed = CommitSome(*graph, 5, "ok");
 
   ASSERT_TRUE(faults::Configure("wal.append=short:7"));
@@ -155,8 +167,9 @@ TEST_F(FaultMatrixTest, TornAppendTruncatedOnRecovery) {
   EXPECT_EQ(graph->degraded_status(), Status::kIOError);
   faults::Clear();
 
-  graph.reset();
-  auto recovered = Graph::Recover(DurableOptions(), "");
+  store.reset();
+  auto reopened = Open();
+  Graph* recovered = &reopened->shard(0);
   ExpectPresent(*recovered, committed, "ok");
   {
     auto read = recovered->BeginReadOnlyTransaction();
@@ -171,7 +184,8 @@ TEST_F(FaultMatrixTest, TornAppendTruncatedOnRecovery) {
 // must never retry the sync against a page cache that may have dropped
 // the dirty pages. Acknowledged commits survive restart.
 TEST_F(FaultMatrixTest, FdatasyncFailurePoisonsStickily) {
-  auto graph = std::make_unique<Graph>(DurableOptions(/*fsync=*/true));
+  auto store = Open(/*fsync=*/true);
+  Graph* graph = &store->shard(0);
   std::vector<vertex_t> committed = CommitSome(*graph, 4, "ok");
 
   ASSERT_TRUE(faults::Configure("wal.fdatasync=error:EIO@once"));
@@ -198,8 +212,9 @@ TEST_F(FaultMatrixTest, FdatasyncFailurePoisonsStickily) {
   // Restart recovers every acknowledged commit. (The unacknowledged one
   // may or may not replay — its bytes hit the file before the failed
   // sync; either outcome is correct WAL semantics.)
-  graph.reset();
-  auto recovered = Graph::Recover(DurableOptions(/*fsync=*/true), "");
+  store.reset();
+  auto reopened = Open(/*fsync=*/true);
+  Graph* recovered = &reopened->shard(0);
   ExpectPresent(*recovered, committed, "ok");
   std::vector<vertex_t> fresh = CommitSome(*recovered, 2, "fresh");
   ExpectPresent(*recovered, fresh, "fresh");
@@ -212,7 +227,8 @@ TEST_F(FaultMatrixTest, FdatasyncFailurePoisonsStickily) {
 // failed epoch still passes the visibility frontier (no member wedges
 // it), and the engine rejects later writes.
 TEST_F(FaultMatrixTest, FailedAppendFailsEveryMemberOfItsGroup) {
-  auto graph = std::make_unique<Graph>(DurableOptions(/*fsync=*/true));
+  auto store = Open(/*fsync=*/true);
+  Graph* graph = &store->shard(0);
   std::vector<vertex_t> committed = CommitSome(*graph, 3, "ok");
   metrics::Counter& groups = metrics::Registry::Instance().GetCounter(
       "livegraph_commit_groups_total");
@@ -269,8 +285,9 @@ TEST_F(FaultMatrixTest, FailedAppendFailsEveryMemberOfItsGroup) {
 
   // Restart: the acknowledged commits replay, the failed group does not.
   faults::Clear();
-  graph.reset();
-  auto recovered = Graph::Recover(DurableOptions(/*fsync=*/true), "");
+  store.reset();
+  auto reopened = Open(/*fsync=*/true);
+  Graph* recovered = &reopened->shard(0);
   auto read = recovered->BeginReadOnlyTransaction();
   for (vertex_t v : committed) EXPECT_TRUE(read.GetVertex(v).has_value());
   for (vertex_t member : members) {
@@ -284,22 +301,24 @@ TEST_F(FaultMatrixTest, FailedAppendFailsEveryMemberOfItsGroup) {
 TEST_F(FaultMatrixTest, CheckpointFailuresLeavePreviousAuthoritative) {
   const char* points[] = {"ckpt.open=error:ENOSPC", "ckpt.write=error:EIO",
                           "ckpt.sync=error:EIO", "wal.rename=error:EIO"};
-  auto graph = std::make_unique<Graph>(DurableOptions());
+  auto store = Open();
+  Graph* graph = &store->shard(0);
   std::vector<vertex_t> first = CommitSome(*graph, 4, "first");
-  ASSERT_GT(graph->Checkpoint(CheckpointDir()), 0);
+  ASSERT_GT(store->Checkpoint(), 0);
 
   std::vector<vertex_t> second = CommitSome(*graph, 4, "second");
   for (const char* spec : points) {
     ASSERT_TRUE(faults::Configure(spec));
-    EXPECT_EQ(graph->Checkpoint(CheckpointDir()), -1) << spec;
+    EXPECT_EQ(store->Checkpoint(), -1) << spec;
     EXPECT_EQ(graph->degraded_status(), Status::kOk)
         << spec << ": a failed checkpoint must not degrade the engine";
     faults::Clear();
   }
   // Next cadence (fault gone) succeeds; recovery sees everything.
-  EXPECT_GT(graph->Checkpoint(CheckpointDir()), 0);
-  graph.reset();
-  auto recovered = Graph::Recover(DurableOptions(), CheckpointDir());
+  EXPECT_GT(store->Checkpoint(), 0);
+  store.reset();
+  auto reopened = Open();
+  Graph* recovered = &reopened->shard(0);
   ExpectPresent(*recovered, first, "first");
   ExpectPresent(*recovered, second, "second");
 }
@@ -310,16 +329,18 @@ TEST_F(FaultMatrixTest, CheckpointFailuresLeavePreviousAuthoritative) {
 // (recovery checks every record's epoch against the manifest and would
 // refuse a mix of the two).
 TEST_F(FaultMatrixTest, PartlyRenamedCheckpointLeavesPreviousLoadable) {
-  auto graph = std::make_unique<Graph>(DurableOptions());
+  auto store = Open();
+  Graph* graph = &store->shard(0);
   std::vector<vertex_t> first = CommitSome(*graph, 4, "first");
-  ASSERT_GT(graph->Checkpoint(CheckpointDir(), /*threads=*/2), 0);
+  ASSERT_GT(store->Checkpoint(/*threads=*/2), 0);
   std::vector<vertex_t> second = CommitSome(*graph, 4, "second");
   ASSERT_TRUE(faults::Configure("wal.rename=error:EIO@after=1"));
-  EXPECT_EQ(graph->Checkpoint(CheckpointDir(), /*threads=*/2), -1);
+  EXPECT_EQ(store->Checkpoint(/*threads=*/2), -1);
   faults::Clear();
-  graph.reset();
-  auto recovered = Graph::Recover(DurableOptions(), CheckpointDir());
-  ASSERT_NE(recovered, nullptr);
+  store.reset();
+  auto reopened = Open();
+  ASSERT_NE(reopened, nullptr);
+  Graph* recovered = &reopened->shard(0);
   ExpectPresent(*recovered, first, "first");
   ExpectPresent(*recovered, second, "second");
 }
@@ -328,7 +349,9 @@ TEST_F(FaultMatrixTest, PartlyRenamedCheckpointLeavesPreviousLoadable) {
 // starts degraded instead of aborting, and still serves (empty) reads.
 TEST_F(FaultMatrixTest, WalOpenFailureStartsDegraded) {
   ASSERT_TRUE(faults::Configure("wal.open=error:EIO"));
-  Graph graph(DurableOptions());
+  GraphOptions options = DurableOptions().graph;
+  options.wal_path = (dir_ / "wal.log").string();
+  Graph graph(options);
   faults::Clear();
   {
     auto txn = graph.BeginTransaction();
@@ -500,9 +523,13 @@ void StageUpdate(RawConn* conn, uint64_t txn, vertex_t v,
 }
 
 /// A served engine whose WAL syncs, on ONE event loop.
+/// Served like a one-shard durable server: the recovered directory's
+/// shard 0 through the engine's native sessions.
 struct ServedDurableGraph {
-  explicit ServedDurableGraph(GraphOptions options)
-      : store(options), server(store, OneLoop()) {
+  explicit ServedDurableGraph(const ShardOptions& options)
+      : durable(ShardedStore::Recover(options)),
+        store(durable->shard(0)),
+        server(store, OneLoop()) {
     EXPECT_TRUE(server.Start());
   }
   static GraphServer::Options OneLoop() {
@@ -512,6 +539,7 @@ struct ServedDurableGraph {
   }
   Graph& graph() { return store.graph(); }
 
+  std::unique_ptr<ShardedStore> durable;
   LiveGraphStore store;
   GraphServer server;
 };
@@ -569,10 +597,12 @@ TEST_F(FaultMatrixTest, ParkedCommitFlushErrorRepliesIOError) {
 // A published commit cannot be aborted: when its connection resets, or
 // the server stops, while the commit is parked, the commit still finishes.
 // Its vertex lock comes free, the frontier passes its epoch, and its
-// record replays after a restart.
+// record replays after a restart. The closed connection does not hold its
+// loop for the flush: the next client on that loop is served while the
+// commit is still unapplied.
 TEST_F(FaultMatrixTest, ParkedCommitFinishesWhenItsConnectionCloses) {
-  GraphOptions options = DurableOptions(/*fsync=*/true);
-  options.lock_timeout_ns = 2'000'000'000;
+  ShardOptions options = DurableOptions(/*fsync=*/true);
+  options.graph.lock_timeout_ns = 2'000'000'000;
   vertex_t v = kNullVertex;
   vertex_t w = kNullVertex;
   {
@@ -587,9 +617,14 @@ TEST_F(FaultMatrixTest, ParkedCommitFinishesWhenItsConnectionCloses) {
     ASSERT_TRUE(closed.Send(MsgType::kCommit, TxnBody(1)));
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     closed.Reset();
-    // The link write locks v: it fails with kTimeout if the lock leaked.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
     auto client = RemoteStore::Connect("127.0.0.1", served.server.port());
     ASSERT_NE(client, nullptr);
+    EXPECT_EQ(client->GetNode(w).value_or(""), "w");
+    EXPECT_LT(served.graph().ReadEpoch(),
+              served.graph().epoch_domain()->issued())
+        << "the loop waited out the closed connection's flush";
+    // The link write locks v: it fails with kTimeout if the lock leaked.
     EXPECT_TRUE(client->AddLink(v, 0, w, "after").ok());
     EXPECT_EQ(served.graph().ReadEpoch(),
               served.graph().epoch_domain()->issued());
@@ -606,9 +641,9 @@ TEST_F(FaultMatrixTest, ParkedCommitFinishesWhenItsConnectionCloses) {
     EXPECT_GE(CommitParks(), parks_before + 2);
   }
   faults::Clear();
-  auto recovered = Graph::Recover(options, "");
+  auto recovered = ShardedStore::Recover(options);
   ASSERT_NE(recovered, nullptr);
-  auto read = recovered->BeginReadOnlyTransaction();
+  auto read = recovered->shard(0).BeginReadOnlyTransaction();
   EXPECT_EQ(read.GetVertex(v).value_or(""), "closed");
   EXPECT_EQ(read.GetVertex(w).value_or(""), "stopped");
   EXPECT_EQ(read.GetEdge(v, 0, w).value_or(""), "after");
