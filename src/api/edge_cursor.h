@@ -87,36 +87,29 @@ class EdgeCursor {
   }
 
   /// Merged (shard fan-in) mode: yields from `children`, at most `limit`
-  /// edges total. When `newest_first` is set the cursor always yields the
-  /// child head with the greatest creation timestamp (ties break toward the
-  /// lower child index), preserving exact newest-first order per child;
-  /// across children the interleave is exact when the children share one
-  /// epoch domain — which the sharded engine's shards do since the
-  /// unified EpochDomain (docs/SHARDING.md "Epoch domain") — and
-  /// best-effort otherwise. With `newest_first` false the
-  /// children are drained in order (concatenation).
+  /// edges total, always the child head with the greatest creation
+  /// timestamp (ties break toward the lower child index), preserving exact
+  /// newest-first order per child. Across children the interleave is
+  /// exact when the children share one epoch domain — which the sharded
+  /// engine's shards do since the unified EpochDomain (docs/SHARDING.md
+  /// "Epoch domain") — and best-effort otherwise.
   static EdgeCursor Merge(std::vector<EdgeCursor> children,
-                          size_t limit = std::numeric_limits<size_t>::max(),
-                          bool newest_first = true) {
+                          size_t limit = std::numeric_limits<size_t>::max()) {
     EdgeCursor c;
     c.mode_ = Mode::kMerged;
     c.remaining_ = limit;
     c.merge_ = std::make_unique<MergeState>();
-    c.merge_->children = std::move(children);
-    c.merge_->newest_first = newest_first;
-    if (newest_first) {
-      // Seed the head heap: O(K) for K children; each subsequent yield
-      // costs one sift instead of a rescan of every child.
-      auto& m = *c.merge_;
-      m.heap.reserve(m.children.size());
-      for (size_t i = 0; i < m.children.size(); ++i) {
-        if (m.children[i].Valid()) {
-          m.heap.push_back(
-              HeapEntry{m.children[i].creation_timestamp(), i});
-        }
+    auto& m = *c.merge_;
+    m.children = std::move(children);
+    // Seed the head heap: O(K) for K children; each subsequent yield
+    // costs one sift instead of a rescan of every child.
+    m.heap.reserve(m.children.size());
+    for (size_t i = 0; i < m.children.size(); ++i) {
+      if (m.children[i].Valid()) {
+        m.heap.push_back(HeapEntry{m.children[i].creation_timestamp(), i});
       }
-      std::make_heap(m.heap.begin(), m.heap.end(), HeapLess{});
     }
+    std::make_heap(m.heap.begin(), m.heap.end(), HeapLess{});
     c.SelectChild();
     return c;
   }
@@ -145,7 +138,7 @@ class EdgeCursor {
       EdgeCursor& child = m.children[m.current];
       child.Next();
       --remaining_;
-      if (m.newest_first && child.Valid()) {
+      if (child.Valid()) {
         m.heap.push_back(HeapEntry{child.creation_timestamp(), m.current});
         std::push_heap(m.heap.begin(), m.heap.end(), HeapLess{});
       }
@@ -220,13 +213,12 @@ class EdgeCursor {
 
   /// All merged-mode state, heap-allocated as one unit so the common
   /// single-list cursor pays exactly one null pointer for the mode's
-  /// existence. `heap` holds the heads of every valid non-current child
-  /// (newest-first merge), so advancing is O(log K) in the child count.
+  /// existence. `heap` holds the heads of every valid non-current child,
+  /// so advancing is O(log K) in the child count.
   struct MergeState {
     std::vector<EdgeCursor> children;
     std::vector<HeapEntry> heap;
     size_t current = kNoChild;
-    bool newest_first = true;
   };
 
   void Refill() {
@@ -237,30 +229,18 @@ class EdgeCursor {
     }
   }
 
-  /// Merged mode: picks the child to yield from next. Newest-first pops
-  /// the child with the newest head off the heap (the previous current
-  /// child, if still valid, is pushed back first by Next()); concatenation
-  /// takes the first valid child.
+  /// Merged mode: pops the child with the newest head off the heap (the
+  /// previous current child, if still valid, is pushed back first by
+  /// Next()).
   void SelectChild() {
     MergeState& m = *merge_;
-    if (m.newest_first) {
-      if (m.heap.empty()) {
-        m.current = kNoChild;
-        return;
-      }
-      std::pop_heap(m.heap.begin(), m.heap.end(), HeapLess{});
-      m.current = m.heap.back().child;
-      m.heap.pop_back();
+    if (m.heap.empty()) {
+      m.current = kNoChild;
       return;
     }
-    for (size_t i = m.current == kNoChild ? 0 : m.current;
-         i < m.children.size(); ++i) {
-      if (m.children[i].Valid()) {
-        m.current = i;
-        return;
-      }
-    }
-    m.current = kNoChild;
+    std::pop_heap(m.heap.begin(), m.heap.end(), HeapLess{});
+    m.current = m.heap.back().child;
+    m.heap.pop_back();
   }
 
   Mode mode_ = Mode::kMaterialized;  // default: empty materialized cursor

@@ -57,10 +57,6 @@ struct GraphOptions {
 
   /// Group commit: max transactions per batch.
   size_t group_commit_max_batch = 256;
-
-  /// Threshold m: block orders <= m use striped thread-private free lists
-  /// (§6; paper sets m to 14 on their 48-hyperthread platform).
-  int private_order_threshold = 14;
 };
 
 }  // namespace livegraph

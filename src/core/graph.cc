@@ -23,7 +23,6 @@ Graph::Graph(GraphOptions options) : options_(std::move(options)) {
   BlockManager::Options bm;
   bm.path = options_.storage_path;
   bm.reserve_bytes = options_.region_reserve;
-  bm.private_order_threshold = options_.private_order_threshold;
   block_manager_ = std::make_unique<BlockManager>(bm);
 
   index_region_ = MmapRegion::CreateAnonymous(options_.max_vertices *

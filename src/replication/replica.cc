@@ -16,6 +16,15 @@
 
 namespace livegraph {
 
+namespace {
+
+/// Redial backoff after a failed or torn session; doubles up to the cap,
+/// and a session that streamed anything resets it.
+constexpr int64_t kReconnectBackoffMs = 100;
+constexpr int64_t kReconnectBackoffCapMs = 2000;
+
+}  // namespace
+
 Replica::Replica(Options options) : options_(std::move(options)) {
   // Follower-side gauges, sampled at metrics-collection time from the
   // atomics the replica already maintains (docs/OBSERVABILITY.md).
@@ -86,7 +95,7 @@ bool Replica::WaitReady(int64_t timeout_ms) {
 }
 
 void Replica::ThreadMain() {
-  int64_t backoff_ms = options_.reconnect_backoff_ms;
+  int64_t backoff_ms = kReconnectBackoffMs;
   bool first = true;
   while (running_.load(std::memory_order_acquire)) {
     // Count the resubscription when the non-first session STARTS: a
@@ -99,7 +108,7 @@ void Replica::ThreadMain() {
     first = false;
     // A session that streamed anything earned a fresh backoff.
     if (frames_.load(std::memory_order_relaxed) != before) {
-      backoff_ms = options_.reconnect_backoff_ms;
+      backoff_ms = kReconnectBackoffMs;
     }
     // Interruptible backoff: Stop() must not wait out a 2s sleep.
     for (int64_t slept = 0;
@@ -107,7 +116,7 @@ void Replica::ThreadMain() {
          slept += 50) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
-    backoff_ms = std::min(backoff_ms * 2, options_.reconnect_backoff_cap_ms);
+    backoff_ms = std::min(backoff_ms * 2, kReconnectBackoffCapMs);
   }
 }
 

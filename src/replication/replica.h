@@ -62,8 +62,6 @@ class Replica {
     /// Checkpoint + REPLICA_STATE cadence, in advanced primary epochs.
     /// <= 0 disables periodic checkpoints (still one after bootstrap).
     int64_t checkpoint_every_epochs = 65536;
-    int64_t reconnect_backoff_ms = 100;
-    int64_t reconnect_backoff_cap_ms = 2000;
   };
 
   explicit Replica(Options options);

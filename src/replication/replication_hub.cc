@@ -92,8 +92,10 @@ bool ReplicationHub::Subscribe(timestamp_t from_epoch,
   static metrics::Counter& tier_snapshot =
       metrics::Registry::Instance().GetCounter(
           "livegraph_replication_subscribes_total{tier=\"snapshot\"}");
-  if (layout_ok && from_epoch >= trim) {
-    // Tier A: pure live. The buffer holds every record above from_epoch.
+  if (layout_ok && from_epoch >= trim && from_epoch >= wal_floor_) {
+    // Tier A: pure live. The buffer holds every record above from_epoch:
+    // none was evicted past it, and none predates this process (a
+    // recovered primary's log starts empty above its recovered epoch).
     sub->filter = from_epoch;
     sub->need_disk = false;
     sub->need_snapshot = false;

@@ -318,29 +318,22 @@ bool GraphServer::Start() {
     unsigned hw = std::thread::hardware_concurrency();
     resolved_reactors_ = hw == 0 ? 1 : static_cast<int>(hw);
   }
-  ReactorGroup::Options group;
-  group.reactors = resolved_reactors_;
-  group.write_high_water = options_.write_high_water;
-  group.write_low_water =
-      std::min(options_.write_low_water, options_.write_high_water);
-  group.idle_timeout_ms = options_.idle_timeout_ms;
-  group.write_stall_timeout_ms = options_.io_timeout_ms;
-  group.session.store = &store_;
-  group.session.scan_batch_edges = options_.scan_batch_edges;
-  group.session.scan_batch_bytes = options_.scan_batch_bytes;
-  group.session.frontier = options_.frontier;
-  reactor_group_ = std::make_unique<ReactorGroup>(
-      std::move(group), [this](Socket socket, Frame frame) {
-        AdoptSubscription(std::move(socket), std::move(frame));
-      });
-  if (!reactor_group_->Start()) {
-    reactor_group_.reset();
-    listener_.Close();
-    return false;
+  reactors_.clear();
+  for (int i = 0; i < resolved_reactors_; ++i) {
+    reactors_.push_back(std::make_unique<Reactor>(this, i));
   }
+  for (auto& reactor : reactors_) {
+    if (!reactor->Start()) {
+      StopReactors();
+      listener_.Close();
+      return false;
+    }
+  }
+  // Parked commits retry once the engine has made them durable.
+  store_.SetCommitWake([this] { RingOthers(nullptr); });
 
-  // The probe registers after the reactor group exists: it reads
-  // reactor_group_ from scrape threads.
+  // The probe registers after the loops exist: it reads them from scrape
+  // threads.
   metrics::Gauge& connections =
       registry.GetGauge("livegraph_server_connections");
   metrics_probe_ = registry.AddProbe([this, &connections] {
@@ -361,7 +354,7 @@ void GraphServer::AcceptLoop() {
     static metrics::Counter& tx = metrics::Registry::Instance().GetCounter(
         "livegraph_server_tx_bytes_total");
     conn.SetByteCounters(&rx, &tx);
-    reactor_group_->AddConnection(std::move(conn));
+    reactors_[next_reactor_++ % reactors_.size()]->Enqueue(std::move(conn));
   }
 }
 
@@ -383,11 +376,16 @@ void GraphServer::AdoptSubscription(Socket socket, Frame frame) {
   streams_.back()->Start();
 }
 
+void GraphServer::RingOthers(const Reactor* committer) {
+  if (parked_.load() == 0) return;
+  for (auto& reactor : reactors_) {
+    if (reactor.get() != committer && reactor->has_parked()) reactor->Ring();
+  }
+}
+
 size_t GraphServer::active_connections() const {
   size_t total = active_streams_.load(std::memory_order_relaxed);
-  if (reactor_group_ != nullptr) {
-    total += reactor_group_->active_connections();
-  }
+  for (const auto& reactor : reactors_) total += reactor->active();
   return total;
 }
 
@@ -420,10 +418,10 @@ void GraphServer::Stop() {
   listener_.Shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();
   listener_.Close();
-  // Reactors first: their connections close and any in-flight offloaded
-  // commits drain inside ReactorGroup::Stop(). Push streams see running_
-  // false and unwind once their sockets are shut.
-  reactor_group_->Stop();
+  // Loops first: their connections close and parked commits finish as
+  // their sessions are destroyed. Push streams see running_ false and
+  // unwind once their sockets are shut.
+  StopReactors();
   std::vector<std::unique_ptr<PushStream>> streams;
   {
     std::lock_guard<std::mutex> lock(streams_mu_);
@@ -431,9 +429,13 @@ void GraphServer::Stop() {
   }
   for (auto& stream : streams) stream->ShutdownSocket();
   for (auto& stream : streams) stream->Join();
-  // reactor_group_ stays allocated (threads joined, zero connections) so
-  // concurrent active_connections() readers never race its teardown; the
-  // destructor frees it.
+}
+
+void GraphServer::StopReactors() {
+  for (auto& reactor : reactors_) reactor->RequestStop();
+  for (auto& reactor : reactors_) reactor->Join();
+  // Clearing waits out a wake in flight on the engine's flusher thread.
+  store_.SetCommitWake(nullptr);
 }
 
 }  // namespace livegraph

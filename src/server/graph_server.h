@@ -1,8 +1,10 @@
 // GraphServer: the network front end over any v2 Store engine
 // (docs/SERVER.md).
 //
-// An accept thread hands every connection to the epoll reactor
-// (server/reactor.h): `reactors` event-loop threads own the accepted
+// The server is one object: it owns the listener, the accept thread, the
+// epoll event loops (server/reactor.h) and the count of parked
+// connections across them. The accept thread hands connections to the
+// loops round-robin. `reactors` event-loop threads own the accepted
 // connections, pipeline buffered requests, batch replies into single
 // writev calls, commit on the loop, and park connections whose request
 // waits on a vertex lock, the replication frontier or a commit's device
@@ -14,9 +16,10 @@
 // engine's semantics — MVCC snapshots stay snapshots, and a dropped
 // connection aborts whatever it left open. Engines whose sessions hold a
 // thread-owned latch (Store::SupportsInterleavedSessions() false: BTree,
-// LinkedList) cannot share an event loop and are refused at Start(). Replication subscriptions are the one
-// exception: when kSubscribe arrives the reactor hands the socket back
-// (adoption) and the push stream runs on a dedicated blocking thread.
+// LinkedList) cannot share an event loop and are refused at Start().
+// Replication subscriptions are the one exception: when kSubscribe
+// arrives the loop hands the socket back to the server, and the push
+// stream runs on a dedicated blocking thread.
 //
 // Scans stream: ScanLinks walks the engine cursor once, packing edges into
 // reused batch buffers and writing each batch as soon as it fills — the
@@ -41,7 +44,7 @@ namespace livegraph {
 
 class ReplicationHub;
 class EpochFrontier;
-class ReactorGroup;
+class Reactor;
 
 class GraphServer {
  public:
@@ -50,11 +53,11 @@ class GraphServer {
     /// 0 = ephemeral; the bound port is available from port() after
     /// Start().
     uint16_t port = 0;
-    /// Scan batches flush at whichever budget fills first. Defaults sized
-    /// so a batch rides in a few TCP segments while short adjacency lists
-    /// (the LinkBench common case) still fit in one frame.
+    /// Scan batches flush at this many edges or kScanBatchBytes, whichever
+    /// fills first. Sized so a batch rides in a few TCP segments while
+    /// short adjacency lists (the LinkBench common case) still fit in one
+    /// frame.
     size_t scan_batch_edges = 512;
-    size_t scan_batch_bytes = 60 * 1024;
     /// Primary-side replication: when set (and attached), kSubscribe turns
     /// the connection into a follower push stream (docs/REPLICATION.md).
     /// Not owned; must outlive Stop().
@@ -64,25 +67,26 @@ class GraphServer {
     /// frontier on a follower). Null rejects epoch-gated requests with a
     /// positive bound. Not owned; must outlive Stop().
     EpochFrontier* frontier = nullptr;
-    /// Write deadline. On a reactor connection it bounds how long queued
-    /// output may sit without flush progress before the connection is
-    /// closed; on an adopted replication push stream it is the socket's
-    /// send timeout (Socket::SetSendTimeout), so a follower that stops
-    /// draining fails the write instead of wedging the stream thread
-    /// forever. 0 disables.
-    int64_t io_timeout_ms = 30'000;
     /// Event-loop threads (docs/SERVER.md "Event loop"). 0 resolves to
     /// the hardware concurrency at Start().
     int reactors = 0;
-    /// Reactor per-connection output-queue watermarks, in bytes: above
-    /// high the reactor stops reading from the connection (and parks
-    /// streaming scans); below low it resumes.
+    /// Per-connection output-queue watermark, in bytes: above it the loop
+    /// stops reading from the connection (and parks streaming scans);
+    /// below a quarter of it both resume.
     size_t write_high_water = 1u << 20;
-    size_t write_low_water = 256u << 10;
     /// Close connections that send nothing for this long (0 = never),
     /// aborting their open transactions.
     int64_t idle_timeout_ms = 0;
   };
+
+  /// A scan batch's byte budget (see Options::scan_batch_edges).
+  static constexpr size_t kScanBatchBytes = 60 * 1024;
+  /// Write deadline. A connection whose queued output makes no flush
+  /// progress for this long is closed; an adopted replication push stream
+  /// leaves with it as its socket send timeout (Socket::SetSendTimeout),
+  /// so a follower that stops draining fails the write instead of wedging
+  /// the stream thread forever.
+  static constexpr int64_t kIoTimeoutMs = 30'000;
 
   /// Serves `store`; does not own it. The store must outlive Stop().
   GraphServer(Store& store, Options options);
@@ -115,11 +119,28 @@ class GraphServer {
   int resolved_reactors() const { return resolved_reactors_; }
 
  private:
+  /// The event loops read the options and the store, ring each other and
+  /// hand subscriptions back.
+  friend class Reactor;
   class PushStream;
 
   void AcceptLoop();
-  /// Reactor hand-back: runs a kSubscribe connection on a dedicated
-  /// blocking thread (replication push streams outlive any event loop).
+  /// Stops and joins every event loop. Their connections close: sessions
+  /// abort open transactions and finish parked commits.
+  void StopReactors();
+  /// Wakes every loop other than `committer` (null: every loop) that has
+  /// parked connections; the committer's own loop retries its parked ones
+  /// anyway. A commit releases its transaction's vertex locks, so the
+  /// committing loop rings after each one, and the engine's commit wake
+  /// (Store::SetCommitWake) rings them all once parked commits are
+  /// durable. The parked count keeps a ring to one load while nothing is
+  /// parked. A ring lost to a race costs one re-check tick, never
+  /// correctness.
+  void RingOthers(const Reactor* committer);
+  /// Loop hand-back (called on the loop's thread): runs a kSubscribe
+  /// connection — its socket blocking again, output flushed — on a
+  /// dedicated blocking thread (replication push streams outlive any
+  /// event loop).
   void AdoptSubscription(Socket socket, Frame frame);
 
   Store& store_;
@@ -128,12 +149,18 @@ class GraphServer {
   uint16_t port_ = 0;
   std::thread accept_thread_;
   std::atomic<bool> running_{false};
-  /// Adopted push streams still running (the reactors count their own).
+  /// Adopted push streams still running (the loops count their own).
   std::atomic<size_t> active_streams_{0};
   int resolved_reactors_ = 0;
 
-  /// The event-loop front end (null before Start()).
-  std::unique_ptr<ReactorGroup> reactor_group_;
+  /// Parked connections across every loop (declared before the loops:
+  /// they update it until they are destroyed).
+  std::atomic<int64_t> parked_{0};
+  /// The event loops, built by Start(). Stop() joins their threads but
+  /// keeps the objects, so concurrent active_connections() readers never
+  /// race their teardown; the destructor frees them.
+  std::vector<std::unique_ptr<Reactor>> reactors_;
+  size_t next_reactor_ = 0;
 
   /// Adopted push streams; finished ones are reaped at the next adoption,
   /// the rest joined by Stop().

@@ -35,14 +35,17 @@
 // so restarting against a populated directory resumes exactly the
 // committed state, never half of a cross-shard transaction. A one-shard
 // server serves shard 0 through the engine's native sessions.
+#include <charconv>
 #include <csignal>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "baselines/livegraph_store.h"
 #include "baselines/lsmt_store.h"
@@ -70,16 +73,14 @@ void HandleUsr1(int) { g_dump_slow = 1; }
 struct Flags {
   std::string engine = "LiveGraph";
   int shards = 1;
-  std::string host = "127.0.0.1";
-  uint16_t port = 9271;
+  /// Host, port, scan batch, reactors and idle timeout; the primary and
+  /// follower paths add their frontier (and the primary its hub).
+  livegraph::GraphServer::Options server{.port = 9271};
   std::string durability = "none";  // none | wal | wal-fsync
   std::string wal_path = "/tmp/livegraph_server_wal";  // durable directory
   std::string storage_path;
   size_t max_vertices = size_t{1} << 24;
   size_t page_cache_pages = size_t{1} << 16;  // PagedLiveGraph: 256 MiB
-  size_t scan_batch_edges = 512;
-  int reactors = 0;  // event-loop threads; 0 = hw concurrency
-  int64_t idle_timeout_ms = 0;  // close silent connections; 0 = never
   std::string replica_of;   // "host:port" of the primary (follower mode)
   std::string replica_dir;  // follower durable dir (empty = in-memory)
   int64_t replica_checkpoint_epochs = 65536;
@@ -88,18 +89,34 @@ struct Flags {
   int64_t slow_op_ms = 100;  // slow-op trace threshold; 0 disables
 };
 
+/// Parses all of `text` as a decimal integer in [min, max] into `out`;
+/// false on anything else (empty, a '+' sign, trailing junk, overflow,
+/// out of range), leaving `out` untouched.
+template <typename T>
+bool ParseNumber(std::string_view text, int64_t min, int64_t max, T* out) {
+  int64_t parsed = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, parsed);
+  if (ec != std::errc() || ptr != end || parsed < min || parsed > max) {
+    return false;
+  }
+  *out = static_cast<T>(parsed);
+  return true;
+}
+
+/// Upper bound of millisecond flags: converted to nanoseconds, they fit.
+constexpr int64_t kMaxMs = INT64_MAX / 1'000'000;
+
 /// Splits "host:port"; false on a missing/invalid port.
 bool ParseHostPort(const std::string& spec, std::string* host,
                    uint16_t* port) {
   size_t colon = spec.rfind(':');
   if (colon == std::string::npos || colon == 0 ||
-      colon + 1 >= spec.size()) {
+      !ParseNumber(std::string_view(spec).substr(colon + 1), 1, 65535,
+                   port)) {
     return false;
   }
-  int parsed = std::atoi(spec.c_str() + colon + 1);
-  if (parsed <= 0 || parsed > 65535) return false;
   *host = spec.substr(0, colon);
-  *port = static_cast<uint16_t>(parsed);
   return true;
 }
 
@@ -124,6 +141,7 @@ int Usage(const char* argv0) {
       "          [--replica-checkpoint-epochs=N]\n"
       "          [--drain-deadline-ms=N] [--faults=SPEC]\n"
       "          [--metrics-port=N] [--slow-op-ms=N]\n"
+      "  Every N is a whole decimal number in the flag's range.\n"
       "  --reactors picks the epoll event-loop thread count (docs/SERVER.md\n"
       "  \"Event loop\"; 0, the default, = hardware concurrency). Commits\n"
       "  run on the event loops; with --durability=wal-fsync one flusher\n"
@@ -215,10 +233,10 @@ Engine MakeEngine(const Flags& flags) {
 bool StartMetricsEndpoint(const Flags& flags,
                           livegraph::MetricsHttpServer* http) {
   if (flags.metrics_port < 0) return true;
-  if (!http->Start(flags.host,
+  if (!http->Start(flags.server.host,
                    static_cast<uint16_t>(flags.metrics_port))) {
     livegraph::logging::LogLine("server.metrics_bind_failed")
-        .Str("host", flags.host)
+        .Str("host", flags.server.host)
         .I64("port", flags.metrics_port);
     return false;
   }
@@ -252,7 +270,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string value;
     if (TakeValue(argv[i], "--engine", &flags.engine) ||
-        TakeValue(argv[i], "--host", &flags.host) ||
+        TakeValue(argv[i], "--host", &flags.server.host) ||
         TakeValue(argv[i], "--durability", &flags.durability) ||
         TakeValue(argv[i], "--wal-path", &flags.wal_path) ||
         TakeValue(argv[i], "--storage-path", &flags.storage_path) ||
@@ -260,37 +278,34 @@ int main(int argc, char** argv) {
         TakeValue(argv[i], "--replica-dir", &flags.replica_dir)) {
       continue;
     }
+    // Numeric flags: the whole value, in range, or a usage error.
+    bool number_ok = true;
     if (TakeValue(argv[i], "--port", &value)) {
-      long long port = std::atoll(value.c_str());
-      if (port < 0 || port > 65535) return Usage(argv[0]);
-      flags.port = static_cast<uint16_t>(port);
+      number_ok = ParseNumber(value, 0, 65535, &flags.server.port);
     } else if (TakeValue(argv[i], "--shards", &value)) {
-      flags.shards = std::atoi(value.c_str());
+      number_ok = ParseNumber(value, 1, 1024, &flags.shards);
     } else if (TakeValue(argv[i], "--max-vertices", &value)) {
-      flags.max_vertices = static_cast<size_t>(std::atoll(value.c_str()));
+      number_ok = ParseNumber(value, 1, int64_t{1} << 40, &flags.max_vertices);
     } else if (TakeValue(argv[i], "--page-cache-pages", &value)) {
-      flags.page_cache_pages = static_cast<size_t>(std::atoll(value.c_str()));
+      number_ok =
+          ParseNumber(value, 1, int64_t{1} << 32, &flags.page_cache_pages);
     } else if (TakeValue(argv[i], "--scan-batch-edges", &value)) {
-      flags.scan_batch_edges =
-          static_cast<size_t>(std::atoll(value.c_str()));
+      number_ok = ParseNumber(value, 1, UINT32_MAX,
+                              &flags.server.scan_batch_edges);
     } else if (TakeValue(argv[i], "--reactors", &value)) {
-      flags.reactors = std::atoi(value.c_str());
-      if (flags.reactors < 0) return Usage(argv[0]);
+      number_ok = ParseNumber(value, 0, 1024, &flags.server.reactors);
     } else if (TakeValue(argv[i], "--idle-timeout-ms", &value)) {
-      flags.idle_timeout_ms = std::atoll(value.c_str());
-      if (flags.idle_timeout_ms < 0) return Usage(argv[0]);
+      number_ok =
+          ParseNumber(value, 0, kMaxMs, &flags.server.idle_timeout_ms);
     } else if (TakeValue(argv[i], "--replica-checkpoint-epochs", &value)) {
-      flags.replica_checkpoint_epochs = std::atoll(value.c_str());
+      number_ok = ParseNumber(value, 0, INT64_MAX,
+                              &flags.replica_checkpoint_epochs);
     } else if (TakeValue(argv[i], "--drain-deadline-ms", &value)) {
-      flags.drain_deadline_ms = std::atoll(value.c_str());
+      number_ok = ParseNumber(value, 0, kMaxMs, &flags.drain_deadline_ms);
     } else if (TakeValue(argv[i], "--metrics-port", &value)) {
-      flags.metrics_port = std::atoi(value.c_str());
-      if (flags.metrics_port < 0 || flags.metrics_port > 65535) {
-        return Usage(argv[0]);
-      }
+      number_ok = ParseNumber(value, 0, 65535, &flags.metrics_port);
     } else if (TakeValue(argv[i], "--slow-op-ms", &value)) {
-      flags.slow_op_ms = std::atoll(value.c_str());
-      if (flags.slow_op_ms < 0) return Usage(argv[0]);
+      number_ok = ParseNumber(value, 0, kMaxMs, &flags.slow_op_ms);
     } else if (TakeValue(argv[i], "--faults", &value)) {
       std::string error;
       if (!livegraph::faults::Configure(value, &error)) {
@@ -304,14 +319,14 @@ int main(int argc, char** argv) {
     } else {
       return Usage(argv[0]);
     }
+    if (!number_ok) return Usage(argv[0]);
   }
   if (flags.durability != "none" && flags.durability != "wal" &&
       flags.durability != "wal-fsync") {
     return Usage(argv[0]);
   }
-  if (flags.shards < 1 ||
-      (flags.shards > 1 && flags.engine != "LiveGraph")) {
-    std::fprintf(stderr, "--shards=N requires N >= 1 and --engine=LiveGraph\n");
+  if (flags.shards > 1 && flags.engine != "LiveGraph") {
+    std::fprintf(stderr, "--shards=N (N > 1) requires --engine=LiveGraph\n");
     return Usage(argv[0]);
   }
   livegraph::metrics::SlowOpRing::Instance().set_threshold_nanos(
@@ -332,18 +347,12 @@ int main(int argc, char** argv) {
     livegraph::Replica replica(replica_options);
     replica.Start();
 
-    livegraph::GraphServer::Options options;
-    options.host = flags.host;
-    options.port = flags.port;
-    options.scan_batch_edges = flags.scan_batch_edges;
-    options.reactors = flags.reactors;
-    options.idle_timeout_ms = flags.idle_timeout_ms;
-    options.frontier = &replica.frontier();
-    livegraph::GraphServer server(replica.store(), options);
+    flags.server.frontier = &replica.frontier();
+    livegraph::GraphServer server(replica.store(), flags.server);
     if (!server.Start()) {
       livegraph::logging::LogLine("server.bind_failed")
-          .Str("host", flags.host)
-          .I64("port", flags.port);
+          .Str("host", flags.server.host)
+          .I64("port", flags.server.port);
       return 1;
     }
     livegraph::MetricsHttpServer metrics_http;
@@ -352,7 +361,7 @@ int main(int argc, char** argv) {
       livegraph::logging::LogLine line("server.start");
       line.Str("role", "follower")
           .Str("primary", flags.replica_of)
-          .Str("host", flags.host)
+          .Str("host", flags.server.host)
           .U64("port", server.port())
           .I64("reactors", server.resolved_reactors())
           .Str("sha", livegraph::kBuildGitSha)
@@ -385,27 +394,21 @@ int main(int argc, char** argv) {
     return Usage(argv[0]);
   }
 
-  livegraph::GraphServer::Options options;
-  options.host = flags.host;
-  options.port = flags.port;
-  options.scan_batch_edges = flags.scan_batch_edges;
-  options.reactors = flags.reactors;
-  options.idle_timeout_ms = flags.idle_timeout_ms;
   // A durable LiveGraph primary accepts follower subscriptions; the hub
   // stays inert (and kSubscribe answers kUnavailable) for volatile or
   // baseline engines.
   livegraph::ReplicationHub hub;
   std::unique_ptr<livegraph::DomainFrontier> frontier;
   if (engine.durable != nullptr && hub.Attach(*engine.durable)) {
-    options.replication = &hub;
+    flags.server.replication = &hub;
     frontier = std::make_unique<livegraph::DomainFrontier>(hub.domain());
-    options.frontier = frontier.get();
+    flags.server.frontier = frontier.get();
   }
-  livegraph::GraphServer server(*engine.served(), options);
+  livegraph::GraphServer server(*engine.served(), flags.server);
   if (!server.Start()) {
     livegraph::logging::LogLine("server.bind_failed")
-        .Str("host", flags.host)
-        .I64("port", flags.port);
+        .Str("host", flags.server.host)
+        .I64("port", flags.server.port);
     return 1;
   }
   livegraph::MetricsHttpServer metrics_http;
@@ -417,7 +420,7 @@ int main(int argc, char** argv) {
         .I64("shards", flags.shards)
         .Str("durability", flags.durability)
         .Bool("replication", hub.attached())
-        .Str("host", flags.host)
+        .Str("host", flags.server.host)
         .U64("port", server.port())
         .I64("reactors", server.resolved_reactors())
         .Str("sha", livegraph::kBuildGitSha)

@@ -1,9 +1,11 @@
-// The epoll reactor frontend (docs/SERVER.md "Event loop").
+// One epoll event loop of GraphServer (docs/SERVER.md "Event loop").
 //
-// A ReactorGroup owns N event-loop threads ("reactors"), each with its own
-// epoll instance and an exclusive share of the accepted connections (the
+// The server runs N loops ("reactors"), each a thread with its own epoll
+// instance and an exclusive share of the accepted connections (the
 // acceptor hands sockets over round-robin, so a connection lives on one
-// reactor for its whole life and needs no locking).
+// reactor for its whole life and needs no locking). A loop reaches its
+// server directly: for the options and the store, to ring the other loops
+// (GraphServer::RingOthers), and to hand a subscription back.
 //
 // Per connection the reactor keeps a non-blocking read/decode state
 // machine and a bounded output queue:
@@ -15,9 +17,9 @@
 //   - Backpressure: when a connection's queued output exceeds the high
 //     water mark the reactor stops reading from it (EPOLLIN off) and a
 //     streaming scan parks between batches (ServerSession::kScanPaused);
-//     when EPOLLOUT drains the queue below the low water mark, reading
-//     and the scan resume. Memory per connection stays bounded no matter
-//     how asymmetric the peer.
+//     when EPOLLOUT drains the queue below a quarter of the high water
+//     mark, reading and the scan resume. Memory per connection stays
+//     bounded no matter how asymmetric the peer.
 //   - Commits: run on the owning loop. Without fsync a commit waits only
 //     on its group's writev and on other running committers, and finishes
 //     in one call. When the engine's commit waits on fdatasync, the
@@ -38,76 +40,101 @@
 //
 // Replication subscriptions (kSubscribe) do not fit an event loop — they
 // are infinite write-mostly streams — so the reactor detaches the socket
-// (restored to blocking) and hands it to the owner's adoption callback,
+// (restored to blocking) and hands it to GraphServer::AdoptSubscription,
 // which runs the push stream on a dedicated thread.
 #ifndef LIVEGRAPH_SERVER_REACTOR_H_
 #define LIVEGRAPH_SERVER_REACTOR_H_
 
+#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <mutex>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "server/net.h"
 #include "server/session.h"
+#include "util/metrics.h"
 
 namespace livegraph {
 
-class ParkedRing;
-class Reactor;
+class GraphServer;
 
-class ReactorGroup {
+/// One event-loop thread: an epoll instance, an eventfd doorbell, and the
+/// connections the acceptor assigned here. Everything per-connection is
+/// touched only from this thread; the doorbell paths (new sockets,
+/// parked-connection rings) go through a small mutex-guarded hand-off
+/// queue or the bare eventfd.
+class Reactor {
  public:
-  struct Options {
-    /// Event-loop thread count (resolved by the caller; >= 1).
-    int reactors = 1;
-    /// Output-queue watermarks, bytes per connection. Above high: stop
-    /// reading and park scans. Below low: resume.
-    size_t write_high_water = 1u << 20;
-    size_t write_low_water = 256u << 10;
-    /// Close connections silent for this long (0 = never). Aborts their
-    /// open transactions so leaked clients cannot pin epochs forever.
-    int64_t idle_timeout_ms = 0;
-    /// A connection whose queued output makes no progress for this long
-    /// is dead weight (peer stopped draining) and is closed. Also the send
-    /// timeout an adopted subscription socket leaves with. 0 disables.
-    int64_t write_stall_timeout_ms = 30'000;
-    /// Session template: store, scan budgets, frontier. Start() installs
-    /// the store's commit wake (Store::SetCommitWake); Stop() clears it.
-    ServerSession::Config session;
-  };
-
-  /// Invoked from a reactor thread when a connection subscribes
-  /// (replication push stream): the socket — blocking again, output queue
-  /// flushed — and the kSubscribe frame move to the callee, which serves
-  /// the stream on its own thread.
-  using AdoptFn = std::function<void(Socket, Frame)>;
-
-  ReactorGroup(Options options, AdoptFn adopt);
-  ~ReactorGroup();
-  ReactorGroup(const ReactorGroup&) = delete;
-  ReactorGroup& operator=(const ReactorGroup&) = delete;
+  /// `index` labels the loop's connection gauge.
+  Reactor(GraphServer* server, int index);
+  ~Reactor();
+  Reactor(const Reactor&) = delete;
+  Reactor& operator=(const Reactor&) = delete;
 
   bool Start();
-  /// Stops the loops, closing every connection: sessions abort their open
-  /// transactions and finish their parked commits. Idempotent.
-  void Stop();
+  void RequestStop();
+  void Join() {
+    if (thread_.joinable()) thread_.join();
+  }
 
-  /// Hands an accepted socket to the next reactor (round-robin).
-  void AddConnection(Socket socket);
+  /// Acceptor hand-off (any thread).
+  void Enqueue(Socket socket);
 
-  /// Connections currently owned by the loops (drain/observability).
-  size_t active_connections() const;
+  /// A commit elsewhere rings a loop with parked connections (any
+  /// thread): they retry at this wakeup instead of the next re-check
+  /// tick.
+  void Ring() { wake_.Signal(); }
+  bool has_parked() const { return parked_count_.load() > 0; }
+
+  size_t active() const { return active_.load(std::memory_order_relaxed); }
 
  private:
-  Options options_;
-  AdoptFn adopt_;
-  /// Declared first: the loops and the commit wake ring through it until
-  /// they are destroyed.
-  std::unique_ptr<ParkedRing> ring_;
-  std::vector<std::unique_ptr<Reactor>> reactors_;
-  size_t next_reactor_ = 0;
-  bool running_ = false;
+  struct Conn;
+
+  void Run();
+  int WaitTimeoutMs() const;
+  void ReadInto(Conn* conn);
+  void ProcessFrames(Conn* conn, uint64_t* frames);
+  void FlushConn(Conn* conn);
+  void Dispatch(Conn* conn, ServerSession::Outcome outcome);
+  void Drive(Conn* conn, uint64_t* frames);
+  void PostProcess(Conn* conn, uint64_t* frames);
+  void UpdateInterest(Conn* conn);
+  void Park(Conn* conn);
+  void Unpark(Conn* conn);
+  void CountParked(int64_t delta);
+  void RetryParked(uint64_t* frames);
+  void AdoptPendingSockets();
+  void AdoptSubscription(Conn* conn);
+  void CloseConn(Conn* conn);
+  void Sweep();
+  void ShutdownAll();
+  void NoteConnCount();
+
+  GraphServer* server_;
+  metrics::Gauge& conn_gauge_;
+
+  Epoll epoll_;
+  EventFd wake_;
+  std::thread thread_;
+  std::atomic<bool> running_{false};
+  std::atomic<size_t> active_{0};
+  /// parked_.size(), for other committers' rings.
+  std::atomic<int64_t> parked_count_{0};
+  /// A commit finished on this loop since the last ring.
+  bool committed_ = false;
+
+  uint64_t next_id_ = 1;
+  std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
+  /// Ids of the parked connections, and RetryParked's copy.
+  std::vector<uint64_t> parked_;
+  std::vector<uint64_t> retry_;
+
+  std::mutex pending_mu_;
+  std::vector<Socket> pending_;
 };
 
 }  // namespace livegraph

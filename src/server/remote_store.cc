@@ -12,6 +12,19 @@
 
 namespace livegraph {
 
+namespace {
+
+/// Per-operation socket deadline (SO_RCVTIMEO/SO_SNDTIMEO) on every dialed
+/// connection: a hung server fails the call with kUnavailable instead of
+/// wedging the client thread. Comfortably exceeds the server-side
+/// epoch-gated read wait (Options::read_your_epoch_timeout_ms).
+constexpr int64_t kIoTimeoutMs = 30'000;
+/// First follower-redial backoff after a failover; doubles up to the cap.
+constexpr int64_t kReplicaBackoffMs = 100;
+constexpr int64_t kReplicaBackoffCapMs = 5000;
+
+}  // namespace
+
 // One client connection. All methods serialize on mu_: a connection is
 // normally owned by one session at a time, but a chunked scan cursor can
 // outlive its scan (early exit) or even its session, and must observe a
@@ -45,8 +58,8 @@ class RemoteStore::Connection {
     // Deadlines on every operation: a server that stops responding fails
     // the call (surfaced as kUnavailable by the callers) instead of
     // wedging this client thread forever.
-    socket.SetRecvTimeout(options.io_timeout_ms);
-    socket.SetSendTimeout(options.io_timeout_ms);
+    socket.SetRecvTimeout(kIoTimeoutMs);
+    socket.SetSendTimeout(kIoTimeoutMs);
     auto connection =
         std::make_shared<Connection>(std::move(socket), reply_waits);
     std::string body;
@@ -979,9 +992,8 @@ void RemoteStore::NoteReplicaFailure() {
   std::lock_guard<std::mutex> lock(pool_mu_);
   replica_backoff_ms_ =
       replica_backoff_ms_ == 0
-          ? options_.replica_backoff_ms
-          : std::min(replica_backoff_ms_ * 2,
-                     options_.replica_backoff_cap_ms);
+          ? kReplicaBackoffMs
+          : std::min(replica_backoff_ms_ * 2, kReplicaBackoffCapMs);
   replica_retry_at_ = std::chrono::steady_clock::now() +
                       std::chrono::milliseconds(replica_backoff_ms_);
 }

@@ -77,15 +77,6 @@ class RemoteStore : public Store {
     uint16_t replica_port = 0;
     /// Bound on the follower-side frontier wait before failing over.
     uint32_t read_your_epoch_timeout_ms = 2000;
-    /// First follower-redial backoff after a failover; doubles, capped.
-    int64_t replica_backoff_ms = 100;
-    int64_t replica_backoff_cap_ms = 5000;
-    /// Per-operation socket deadline (SO_RCVTIMEO/SO_SNDTIMEO) on every
-    /// dialed connection: a hung server fails the call with kUnavailable
-    /// instead of wedging the client thread. Must comfortably exceed the
-    /// server-side epoch-gated read wait (read_your_epoch_timeout_ms).
-    /// 0 disables.
-    int64_t io_timeout_ms = 30'000;
   };
 
   /// Dials the server and performs the version/traits handshake. Null if

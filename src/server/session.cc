@@ -109,7 +109,9 @@ metrics::Counter& CommitParks() {
 
 }  // namespace
 
-ServerSession::ServerSession(const Config& config) : config_(config) {
+ServerSession::ServerSession(Store& store,
+                             const GraphServer::Options& options)
+    : store_(store), options_(options) {
   // Eager registration: present (at 0) from the first scrape.
   OpenTxnsGauge();
   CommitParks();
@@ -261,10 +263,10 @@ ServerSession::Outcome ServerSession::HandleHello(WireReader& reader,
     ReplyStatus(sink, Status::kUnavailable);
     return Outcome::kClose;  // incompatible dialect: refuse loudly, hang up
   }
-  StoreTraits traits = config_.store->Traits();
+  StoreTraits traits = store_.Traits();
   WireWriter writer = BeginReply(Status::kOk);
   writer.PutU32(kProtocolVersion);
-  writer.PutBytes(config_.store->Name());
+  writer.PutBytes(store_.Name());
   writer.PutU8(traits.time_ordered_scans ? 1 : 0);
   writer.PutU8(traits.snapshot_reads ? 1 : 0);
   writer.PutU8(traits.transactional_writes ? 1 : 0);
@@ -288,9 +290,9 @@ ServerSession::Outcome ServerSession::OpenSession(uint64_t id, bool write,
   if (!inserted) return Outcome::kClose;
   OpenTxnsGauge().Add(1);
   if (write) {
-    slot->second.write = config_.store->BeginTxn();
+    slot->second.write = store_.BeginTxn();
   } else {
-    slot->second.read = config_.store->BeginReadTxn();
+    slot->second.read = store_.BeginReadTxn();
   }
   return ReplyStatus(sink, Status::kOk);
 }
@@ -501,8 +503,8 @@ ServerSession::Outcome ServerSession::PumpScan(Sink* sink) {
     writer.PutI64(scan.cursor.dst());
     writer.PutI64(scan.cursor.creation_timestamp());
     writer.PutBytes(scan.cursor.properties());
-    if (++scan.batch_count >= config_.scan_batch_edges ||
-        batch_body_.size() >= config_.scan_batch_bytes) {
+    if (++scan.batch_count >= options_.scan_batch_edges ||
+        batch_body_.size() >= GraphServer::kScanBatchBytes) {
       if (!flush(/*end_of_stream=*/false)) return Outcome::kClose;
       if (sink->throttled()) {
         scan.advance_pending = true;
@@ -532,10 +534,10 @@ ServerSession::Outcome ServerSession::HandleBeginReadTxnAt(
   }
   if (txns_.count(id) != 0) return Outcome::kClose;  // see OpenSession
   if (min_epoch > 0) {
-    if (config_.frontier == nullptr) {
+    if (options_.frontier == nullptr) {
       return ReplyStatus(sink, Status::kUnavailable);
     }
-    if (config_.frontier->Frontier() < min_epoch) {
+    if (options_.frontier->Frontier() < min_epoch) {
       if (waited_ns_ >= int64_t{timeout_ms} * 1'000'000) {
         return ReplyStatus(sink, Status::kTimeout);
       }

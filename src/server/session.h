@@ -45,12 +45,11 @@
 #include <vector>
 
 #include "api/store.h"
+#include "server/graph_server.h"
 #include "server/protocol.h"
 #include "server/wire.h"
 
 namespace livegraph {
-
-class EpochFrontier;
 
 class ServerSession {
  public:
@@ -100,16 +99,9 @@ class ServerSession {
     kSubscribe,    // hand the socket to a blocking replication thread
   };
 
-  struct Config {
-    Store* store = nullptr;
-    /// Scan batches flush at whichever budget fills first.
-    size_t scan_batch_edges = 512;
-    size_t scan_batch_bytes = 60 * 1024;
-    /// Epoch-gated reads (kBeginReadTxnAt); null rejects positive bounds.
-    EpochFrontier* frontier = nullptr;
-  };
-
-  explicit ServerSession(const Config& config);
+  /// Serves `store` under the server's `options` (scan batch budget,
+  /// the frontier epoch-gated reads wait on); both outlive the session.
+  ServerSession(Store& store, const GraphServer::Options& options);
   ~ServerSession();
   ServerSession(const ServerSession&) = delete;
   ServerSession& operator=(const ServerSession&) = delete;
@@ -190,7 +182,8 @@ class ServerSession {
   /// Walks the parked cursor, flushing batches until done or throttled.
   Outcome PumpScan(Sink* sink);
 
-  Config config_;
+  Store& store_;
+  const GraphServer::Options& options_;
 
   /// Open sessions by the id their client chose in the Begin frame (one
   /// counter per client connection, so ids never repeat while open).

@@ -490,7 +490,7 @@ EdgeCursor ShardedReadTxn::FanInScan(const std::vector<vertex_t>& srcs,
     }
     children.emplace_back(Owner(src).GetEdges(Local(src), label));
   }
-  return EdgeCursor::Merge(std::move(children), limit, /*newest_first=*/true);
+  return EdgeCursor::Merge(std::move(children), limit);
 }
 
 // --- ShardedStore ---

@@ -27,8 +27,7 @@ BlockManager::BlockManager(Options options) : options_(std::move(options)) {
                                                options_.reserve_bytes);
   free_lists_.resize(kMaxOrder + 1);
   for (int order = 0; order <= kMaxOrder; ++order) {
-    size_t stripes =
-        order <= options_.private_order_threshold ? kStripes : 1;
+    size_t stripes = order <= kPrivateOrderThreshold ? kStripes : 1;
     free_lists_[order] = std::vector<FreeList>(stripes);
   }
 }

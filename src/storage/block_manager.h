@@ -42,9 +42,6 @@ class BlockManager {
     std::string path;
     /// Virtual address reservation; pages commit lazily.
     size_t reserve_bytes = size_t{1} << 36;  // 64 GiB of address space
-    /// Orders <= this use striped (effectively thread-private) free lists;
-    /// larger orders share one list (paper's tunable threshold m, §6).
-    int private_order_threshold = 14;
   };
 
   struct Stats {
@@ -58,6 +55,10 @@ class BlockManager {
 
   static constexpr int kMinOrder = 6;   // 64-byte minimum block (§6)
   static constexpr int kMaxOrder = 48;
+  /// Threshold m: orders <= m use striped (effectively thread-private)
+  /// free lists; larger orders share one list (§6; the paper sets m to 14
+  /// on its 48-hyperthread platform).
+  static constexpr int kPrivateOrderThreshold = 14;
 
   explicit BlockManager(Options options);
 

@@ -81,6 +81,15 @@ struct Primary {
   bool ok = false;
 };
 
+// Subscriptions the hub has routed through `tier` ("live", "disk" or
+// "snapshot") so far. The counters are process-wide: compare deltas.
+uint64_t TierSubscribes(const char* tier) {
+  return metrics::Registry::Instance()
+      .GetCounter("livegraph_replication_subscribes_total{tier=\"" +
+                  std::string(tier) + "\"}")
+      .Value();
+}
+
 std::unique_ptr<Replica> StartFollower(Primary& primary) {
   Replica::Options options;
   options.primary_port = primary.server->port();
@@ -171,10 +180,14 @@ TEST(MultiFollower, LappedFollowerResubscribesWhileOtherStaysLive) {
   ASSERT_TRUE(primary.ok);
 
   vertex_t hub_vertex = primary.store->AddNode("hub");
+  const uint64_t live_before = TierSubscribes("live");
+  const uint64_t disk_before = TierSubscribes("disk");
+  const uint64_t snapshot_before = TierSubscribes("snapshot");
   auto live = StartFollower(primary);
   auto laggard = StartFollower(primary);
   ASSERT_TRUE(live->WaitReady(10000));
   ASSERT_TRUE(laggard->WaitReady(10000));
+  EXPECT_EQ(TierSubscribes("live") - live_before, 2u);
 
   // Take the laggard down, then push far more bytes than the hard cap:
   // its resume point is guaranteed evicted.
@@ -188,11 +201,16 @@ TEST(MultiFollower, LappedFollowerResubscribesWhileOtherStaysLive) {
   ASSERT_TRUE(WaitCovered(live->frontier(), last, 10000))
       << "the live follower must not be disturbed by the laggard";
 
-  // The laggard comes back with a stale frontier: the hub must route it
-  // through the snapshot tier, and it still converges.
+  // The laggard comes back with a frontier the log has evicted. This
+  // primary never restarted, so its WAL files reach back to epoch 0: the
+  // hub routes the laggard through the disk tier, never the snapshot
+  // tier, and it still converges. (The live follower may be lapped by the
+  // burst too, and resubscribes through the live or the disk tier.)
   laggard->Start();
   ASSERT_TRUE(laggard->WaitReady(10000));
   ASSERT_TRUE(WaitCovered(laggard->frontier(), last, 10000));
+  EXPECT_GE(TierSubscribes("disk") - disk_before, 1u);
+  EXPECT_EQ(TierSubscribes("snapshot") - snapshot_before, 0u);
   ExpectConverged(*primary.store, live->store());
   ExpectConverged(*primary.store, laggard->store());
 

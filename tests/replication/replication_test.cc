@@ -25,6 +25,7 @@
 #include "server/graph_server.h"
 #include "server/remote_store.h"
 #include "shard/sharded_store.h"
+#include "util/metrics.h"
 
 #include "frontier_wait.h"
 
@@ -201,6 +202,15 @@ struct Primary {
   std::unique_ptr<GraphServer> server;
   bool ok = false;
 };
+
+// Subscriptions the hub has routed through `tier` ("live", "disk" or
+// "snapshot") so far. The counters are process-wide: compare deltas.
+uint64_t TierSubscribes(const char* tier) {
+  return metrics::Registry::Instance()
+      .GetCounter("livegraph_replication_subscribes_total{tier=\"" +
+                  std::string(tier) + "\"}")
+      .Value();
+}
 
 // One committed write txn; returns the primary commit epoch.
 timestamp_t WriteOne(Store& store, const std::string& node_props,
@@ -596,6 +606,45 @@ TEST(ReplicationEndToEnd, FreshFollowerIsReadyOnlyOnceItReadsThePrimarysSeed) {
   ASSERT_TRUE(props.ok()) << "ready before the seed commit was applied";
   EXPECT_EQ(*props, "seed");
   read.reset();
+  replica.Stop();
+  std::filesystem::remove_all(root);
+}
+
+// A restarted primary's live buffer starts empty above its recovered
+// epoch, and recovery sealed the WAL files below it. A fresh follower
+// resuming from epoch 0 must therefore take the snapshot tier; the live
+// tier would report it ready while it holds none of the recovered rows.
+TEST(ReplicationEndToEnd, FollowerOfRestartedPrimaryBootstrapsFromSnapshot) {
+  std::string root = TempDir("primary_restart");
+  {
+    Primary primary(root + "/primary");
+    ASSERT_TRUE(primary.ok);
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_NE(primary.store->AddNode("r" + std::to_string(i)), kNullVertex);
+    }
+  }
+  Primary primary(root + "/primary");
+  ASSERT_TRUE(primary.ok);
+  ASSERT_GT(primary.store->recovered_epoch(), 0);
+
+  const uint64_t live_before = TierSubscribes("live");
+  const uint64_t disk_before = TierSubscribes("disk");
+  const uint64_t snapshot_before = TierSubscribes("snapshot");
+  Replica::Options replica_options;
+  replica_options.primary_port = primary.server->port();
+  replica_options.graph = PrimaryOptions("").graph;
+  Replica replica(replica_options);
+  replica.Start();
+  ASSERT_TRUE(replica.WaitReady(10000));
+  EXPECT_EQ(TierSubscribes("snapshot") - snapshot_before, 1u);
+  EXPECT_EQ(TierSubscribes("live") - live_before, 0u);
+  EXPECT_EQ(TierSubscribes("disk") - disk_before, 0u);
+  {
+    auto read = replica.store().BeginReadTxn();
+    EXPECT_EQ(read->VertexCount(), 10u)
+        << "ready without the rows the primary recovered";
+  }
+  ExpectConverged(*primary.store, replica.store());
   replica.Stop();
   std::filesystem::remove_all(root);
 }

@@ -271,7 +271,6 @@ TEST(Reactor, BackpressuredScanStreamsCompletely) {
   GraphServer::Options options;
   options.scan_batch_edges = 8;
   options.write_high_water = 4096;
-  options.write_low_water = 1024;
   Harness harness(options);
   ASSERT_GE(harness.server->resolved_reactors(), 1);
 
