@@ -5,12 +5,11 @@
 // set ... When doing compaction, a thread scans through its local dirty set
 // and compacts or garbage-collects blocks based on version visibility."
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "core/graph.h"
+#include "core/tel_ops.h"
 #include "core/transaction.h"
-#include "util/bloom_filter.h"
 #include "util/lock_rank.h"
 #include "util/metrics.h"
 
@@ -196,22 +195,15 @@ void Graph::CompactVertex(vertex_t v, timestamp_t safe) {
 
     uint32_t committed =
         header->committed_entries.load(std::memory_order_acquire);
-    // Count survivors: an entry stays unless it was invalidated at or
-    // before the safe epoch (then no current or future snapshot sees it).
-    uint32_t survivors = 0;
-    uint32_t survivor_props = 0;
-    for (uint32_t i = 0; i < committed; ++i) {
-      timestamp_t inv =
-          tel.Entry(i)->invalidation_ts.load(std::memory_order_acquire);
-      if (inv > 0 && inv <= safe) continue;
-      survivors++;
-      survivor_props += tel.Entry(i)->prop_size;
-    }
+    // An entry survives unless it was invalidated at or before the safe
+    // epoch (then no current or future snapshot sees it).
+    const internal::LiveEntries live =
+        internal::CountLiveEntries(tel, committed, safe);
     bool has_history = header->prev.load(std::memory_order_acquire) !=
                        kNullBlock;
-    if (survivors == committed && !has_history) continue;  // nothing to do
+    if (live.entries == committed && !has_history) continue;  // nothing to do
 
-    if (survivors == committed && has_history) {
+    if (live.entries == committed && has_history) {
       // No dead entries, but stale upgrade chain to prune.
       block_ptr_t stale =
           header->prev.exchange(kNullBlock, std::memory_order_acq_rel);
@@ -230,8 +222,8 @@ void Graph::CompactVertex(vertex_t v, timestamp_t safe) {
     TelGeometry geometry;
     while (true) {
       geometry = TelGeometry::For(order, options_.enable_bloom_filters);
-      if (geometry.prop_start + survivor_props +
-              survivors * sizeof(EdgeEntry) <=
+      if (geometry.prop_start + live.prop_bytes +
+              live.entries * sizeof(EdgeEntry) <=
           geometry.block_size) {
         break;
       }
@@ -242,37 +234,15 @@ void Graph::CompactVertex(vertex_t v, timestamp_t safe) {
     // publish it.
     block_ptr_t new_ptr = NewTel(v, order);
     TelBlock fresh = Tel(new_ptr);
-    uint32_t out_index = 0;
-    uint32_t out_props = 0;
-    for (uint32_t i = 0; i < committed; ++i) {
-      EdgeEntry* entry = tel.Entry(i);
-      timestamp_t inv = entry->invalidation_ts.load(std::memory_order_acquire);
-      if (inv > 0 && inv <= safe) continue;
-      EdgeEntry* out = fresh.Entry(out_index);
-      out->dst = entry->dst;
-      out->creation_ts.store(entry->creation_ts.load(std::memory_order_acquire),
-                             std::memory_order_relaxed);
-      out->invalidation_ts.store(inv, std::memory_order_relaxed);
-      out->prop_size = entry->prop_size;
-      out->prop_offset = out_props;
-      if (entry->prop_size > 0) {
-        std::memcpy(fresh.props() + out_props, tel.props() + entry->prop_offset,
-                    entry->prop_size);
-      }
-      if (fresh.bloom_bytes() > 0) {
-        BloomFilter::Insert(fresh.bloom_bits(), fresh.bloom_bytes(),
-                            static_cast<uint64_t>(out->dst));
-      }
-      out_props += entry->prop_size;
-      out_index++;
-    }
+    const internal::LiveEntries out = internal::CopyLiveEntries(
+        tel, committed, safe, fresh, [](uint32_t, timestamp_t) {});
     TelHeader* fresh_header = fresh.header();
     fresh_header->commit_ts.store(
         header->commit_ts.load(std::memory_order_acquire),
         std::memory_order_relaxed);
-    fresh_header->committed_prop_bytes.store(out_props,
+    fresh_header->committed_prop_bytes.store(out.prop_bytes,
                                              std::memory_order_relaxed);
-    fresh_header->committed_entries.store(out_index,
+    fresh_header->committed_entries.store(out.entries,
                                           std::memory_order_release);
     entries[li].tel.store(new_ptr, std::memory_order_release);
 

@@ -32,7 +32,8 @@ Transaction::Transaction(Transaction&& other) noexcept
       persist_ns_(other.persist_ns_),
       applied_ns_(other.applied_ns_),
       scratch_(other.scratch_),  // the arenas travel with the slot
-      replay_mode_(other.replay_mode_) {
+      replay_mode_(other.replay_mode_),
+      safe_epoch_(other.safe_epoch_) {
   other.slot_ = nullptr;
   other.state_ = State::kCommitted;  // moved-from shell: nothing to do
 }
@@ -319,19 +320,57 @@ Status Transaction::PrepareTelWrite(vertex_t v, label_t label,
   return Status::kOk;
 }
 
+namespace {
+
+/// True if some committed entry carries a committed (positive)
+/// invalidation, the only kind compaction can find dead.
+bool HasCommittedInvalidation(const TelBlock& block, uint32_t committed) {
+  for (uint32_t i = 0; i < committed; ++i) {
+    timestamp_t inv =
+        block.Entry(i)->invalidation_ts.load(std::memory_order_acquire);
+    if (inv > 0 && inv != kNullTimestamp) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 void Transaction::UpgradeTel(TelWrite* w, uint32_t needed_bytes) {
+  static metrics::Counter& dropped_total =
+      metrics::Registry::Instance().GetCounter(
+          "livegraph_tel_upgrade_dropped_entries_total");
   TelBlock old_block = graph_->Tel(w->block);
   const uint32_t total_entries = w->committed_entries + w->private_entries;
   const uint32_t total_props = w->committed_prop_bytes + w->private_prop_bytes;
 
-  uint8_t order = BlockOrder(w->block);
+  // Find the committed entries the copy can leave behind. The safe epoch
+  // costs a scan of every worker slot, so it is read only once some
+  // committed entry carries a committed invalidation (a bulk load's fresh
+  // lists rarely do), and at most once per transaction: a stale, lower
+  // value only drops less.
+  internal::LiveEntries live{total_entries, total_props};
+  if (graph_->options_.enable_compaction &&
+      HasCommittedInvalidation(old_block, w->committed_entries)) {
+    if (safe_epoch_ < 0) safe_epoch_ = graph_->SafeEpoch();
+    live = internal::CountLiveEntries(old_block, total_entries, safe_epoch_);
+  }
+  const uint32_t dropped = total_entries - live.entries;
+
+  // A copy that drops nothing goes at least one order up; a filtered copy
+  // takes the smallest block its survivors (and the pending append) fill
+  // at most half, so it may shrink (§6: "sometimes the block could
+  // shrink").
+  uint8_t order = dropped == 0 ? BlockOrder(w->block)
+                               : uint8_t{BlockManager::kMinOrder - 1};
+  const uint32_t fill_divisor = dropped == 0 ? 1 : 2;
   TelGeometry geometry;
   do {
     ++order;
     geometry =
         TelGeometry::For(order, graph_->options_.enable_bloom_filters);
-  } while (geometry.prop_start + total_props + needed_bytes +
-               (total_entries + 1) * sizeof(EdgeEntry) >
+  } while (fill_divisor * (geometry.prop_start + live.prop_bytes +
+                           needed_bytes +
+                           (live.entries + 1) * sizeof(EdgeEntry)) >
            geometry.block_size);
 
   block_ptr_t new_ptr = graph_->NewTel(w->src, order);
@@ -339,16 +378,24 @@ void Transaction::UpgradeTel(TelWrite* w, uint32_t needed_bytes) {
   TelHeader* new_header = new_block.header();
   TelHeader* old_header = old_block.header();
 
-  // Copy the whole log verbatim — committed history must stay identical
-  // because concurrent readers that pick up the new pointer before our
-  // commit still read at their older snapshots.
-  if (total_entries > 0) {
-    std::memcpy(static_cast<void*>(new_block.Entry(total_entries - 1)),
-                static_cast<const void*>(old_block.Entry(total_entries - 1)),
-                size_t{total_entries} * sizeof(EdgeEntry));
-  }
-  if (total_props > 0) {
-    std::memcpy(new_block.props(), old_block.props(), total_props);
+  // Copy the entries some current or future snapshot can still see
+  // (docs/DESIGN.md §4.1): every entry unless some were found dead above.
+  // Concurrent readers that pick up the new pointer before our commit
+  // read the same edges at their older snapshots. Our own -TID marks
+  // always survive, but a drop shifts their indices, so the write set is
+  // rebuilt from them for the apply phase's conversion.
+  w->invalidated.clear();
+  internal::CopyLiveEntries(old_block, total_entries, safe_epoch_, new_block,
+                            [&](uint32_t index, timestamp_t inv) {
+                              if (inv == -tid_) {
+                                w->invalidated.push_back(index);
+                              }
+                            });
+  if (dropped > 0) {
+    // Only committed entries can be dead.
+    w->committed_entries -= dropped;
+    w->committed_prop_bytes -= total_props - live.prop_bytes;
+    dropped_total.Add(dropped);
   }
   // relaxed stores into the upgrade copy: it is unreachable until the
   // slot-pointer release swap below; committed_entries keeps its release
@@ -360,13 +407,6 @@ void Transaction::UpgradeTel(TelWrite* w, uint32_t needed_bytes) {
                                          std::memory_order_relaxed);
   new_header->committed_entries.store(w->committed_entries,
                                       std::memory_order_release);
-  // Rebuild the Bloom filter over all destinations in the log.
-  if (new_block.bloom_bytes() > 0) {
-    for (uint32_t i = 0; i < total_entries; ++i) {
-      BloomFilter::Insert(new_block.bloom_bits(), new_block.bloom_bytes(),
-                          static_cast<uint64_t>(new_block.Entry(i)->dst));
-    }
-  }
   // Link versions ("different versions of a TEL are linked with previous
   // pointers", §3) and swap the index pointer. The old block stays intact
   // for readers holding it; compaction retires the chain later (§6).
@@ -387,7 +427,7 @@ Status Transaction::WriteEdge(vertex_t v, label_t label, vertex_t dst,
   if (st != Status::kOk) return st;
 
   TelBlock block = graph_->Tel(w->block);
-  const uint32_t total_entries = w->committed_entries + w->private_entries;
+  uint32_t total_entries = w->committed_entries + w->private_entries;
 
   // Insert-vs-update discrimination: "LiveGraph includes a Bloom filter in
   // the TEL header to determine whether an edge operation is a simple
@@ -422,6 +462,8 @@ Status Transaction::WriteEdge(vertex_t v, label_t label, vertex_t dst,
                                          properties.size())) {
     UpgradeTel(w, static_cast<uint32_t>(properties.size()));
     block = graph_->Tel(w->block);
+    // The upgrade may have dropped dead entries: append after what it kept.
+    total_entries = w->committed_entries + w->private_entries;
   }
   uint32_t prop_offset = w->committed_prop_bytes + w->private_prop_bytes;
   if (!properties.empty()) {
@@ -771,10 +813,23 @@ void Transaction::UndoWrites() {
     TelBlock original = graph_->Tel(w.original_block);
     uint32_t original_committed =
         original.header()->committed_entries.load(std::memory_order_acquire);
-    for (uint32_t index : w.invalidated) {
-      if (index < original_committed) {
-        original.Entry(index)->invalidation_ts.store(
-            kNullTimestamp, std::memory_order_release);
+    if (w.block == w.original_block) {
+      for (uint32_t index : w.invalidated) {
+        if (index < original_committed) {
+          original.Entry(index)->invalidation_ts.store(
+              kNullTimestamp, std::memory_order_release);
+        }
+      }
+    } else {
+      // After an upgrade the write set indexes the (retired) copy, which
+      // may have dropped dead entries; the original holds the marks made
+      // before the first upgrade, found by value.
+      for (uint32_t i = 0; i < original_committed; ++i) {
+        EdgeEntry* entry = original.Entry(i);
+        if (entry->invalidation_ts.load(std::memory_order_acquire) == -tid_) {
+          entry->invalidation_ts.store(kNullTimestamp,
+                                       std::memory_order_release);
+        }
       }
     }
     // "An aborted transaction never modifies the log size variable LS so

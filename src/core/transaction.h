@@ -265,8 +265,11 @@ class Transaction {
   /// Locks, conflict-checks (CT vs TRE) and stages the TEL for writing.
   Status PrepareTelWrite(vertex_t v, label_t label, TelWrite** out);
 
-  /// Moves the TEL into a block of twice the size (§3 upgrade), preserving
-  /// all entries and timestamps; swaps the label-index slot.
+  /// Moves the TEL into a larger block (§3 upgrade) and swaps the
+  /// label-index slot. With compaction enabled the copy drops committed
+  /// entries invalidated at or before the safe epoch and is sized from the
+  /// survivors (it may shrink); otherwise it preserves every entry and
+  /// timestamp in a block at least twice the size.
   void UpgradeTel(TelWrite* w, uint32_t needed_bytes);
 
   /// Work-phase edge write shared by AddEdge/DeleteEdge.
@@ -309,6 +312,8 @@ class Transaction {
   /// commit/abort so the next transaction on the slot reuses the memory.
   TxnScratch* scratch_;
   bool replay_mode_ = false;  // recovery: skip WAL logging
+  /// Graph::SafeEpoch() as first read by UpgradeTel, -1 before that.
+  timestamp_t safe_epoch_ = -1;
 };
 
 }  // namespace livegraph

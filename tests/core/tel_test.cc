@@ -2,10 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/blocks.h"
 #include "core/graph.h"
 #include "core/transaction.h"
+#include "util/metrics.h"
 
 namespace livegraph {
 namespace {
@@ -151,12 +156,176 @@ TEST(TelUpgrade, AbortAfterUpgradeRestoresOriginalBlock) {
   EXPECT_EQ(read.GetEdge(hub, 0, first).value(), "committed");
 }
 
+// --- Writer-side compaction: filtered TEL upgrades ---
+//
+// With compaction enabled, an upgrade drops committed entries invalidated
+// at or before the safe epoch. The interval keeps the background pass from
+// ever running, so every drop below is the writer's.
+
+uint64_t UpgradeDroppedEntries() {
+  return metrics::Registry::Instance()
+      .GetCounter("livegraph_tel_upgrade_dropped_entries_total")
+      .Value();
+}
+
+size_t SpanEntries(const EdgeIterator& it) {
+  return it.ScanSpan().second / sizeof(EdgeEntry);
+}
+
+/// dst -> payload, in scan order, as one snapshot sees the list.
+std::vector<std::pair<vertex_t, std::string>> ListView(
+    const ReadTransaction& txn, vertex_t v) {
+  std::vector<std::pair<vertex_t, std::string>> view;
+  for (auto it = txn.GetEdges(v, 0); it.Valid(); it.Next()) {
+    view.emplace_back(it.DstId(), std::string(it.Properties()));
+  }
+  return view;
+}
+
+class TelFilteredUpgradeTest : public ::testing::Test {
+ protected:
+  static constexpr int kDestinations = 6;
+
+  static GraphOptions Options() {
+    GraphOptions options;
+    options.region_reserve = size_t{1} << 30;
+    options.max_vertices = 1 << 16;
+    options.enable_compaction = true;
+    options.compaction_interval = uint64_t{1} << 40;  // no background pass
+    return options;
+  }
+
+  TelFilteredUpgradeTest() : graph_(Options()) {}
+
+  // A hub with kDestinations edges, each updated `rounds` times in its own
+  // transaction: the log carries dead versions, the newest of them not yet
+  // dropped by any upgrade.
+  void SetUp() override {
+    auto txn = graph_.BeginTransaction();
+    hub_ = txn.AddVertex();
+    for (int i = 0; i < kDestinations; ++i) {
+      dsts_.push_back(txn.AddVertex());
+      ASSERT_EQ(txn.AddEdge(hub_, 0, dsts_.back(), "v0"), Status::kOk);
+    }
+    ASSERT_EQ(txn.Commit(), Status::kOk);
+    for (int round = 1; round <= 3; ++round) {
+      for (vertex_t d : dsts_) Update(d, "v" + std::to_string(round));
+    }
+  }
+
+  void Update(vertex_t dst, const std::string& payload) {
+    auto txn = graph_.BeginTransaction();
+    ASSERT_EQ(txn.AddEdge(hub_, 0, dst, payload), Status::kOk);
+    ASSERT_EQ(txn.Commit(), Status::kOk);
+  }
+
+  // In `txn`, updates dsts_[2..] round-robin until an upgrade drops dead
+  // entries; true when one did within a bounded number of writes.
+  bool UpdateUntilFilteredUpgrade(Transaction* txn) {
+    const uint64_t before = UpgradeDroppedEntries();
+    for (int i = 0; i < 256; ++i) {
+      vertex_t dst = dsts_[2 + static_cast<size_t>(i) % (kDestinations - 2)];
+      if (txn->AddEdge(hub_, 0, dst, "fill" + std::to_string(i)) !=
+          Status::kOk) {
+        return false;
+      }
+      if (UpgradeDroppedEntries() > before) return true;
+    }
+    return false;
+  }
+
+  Graph graph_;
+  vertex_t hub_ = kNullVertex;
+  std::vector<vertex_t> dsts_;
+};
+
+TEST_F(TelFilteredUpgradeTest, PinnedReaderKeepsItsViewAcrossADroppingUpgrade) {
+  auto pinned = graph_.BeginReadOnlyTransaction();
+  const auto pinned_view = ListView(pinned, hub_);
+  ASSERT_EQ(pinned_view.size(), static_cast<size_t>(kDestinations));
+
+  // One update per transaction until an upgrade drops entries; the span
+  // just before that write is the log the upgrade started from.
+  const uint64_t dropped_before = UpgradeDroppedEntries();
+  size_t span_before_upgrade = 0;
+  std::map<vertex_t, std::string> live;
+  for (vertex_t d : dsts_) live[d] = "v3";
+  for (int i = 0; i < 256 && UpgradeDroppedEntries() == dropped_before; ++i) {
+    span_before_upgrade =
+        SpanEntries(graph_.BeginReadOnlyTransaction().GetEdges(hub_, 0));
+    vertex_t dst = dsts_[static_cast<size_t>(i) % kDestinations];
+    live[dst] = "u" + std::to_string(i);
+    Update(dst, live[dst]);
+  }
+  ASSERT_GT(UpgradeDroppedEntries(), dropped_before)
+      << "no upgrade dropped dead entries";
+
+  // The pinned snapshot reads the upgraded block now, and sees exactly
+  // what it saw before: same edges, same payloads, same order.
+  EXPECT_EQ(ListView(pinned, hub_), pinned_view);
+
+  auto fresh = graph_.BeginReadOnlyTransaction();
+  std::map<vertex_t, std::string> seen;
+  for (const auto& [dst, payload] : ListView(fresh, hub_)) {
+    EXPECT_TRUE(seen.emplace(dst, payload).second) << "dst " << dst << " twice";
+  }
+  EXPECT_EQ(seen, live);
+  EXPECT_LT(SpanEntries(fresh.GetEdges(hub_, 0)), span_before_upgrade);
+}
+
+TEST_F(TelFilteredUpgradeTest, AbortAcrossADroppingUpgradeRestoresBoth) {
+  const vertex_t a = dsts_[0];
+  const vertex_t b = dsts_[1];
+  auto before = graph_.BeginReadOnlyTransaction();
+  const auto view_before = ListView(before, hub_);
+  const auto span_before = before.GetEdges(hub_, 0).ScanSpan();
+  {
+    auto txn = graph_.BeginTransaction();
+    ASSERT_EQ(txn.AddEdge(hub_, 0, a, "new-a"), Status::kOk);
+    ASSERT_TRUE(UpdateUntilFilteredUpgrade(&txn));
+    ASSERT_EQ(txn.AddEdge(hub_, 0, b, "new-b"), Status::kOk);
+    EXPECT_EQ(txn.GetEdge(hub_, 0, a).value(), "new-a");
+    EXPECT_EQ(txn.GetEdge(hub_, 0, b).value(), "new-b");
+    txn.Abort();
+  }
+  auto after = graph_.BeginReadOnlyTransaction();
+  EXPECT_EQ(after.GetEdge(hub_, 0, a).value(), "v3");
+  EXPECT_EQ(after.GetEdge(hub_, 0, b).value(), "v3");
+  EXPECT_EQ(ListView(after, hub_), view_before);
+  // Same block, same committed log: the original is back in the slot.
+  EXPECT_EQ(after.GetEdges(hub_, 0).ScanSpan(), span_before);
+}
+
+TEST_F(TelFilteredUpgradeTest, CommitAcrossADroppingUpgradeAppliesBoth) {
+  const vertex_t a = dsts_[0];
+  const vertex_t b = dsts_[1];
+  {
+    auto txn = graph_.BeginTransaction();
+    ASSERT_EQ(txn.AddEdge(hub_, 0, a, "new-a"), Status::kOk);
+    ASSERT_TRUE(UpdateUntilFilteredUpgrade(&txn));
+    ASSERT_EQ(txn.AddEdge(hub_, 0, b, "new-b"), Status::kOk);
+    ASSERT_EQ(txn.Commit(), Status::kOk);
+  }
+  auto read = graph_.BeginReadOnlyTransaction();
+  EXPECT_EQ(read.GetEdge(hub_, 0, a).value(), "new-a");
+  EXPECT_EQ(read.GetEdge(hub_, 0, b).value(), "new-b");
+  std::map<vertex_t, int> per_dst;
+  for (const auto& entry : ListView(read, hub_)) per_dst[entry.first]++;
+  ASSERT_EQ(per_dst.size(), static_cast<size_t>(kDestinations));
+  for (const auto& [dst, n] : per_dst) {
+    EXPECT_EQ(n, 1) << "dst " << dst;
+  }
+  EXPECT_EQ(read.CountEdges(hub_, 0), static_cast<size_t>(kDestinations));
+}
+
 // Property sweep: random interleavings of inserts/updates/deletes against a
 // reference map, across block-size-forcing payload sizes.
 struct TelSweepParam {
   int operations;
   size_t payload;
   bool bloom;
+  // Writer-side compaction: upgrades drop dead entries (no background pass).
+  bool compaction = false;
 };
 
 class TelSweepTest : public ::testing::TestWithParam<TelSweepParam> {};
@@ -166,7 +335,8 @@ TEST_P(TelSweepTest, MatchesReferenceAdjacencySet) {
   GraphOptions options;
   options.region_reserve = size_t{1} << 30;
   options.max_vertices = 1 << 16;
-  options.enable_compaction = false;
+  options.enable_compaction = param.compaction;
+  options.compaction_interval = uint64_t{1} << 40;
   options.enable_bloom_filters = param.bloom;
   Graph graph(options);
 
@@ -223,7 +393,9 @@ INSTANTIATE_TEST_SUITE_P(
                       TelSweepParam{300, 100, true},
                       TelSweepParam{300, 100, false},
                       TelSweepParam{1000, 24, true},
-                      TelSweepParam{2000, 3, true}));
+                      TelSweepParam{2000, 3, true},
+                      TelSweepParam{1000, 24, true, true},
+                      TelSweepParam{1000, 100, false, true}));
 
 }  // namespace
 }  // namespace livegraph

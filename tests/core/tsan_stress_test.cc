@@ -19,6 +19,7 @@
 #include "core/graph.h"
 #include "core/transaction.h"
 #include "shard/sharded_store.h"
+#include "util/metrics.h"
 
 namespace livegraph {
 namespace {
@@ -150,6 +151,99 @@ TEST(TsanStress, CommitPipelineWithCompactionAndReaders) {
     }
     EXPECT_EQ(actual, expected) << "hub " << h;
   }
+}
+
+// Two writers upsert a fixed destination set on one hot list, so its TEL
+// keeps filling with dead versions and the writers' upgrades keep dropping
+// them, while two readers scan snapshots of it. Every snapshot must list
+// each destination exactly once: an upgrade that dropped an entry some
+// snapshot can see, or appended at a stale index, shows up as a missing or
+// doubled destination.
+TEST(TsanStress, WriterUpgradesDropDeadEntriesUnderReaders) {
+  GraphOptions options;
+  options.region_reserve = size_t{1} << 30;
+  options.max_vertices = 1 << 16;
+  options.enable_compaction = true;
+  options.compaction_interval = uint64_t{1} << 40;  // writers compact alone
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 2;
+  constexpr size_t kDestinations = 16;
+  metrics::Counter& dropped = metrics::Registry::Instance().GetCounter(
+      "livegraph_tel_upgrade_dropped_entries_total");
+  const uint64_t dropped_before = dropped.Value();
+
+  Graph graph(options);
+  vertex_t hub;
+  std::vector<vertex_t> dsts(kDestinations);
+  {
+    auto txn = graph.BeginTransaction();
+    hub = txn.AddVertex();
+    for (auto& d : dsts) {
+      d = txn.AddVertex();
+      ASSERT_EQ(txn.AddEdge(hub, 0, d, "0"), Status::kOk);
+    }
+    ASSERT_EQ(txn.Commit(), Status::kOk);
+  }
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        auto read = graph.BeginReadOnlyTransaction();
+        std::set<vertex_t> seen;
+        for (auto it = read.GetEdges(hub, 0); it.Valid(); it.Next()) {
+          ASSERT_TRUE(seen.insert(it.DstId()).second)
+              << "edge " << it.DstId() << " listed twice";
+          ASSERT_FALSE(it.Properties().empty());
+        }
+        ASSERT_EQ(seen.size(), kDestinations);
+        ASSERT_EQ(read.CountEdges(hub, 0), kDestinations);
+      }
+    });
+  }
+
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      // At least kTxnsPerWriter transactions, then on until some upgrade
+      // has dropped dead entries: a reader descheduled mid-scan holds the
+      // safe epoch back, and on a loaded machine that can outlast the
+      // fixed-length run.
+      for (int i = 1;
+           i <= kTxnsPerWriter || (dropped.Value() == dropped_before &&
+                                   i <= 50 * kTxnsPerWriter);
+           ++i) {
+        // Two upserts per transaction: an upgrade between them remaps the
+        // first one's invalidation into the new block.
+        const vertex_t first = dsts[static_cast<size_t>(w + i) % kDestinations];
+        const vertex_t second =
+            dsts[static_cast<size_t>(w + 3 * i + 1) % kDestinations];
+        const std::string payload = std::to_string(w) + ":" + std::to_string(i);
+        while (true) {
+          auto txn = graph.BeginTransaction();
+          if (txn.AddEdge(hub, 0, first, payload) != Status::kOk ||
+              txn.AddEdge(hub, 0, second, payload) != Status::kOk) {
+            if (txn.active()) txn.Abort();
+            continue;  // lock timeout or CT conflict: rolled back, retry
+          }
+          if (txn.Commit().ok()) break;
+        }
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  EXPECT_GT(dropped.Value(), dropped_before)
+      << "no upgrade dropped dead entries";
+  auto read = graph.BeginReadOnlyTransaction();
+  std::set<vertex_t> seen;
+  for (auto it = read.GetEdges(hub, 0); it.Valid(); it.Next()) {
+    EXPECT_TRUE(seen.insert(it.DstId()).second) << "edge " << it.DstId();
+  }
+  EXPECT_EQ(seen, std::set<vertex_t>(dsts.begin(), dsts.end()));
 }
 
 // Multi-shard transactions write a value pair spanning two shards while
